@@ -26,8 +26,9 @@ import mpmath as mp
 
 from .dilog import bloch_wigner
 from .errors import DegenerateShape
-from .lattice import lll_reduce
+from .lattice import integer_relations
 from .numfield import FieldElement, embeddings
+from .prebloch import six_fold_normalize
 
 _GUARD = 24
 
@@ -81,10 +82,10 @@ def detect_relation(vectors, coefficient_bound=64, precision=256,
                     elements=None):
     """Small integer relation between regulator vectors, or None.
 
-    Lattice reduction on rows [I | 2^(precision/2) * vectors]; a candidate is
-    reported only when its residual  || sum a_i v_i ||  is below
-    2^(-precision/2).  With ``elements`` given, a relation whose exact
-    combination six-fold-normalizes to zero is tagged ExactInputVerified.
+    Candidates from ``lattice.integer_relations``, smallest first; the first
+    with residual  || sum a_i v_i ||  below 2^(-precision/2) is reported.
+    With ``elements`` given, a relation whose exact combination
+    six-fold-normalizes to zero is tagged ExactInputVerified.
     """
     vecs = [v.values if isinstance(v, RegulatorVector) else list(v)
             for v in vectors]
@@ -95,41 +96,22 @@ def detect_relation(vectors, coefficient_bound=64, precision=256,
     if any(len(v) != dim for v in vecs):
         raise ValueError("vectors of unequal length")
     with mp.workprec(precision + _GUARD):
-        K = mp.mpf(2) ** (precision // 2)
-        rows = []
-        for i, v in enumerate(vecs):
-            tail = [int(mp.nint(K * mp.mpf(x))) for x in v]
-            rows.append([1 if j == i else 0 for j in range(m)] + tail)
-        red = lll_reduce(rows)
         tol = mp.mpf(2) ** (-(precision // 2))
-        best = None
-        for row in red:
-            coeffs = row[:m]
-            if not any(coeffs):
-                continue
-            if max(abs(c) for c in coeffs) > coefficient_bound:
-                continue
+        for coeffs in integer_relations(vecs, precision,
+                                        max_coeff=coefficient_bound):
             resid = mp.sqrt(mp.fsum(
                 [mp.fsum([coeffs[i] * vecs[i][j] for i in range(m)]) ** 2
                  for j in range(dim)]))
             if resid < tol:
-                if best is None or max(map(abs, coeffs)) < max(map(abs, best[0])):
-                    best = (coeffs, resid)
-        if best is None:
-            return None
-        coeffs, resid = best
-        g = 0
-        for c in coeffs:
-            g = math.gcd(g, abs(c))
-        coeffs = [c // g for c in coeffs]
-        for c in coeffs:
-            if c != 0:
-                if c < 0:
-                    coeffs = [-x for x in coeffs]
                 break
+        else:
+            return None
+        g = math.gcd(*coeffs)
+        if next(c for c in coeffs if c) < 0:
+            g = -g
+        coeffs = [c // g for c in coeffs]
         confidence = "NumericOnly"
         if elements is not None:
-            from .prebloch import six_fold_normalize
             combo = None
             for c, e in zip(coeffs, elements):
                 if e is None:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .dilog import RhoRepresentative, rational_reconstruct, rogers
+from .dilog import RhoRepresentative, _mpq, rational_reconstruct, rogers
 from .errors import DegenerateShape, Inconsistent
 from .lattice import solve_integer, solve_rational
 
@@ -59,10 +59,6 @@ def solve_flattening(U, d):
         raise Inconsistent("U c = d has no rational solution")
     return FlatteningSolution(c=[Fraction(v) for v in x],
                               integral=all(v.denominator == 1 for v in x))
-
-
-def _mpq(q):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
 def cs_formula(shapes, lambdas, flattening, precision=256):

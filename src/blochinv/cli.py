@@ -156,8 +156,11 @@ def _parse_fill_flags(fills, h):
         if f == "complete":
             out.append(None)
         else:
-            p, q = f.replace(",", " ").split()
-            out.append((int(p), int(q)))
+            try:
+                p, q = f.replace(",", " ").split()
+                out.append((int(p), int(q)))
+            except ValueError:
+                raise TriangulationSyntaxError("bad --fill value %r" % f)
     return out
 
 

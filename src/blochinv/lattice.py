@@ -1,16 +1,80 @@
-"""Exact integer and rational linear algebra: LLL reduction, Hermite and
+"""Exact integer number theory: factorization, LLL reduction, Hermite and
 Smith normal forms, rational solving, and numeric integer-relation search.
 
-Everything here is small-matrix work (dimensions in the tens at most), so
-clarity wins over asymptotics: Fractions for Gram-Schmidt data, Python ints
-everywhere else.
+Everything here is small-matrix work (dimensions in the tens at most) on
+small integers, so clarity wins over asymptotics: Fractions for Gram-Schmidt
+data, Python ints everywhere else.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+# ---------------------------------------------------------------------------
+# factorization
+
+def factorint(n):
+    """Prime factorization {p: e} of a positive integer, primes ascending.
+
+    Trial division up to 41, then Pollard rho (Cohen, GTM 138, 8.5) until
+    Miller-Rabin accepts every part.  The test is exact below 3.3e24; above
+    it a composite misread as prime only coarsens the callers' valuation
+    pruning, and never admits an unverified relation.
+    """
+    if n < 1:
+        raise ValueError("factorint needs a positive integer, got %d" % n)
+    factors = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return dict(sorted(factors.items()))
+
+
+def _is_prime(n):
+    """Strong probable-prime test of an odd n free of primes up to 41: exact
+    for bases 2, 3 below 1373653 and the first 13 primes below 3.3e24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES[:2] if n < 1373653 else _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _rho_divisor(n):
+    """A proper divisor of an odd composite n free of primes up to 41; rho
+    needs sqrt(p) steps, so powers p^k with p > 2^20 are split by a root."""
+    for k in range(2, n.bit_length() // 20 + 1):
+        with mp.workprec(n.bit_length() + 16):
+            r = int(mp.nint(mp.root(n, k)))
+        if r ** k == n:
+            return r
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = ((y * y + c) ** 2 + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +347,6 @@ def integer_relations(vectors, precision, max_coeff=None):
     n = len(vectors)
     if n == 0:
         return []
-    dim = len(vectors[0])
     with mp.workprec(precision + 32):
         K = mp.mpf(2) ** (precision // 2)
         rows = []

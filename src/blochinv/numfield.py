@@ -16,6 +16,7 @@ from mpmath.libmp import mpf_neg
 
 from .errors import (DetectedReducible, DivisionByZero, FieldMismatch,
                      NonMonic, NotSquarefree, RootFindingFailed)
+from .lattice import factorint
 
 
 def conj_exact(z):
@@ -121,14 +122,10 @@ def _rational_roots(coeffs):
     a0, an = abs(int(p[0])), abs(int(p[-1]))
 
     def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
+        out = [1]
+        for q, e in factorint(n).items():
+            out = [d * q ** k for d in out for k in range(e + 1)]
+        return sorted(out)
 
     for num in divisors(a0):
         for den in divisors(an):
@@ -325,8 +322,6 @@ class FieldElement:
         """Field norm: determinant of the multiplication-by-self matrix."""
         d = self.field.degree
         cols = []
-        cur = self.field.one() * self
-        basis = [Fraction(0)] * d
         for j in range(d):
             basis = [Fraction(0)] * d
             basis[j] = Fraction(1)

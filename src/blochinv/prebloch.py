@@ -13,17 +13,18 @@ only a one-sided verdict, since a missed relation can inflate the image.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 import mpmath as mp
-import sympy
 
 from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      RequiresExactField, TriangulationSyntaxError)
-from .lattice import integer_relations, snf_with_projection
+from .lattice import (factorint, integer_relations, kernel_int,
+                      snf_with_projection, solve_integer)
 from .numfield import FieldElement, NumberField, embeddings
 
 
@@ -53,14 +54,6 @@ def exact_mpc(x):
     return mp.mpc(x)
 
 
-class _nullcontext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def cross_ratio(z1, z2, z3, z4):
     """Cross ratio [z1:z2:z3:z4] = ((z3-z2)(z4-z1)) / ((z3-z1)(z4-z2)).
 
@@ -76,7 +69,7 @@ def cross_ratio(z1, z2, z3, z4):
     numeric = [p for p in pts if p is not Infinity and not _is_exact(p)]
     bits = max([_value_bits(p) for p in numeric], default=0) + 32 \
         if numeric else 0
-    ctx = mp.workprec(bits) if numeric else _nullcontext()
+    ctx = mp.workprec(bits) if numeric else contextlib.nullcontext()
     with ctx:
         if not inf_at:
             num = (z3 - z2) * (z4 - z1)
@@ -337,31 +330,17 @@ class BlochCertificate:
         return self.verdict == "CertifiedZero"
 
 
-_UNITY_ORDERS = {1: [1], 2: [1, 2], 3: [1, 2, 3, 4, 6],
-                 4: [1, 2, 3, 4, 5, 6, 8, 10, 12]}
-
-
 def _possible_unity_orders(degree):
     # orders m with euler_phi(m) <= degree
-    out = []
-    for m in range(1, 6 * degree + 7):
-        if sympy.totient(m) <= degree:
-            out.append(m)
-    return out
+    return [m for m in range(1, 6 * degree + 7)
+            if sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) <= degree]
 
 
 def _is_root_of_unity(u):
-    if isinstance(u, Fraction):
+    if isinstance(u, Fraction) or u.is_rational():
         return u in (1, -1)
-    if u.is_rational():
-        return u.as_rational() in (1, -1)
-    nrm = u.norm()
-    if nrm not in (1, -1):
-        return False
-    for m in _possible_unity_orders(u.field.degree):
-        if (u ** m).is_one():
-            return True
-    return False
+    return u.norm() in (1, -1) and any(
+        (u ** m).is_one() for m in _possible_unity_orders(u.field.degree))
 
 
 def _dedup_generators(element):
@@ -386,20 +365,23 @@ def _dedup_generators(element):
     return base, pairs
 
 
-def _q_valuation_matrix(elements):
-    """Exact prime-exponent vectors for nonzero rationals (or norms)."""
+def _valuation_kernel(values):
+    """Integer kernel of the prime-exponent vectors of nonzero rationals (or
+    norms): the identity when no prime occurs."""
     primes = set()
     facs = []
-    for q in elements:
+    for q in values:
         q = Fraction(q)
-        fn = dict(sympy.factorint(abs(q.numerator)))
-        fd = dict(sympy.factorint(q.denominator))
+        fn = factorint(abs(q.numerator))
+        fd = factorint(q.denominator)
         fac = {p: fn.get(p, 0) - fd.get(p, 0) for p in set(fn) | set(fd)}
         facs.append(fac)
         primes |= set(fac)
+    if not primes:
+        return [[1 if j == i else 0 for j in range(len(values))]
+                for i in range(len(values))]
     primes = sorted(primes)
-    mat = [[fac.get(p, 0) for p in primes] for fac in facs]
-    return primes, mat
+    return kernel_int([[fac.get(p, 0) for p in primes] for fac in facs])
 
 
 def multiplicative_relations(elements, precision=256, max_coeff=64):
@@ -425,20 +407,13 @@ def multiplicative_relations(elements, precision=256, max_coeff=64):
     m = len(elements)
 
     # exact pruning: valuations of rational norms
-    primes, val_mat = _q_valuation_matrix([x.norm() for x in elements])
-    from .lattice import kernel_int
-    if primes:
-        val_kernel = kernel_int(val_mat)
-    else:
-        val_kernel = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
+    val_kernel = _valuation_kernel([x.norm() for x in elements])
     if not val_kernel:
         return []
 
     # full archimedean data: log|x| at every place, arg x at complex places
     es = embeddings(fld, precision)
-    order_lcm = 1
-    for o in _possible_unity_orders(fld.degree):
-        order_lcm = order_lcm * o // math.gcd(order_lcm, o)
+    order_lcm = math.lcm(*_possible_unity_orders(fld.degree))
     with mp.workprec(precision + 32):
         def coord_vec(x):
             out = []
@@ -527,18 +502,9 @@ def _verify_relation(elements, exps):
 
 def _relations_over_q(elements):
     """Exact relation lattice for rationals via prime factorization."""
-    _, mat = _q_valuation_matrix(elements)
-    from .lattice import kernel_int
-    if not mat or not mat[0]:
-        kernel = [[1 if j == i else 0 for j in range(len(elements))]
-                  for i in range(len(elements))]
-    else:
-        kernel = kernel_int(mat)
     out = []
-    for e in kernel:
-        u = Fraction(1)
-        for x, ee in zip(elements, e):
-            u *= Fraction(x) ** ee
+    for e in _valuation_kernel(elements):
+        u = math.prod(Fraction(x) ** ee for x, ee in zip(elements, e))
         if u in (1, -1):
             out.append(Relation(tuple(int(x) for x in e), u))
     return out
@@ -581,11 +547,9 @@ def _quotient_basis(base, proj):
     exists; we solve for it column by column over Q (entries come out
     integral) and realize each column as a monomial in the base elements.
     """
-    from .lattice import solve_integer
     f = len(proj)
     if f == 0:
         return []
-    m = len(proj[0])
     cols = []
     for a in range(f):
         rhs = [1 if b == a else 0 for b in range(f)]
@@ -593,18 +557,8 @@ def _quotient_basis(base, proj):
         if sol is None:
             return list(base)  # fall back: report raw elements
         cols.append(sol)
-    out = []
-    for col in cols:
-        if all(isinstance(x, Fraction) for x in base):
-            val = Fraction(1)
-            for x, e in zip(base, col):
-                val *= Fraction(x) ** e
-        else:
-            val = base[0].field.one()
-            for x, e in zip(base, col):
-                val = val * x ** e
-        out.append(val)
-    return out
+    return [math.prod((x ** e for x, e in zip(base, col)),
+                      start=_one_like(base[0])) for col in cols]
 
 
 def is_bloch(element, precision=256):
@@ -688,8 +642,15 @@ def parse_element(text, precision=256):
                 raise TriangulationSyntaxError("bad coefficient", lineno)
             rest = " ".join(toks[star + 1:])
             if rest.startswith("[") and rest.endswith("]"):
-                qs = [Fraction(t) for t in rest[1:-1].split()]
+                try:
+                    qs = [Fraction(t) for t in rest[1:-1].split()]
+                except (ValueError, ZeroDivisionError):
+                    raise TriangulationSyntaxError("bad exact generator", lineno)
                 if fld is not None:
+                    if len(qs) != fld.degree:
+                        raise TriangulationSyntaxError(
+                            "exact generator needs %d coefficients" % fld.degree,
+                            lineno)
                     gen = fld.element(qs)
                 elif len(qs) == 1:
                     gen = qs[0]

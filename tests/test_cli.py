@@ -2,6 +2,8 @@ import json
 
 import importlib.resources
 
+import pytest
+
 from blochinv.cli import main
 
 
@@ -61,6 +63,13 @@ def test_fill_noncoprime_usage_error(capsys):
     code, _, err = run(capsys, "fill", fx("figure_eight.tri"),
                        "--fill", "2,4")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["5", "5,x"])
+def test_fill_malformed_flag_exit_2(capsys, flag):
+    code, _, err = run(capsys, "fill", fx("figure_eight.tri"), "--fill", flag)
+    assert code == 2
+    assert err.startswith("invalid input:")
 
 
 def test_cs_figure_eight(capsys):

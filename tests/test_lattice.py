@@ -1,11 +1,18 @@
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 
-from blochinv.lattice import (hnf_rows, integer_relations, kernel_int,
-                              lll_reduce, rank_int, snf_with_projection,
-                              solve_integer, solve_rational)
+import blochinv
+from blochinv.lattice import (factorint, hnf_rows, integer_relations,
+                              kernel_int, lll_reduce, rank_int,
+                              snf_with_projection, solve_integer,
+                              solve_rational)
 
 
 def test_lll_finds_short_vector():
@@ -103,3 +110,31 @@ def test_integer_relations_none_for_independent():
         # any surviving candidate must actually be a relation; none should be
         assert not (abs(r[0]) <= 50 and abs(r[1]) <= 50) or \
             abs(r[0] * mp.log(2) + r[1] * mp.log(3)) > 1e-20
+
+
+def _is_prime_by_trial(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_factorint_small_range():
+    for n in range(1, 5001):
+        fac = factorint(n)
+        assert list(fac) == sorted(fac)
+        assert all(_is_prime_by_trial(p) and e > 0 for p, e in fac.items())
+        assert math.prod(p ** e for p, e in fac.items()) == n
+
+
+def test_factorint_large_inputs():
+    assert factorint((2 ** 61 - 1) * (2 ** 31 - 1)) == {2 ** 31 - 1: 1,
+                                                       2 ** 61 - 1: 1}
+    assert factorint(1000003 ** 2 * 999983) == {999983: 1, 1000003: 2}
+    assert factorint(3 ** 40) == {3: 40}
+    assert factorint(2 ** 64) == {2: 64}
+    assert factorint((2 ** 89 - 1) ** 2) == {2 ** 89 - 1: 2}
+
+
+def test_cli_import_leaves_out_sympy():
+    src = str(pathlib.Path(blochinv.__file__).resolve().parents[1])
+    code = "import blochinv.cli, sys; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

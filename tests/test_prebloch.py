@@ -6,7 +6,7 @@ import pytest
 
 from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
-                             RequiresExactField)
+                             RequiresExactField, TriangulationSyntaxError)
 from blochinv.numfield import field_make
 from blochinv.prebloch import (Infinity, PreBlochElement, cross_ratio,
                                five_term, is_bloch, multiplicative_relations,
@@ -294,6 +294,14 @@ place -0.547423794586 -1.120873489994
         for z in places:
             assert abs(z ** 4 + z ** 2 - z + 1) < mp.mpf(2) ** -120
         assert mp.im(places[0]) < 0 and mp.re(places[0]) > 0
+
+
+@pytest.mark.parametrize("text", ["1 * [a b]\n", "1 * [1/0]\n",
+                                  "field 2 1 0 1\n1 * [1 2 3]\n"])
+def test_element_parse_rejects_bad_exact_generator(text):
+    with pytest.raises(TriangulationSyntaxError) as exc:
+        parse_element(text)
+    assert exc.value.line == text.count("\n")
 
 
 def test_certificate_relations_are_sound():

@@ -75,10 +75,11 @@ def _read(path):
 
 
 def _is_triangulation(text):
+    # both formats may open with a field header; the next keyword decides
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] in ("tets", "cusps")
+        toks = raw.split("#", 1)[0].split()
+        if toks and toks[0] != "field":
+            return toks[0] in ("tets", "cusps")
     return False
 
 

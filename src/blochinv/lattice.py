@@ -2,8 +2,8 @@
 Smith normal forms, rational solving, and numeric integer-relation search.
 
 Everything here is small-matrix work (dimensions in the tens at most) on
-small integers, so clarity wins over asymptotics: Fractions for Gram-Schmidt
-data, Python ints everywhere else.
+Python ints.  LLL keeps its Gram-Schmidt data as integer Gram determinants,
+not Fractions; rational arithmetic remains only in the exact solvers.
 """
 
 from __future__ import annotations
@@ -81,63 +81,67 @@ def _rho_divisor(n):
 # LLL
 
 def lll_reduce(basis, delta=Fraction(3, 4)):
-    """LLL-reduce integer row vectors; returns a new list of rows.
+    """LLL-reduce linearly independent integer row vectors; returns a new
+    list of rows.
 
-    Zero rows are discarded.  Standard textbook algorithm with exact
-    rational Gram-Schmidt coefficients.
+    Zero rows are discarded; any other linear dependence raises ValueError.
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): the Gram-Schmidt data are kept
+    as the integers d[i] (Gram determinant of the first i rows, d[0] = 1, so
+    |b*_i|^2 = d[i+1] / d[i]) and lam[k][j] = d[j+1] * mu[k][j].  The steps are the textbook rational ones:
+    full size reduction of row k for j = k-1 down to 0 whenever |mu| > 1/2
+    (nearest integer, halves away from zero), the Lovasz test for
+    delta = p/q, a swap, then k = max(k-1, 1).  Each test is the rational
+    comparison multiplied through by positive d's, so the reduced basis is
+    the same one the Fraction Gram-Schmidt algorithm returns.
     """
     b = [list(map(int, row)) for row in basis if any(row)]
     n = len(b)
-    if n == 0:
-        return []
-
-    # Gram-Schmidt data, recomputed per touched row (small dimensions)
-    bstar = [None] * n
-    bnorm = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-
-    def update_gs(i):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            if bnorm[j] == 0:
-                mu[i][j] = Fraction(0)
-                continue
-            mu[i][j] = _frac_dot(b[i], bstar[j]) / bnorm[j]
-            v = [a - mu[i][j] * c for a, c in zip(v, bstar[j])]
-        bstar[i] = v
-        bnorm[i] = _frac_dot(v, v)
-
-    for i in range(n):
-        update_gs(i)
+    p, q = delta.as_integer_ratio()
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("lll_reduce needs linearly independent rows")
+            else:
+                d[k + 1] = u
 
     k = 1
     while k < n:
-        # size reduction
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = _nearest_int(mu[k][j])
+            if 2 * abs(lk[j]) > d[j + 1]:
+                r = (2 * abs(lk[j]) + d[j + 1]) // (2 * d[j + 1])
+                if lk[j] < 0:
+                    r = -r
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lk[j] -= r * d[j + 1]
+                lj = lam[j]
                 for i in range(j):
-                    mu[k][i] -= r * mu[j][i]
-                mu[k][j] -= r
-        # recompute b*_k after size reduction
-        update_gs(k)
-        if bnorm[k] >= (delta - mu[k][k - 1] ** 2) * bnorm[k - 1]:
+                    lk[i] -= r * lj[i]
+        lm = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] ** 2 - q * lm * lm:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for i in range(k - 1, n):
-                update_gs(i)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k; only d[k] and the lam entries of these
+        # two rows and of their columns in later rows change
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lk[j], lam[k - 1][j] = lam[k - 1][j], lk[j]
+        B = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (B * t + lm * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return b
-
-
-def _frac_dot(u, v):
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
-
-
-def _nearest_int(q):
-    return int(Fraction(q) + Fraction(1, 2)) if q >= 0 else -int(-Fraction(q) + Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

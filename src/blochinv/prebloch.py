@@ -447,43 +447,69 @@ def multiplicative_relations(elements, precision=256, max_coeff=64):
             cand_basis.append(e)
     out = []
     seen = set()
+    unities = {}  # exponents -> unity of each verified relation
+    rows = cand_basis[:6]
+    row_unity = []  # (u, 1/u) per row of ``rows``, None if not a relation
 
-    def try_vec(e):
+    def try_vec(e, combo=None):
         e = tuple(e)
         if not any(e) or e in seen or tuple(-x for x in e) in seen:
             return
         seen.add(e)
-        rel = _verify_relation(elements, e)
+        if combo is not None and all(row_unity[k] for k, c in enumerate(combo) if c):
+            # a combination of verified relations: its unity is the same
+            # combination of theirs, with no power of an element to take
+            unity = fld.one()
+            for pair, c in zip(row_unity, combo):
+                for _ in range(abs(c)):
+                    unity = unity * pair[c < 0]
+            rel = Relation(e, unity)
+        else:
+            rel = _verify_relation(elements, e)
         if rel is not None:
             out.append(rel)
+            unities[e] = rel.unity
 
     for e in cand_basis:
         try_vec(e)
     # short combinations of the candidate basis: an LLL-reduced basis is
     # near-orthogonal, so any remaining true relation has small coordinates
-    for e in _small_combinations(cand_basis[:6], radius=2):
-        try_vec(e)
+    row_unity += [_unity_and_inverse(unities, r) for r in rows]
+    for e, combo in _small_combinations(rows, radius=2):
+        try_vec(e, combo)
     return out
 
 
+def _unity_and_inverse(unities, row):
+    """(u, 1/u) for a row verified as a relation, as itself or negated, with
+    unity u; None for a row that failed verification."""
+    if row in unities:
+        return unities[row], unities[row].inverse()
+    neg = tuple(-x for x in row)
+    if neg in unities:
+        return unities[neg].inverse(), unities[neg]
+    return None
+
+
 def _small_combinations(rows, radius):
-    """Integer combinations of rows with L1 coefficient norm <= radius."""
+    """Integer combinations of rows with L1 coefficient norm <= radius, each
+    as (vector, coefficients)."""
     if not rows:
         return
     m = len(rows[0])
     k = len(rows)
 
-    def rec(idx, budget, acc):
+    def rec(idx, budget, acc, coeffs):
         if idx == k:
-            yield tuple(acc)
+            yield tuple(acc), coeffs
             return
         for c in range(-budget, budget + 1):
             nxt = acc
             if c:
                 nxt = [a + c * b for a, b in zip(acc, rows[idx])]
-            yield from rec(idx + 1, budget - abs(c), nxt)
+            yield from rec(idx + 1, budget - abs(c), nxt, coeffs + (c,))
 
-    yield from rec(0, radius, [0] * m)
+    yield from rec(0, radius, [0] * m, ())
 
 
 def _verify_relation(elements, exps):

@@ -263,7 +263,10 @@ def parse_triangulation(text, precision=256):
                     if field is None:
                         raise TriangulationSyntaxError(
                             "exact shape before field header", lineno)
-                    qs = [Fraction(x) for x in toks[3:]]
+                    try:
+                        qs = [Fraction(x) for x in toks[3:]]
+                    except (ValueError, ZeroDivisionError):
+                        raise TriangulationSyntaxError("bad exact shape", lineno)
                     if len(qs) != field.degree:
                         raise TriangulationSyntaxError(
                             "exact shape needs %d coefficients" % field.degree,

@@ -153,3 +153,37 @@ def test_cs_filled_cusp(tmp_path, capsys):
     code, out, _ = run(capsys, "--precision", "128", "cs", str(p))
     assert code == 0
     assert "0.9813688288922320880914521897" in out
+
+
+def _exact_figure_eight(field_first):
+    """figure_eight.tri with exact shapes in Q(sqrt -3), field header either
+    first or after the tets/cusps header."""
+    text = importlib.resources.files("blochinv").joinpath(
+        "fixtures/figure_eight.tri").read_text()
+    lines = ["shape %s exact 0 1" % line.split()[1] if line.startswith("shape")
+             else line for line in text.splitlines()]
+    if field_first:
+        return "field 2 1 -1 1\n" + "\n".join(lines) + "\n"
+    return "\n".join(lines).replace("cusps 1", "cusps 1\nfield 2 1 -1 1") + "\n"
+
+
+def test_invariant_field_header_first(tmp_path, capsys):
+    outs = []
+    for field_first in (False, True):
+        p = tmp_path / ("first.tri" if field_first else "after.tri")
+        p.write_text(_exact_figure_eight(field_first))
+        code, out, _ = run(capsys, "--format", "records", "invariant", str(p))
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+    assert outs[0]["bloch_certificate"] == "CertifiedZero"
+
+
+def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.tri"
+    p.write_text(_exact_figure_eight(False).replace("shape 0 exact 0 1",
+                                                    "shape 0 exact 0 1/0"))
+    code, _, err = run(capsys, "invariant", str(p))
+    assert code == 2
+    assert err.startswith("invalid input:")
+    assert "bad exact shape" in err

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import blochinv
 from blochinv.lattice import (factorint, hnf_rows, integer_relations,
@@ -27,6 +29,122 @@ def test_lll_preserves_lattice_rank():
     rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
     red = lll_reduce(rows)
     assert rank_int(red) == rank_int(rows)
+
+
+# Bases pinned from the rational Gram-Schmidt LLL that preceded the integral
+# one; the 8 x 11 case is an [I | K*v] search from a five-term wedge over the
+# cubic field x^3 - x + 1 at 256 bits.
+@pytest.mark.parametrize("rows,reduced", [
+    ([[1, 0, 1031, -2718], [0, 1, -1414, 3141]],
+     [[1, 1, -383, 423], [6, 5, -884, -603]]),
+    # mu = 1/2 exactly, and the Lovasz test holds with equality: no step
+    ([[2, 0, 0], [1, 1, 1]], [[2, 0, 0], [1, 1, 1]]),
+    # mu = +-5/2 rounds away from zero
+    ([[2, 0, 0, 0], [5, 1, 1, 1]], [[2, 0, 0, 0], [-1, 1, 1, 1]]),
+    ([[2, 0, 0, 0], [-5, 1, 1, 1]], [[2, 0, 0, 0], [1, 1, 1, 1]])])
+def test_lll_golden_small(rows, reduced):
+    assert lll_reduce(rows) == reduced
+
+
+_K1 = 191374513455555618324785944810916256126
+_K2 = 95687256727777809162392972405458128063
+_K3 = 590007841304877393824178976623794260137
+_K4 = 669810797094444664136750806838206896441
+_K5 = 334905398547222332068375403419103448221
+_K6 = 461484568469620756595105858440473735530
+_K7 = 178171430677494457976613395526978463883
+
+
+def test_lll_golden_wedge_8x11():
+    tails = [[-_K1, _K2, _K3], [0, 0, 0], [_K4, -_K5, -_K6], [_K1, -_K2, -_K3],
+             [_K1, -_K2, -_K3], [-_K1, _K2, _K3], [_K4, -_K5, -_K6],
+             [0, 0, _K7]]
+    rows = [[int(i == j) for j in range(8)] + t for i, t in enumerate(tails)]
+    assert lll_reduce(rows) == [
+        [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+        [-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0],
+        [-1, 0, -1, 2, 2, -2, -1, 18, 0, 1, -5],
+        [1703341333655785860335059024976799155, 0,
+         973337904946163348762890871415313803,
+         -1703341333655785860335059024976799154,
+         -1703341333655785860335059024976799155,
+         1703341333655785860335059024976799154,
+         973337904946163348762890871415313802,
+         -17520082289030940277732035685475648447, -_K2,
+         46870290458942741232433595331313750229,
+         -56472251177819402297322848384983228685],
+        [-2576686170607979430798413070729615559, 0,
+         -1472392097490273960456236040416923176,
+         2576686170607979430798413070729615558,
+         2576686170607979430798413070729615559,
+         -2576686170607979430798413070729615559,
+         -1472392097490273960456236040416923177,
+         26503057754824931288212248727504617176, -_K2,
+         49316020461379178541652722243145987208,
+         109470529487492869133194912582834050303]]
+
+
+def _gram_schmidt(rows):
+    """Rational Gram-Schmidt: (mu, squared norms of the b*)."""
+    def dot(u, v):
+        return sum(Fraction(x) * y for x, y in zip(u, v))
+
+    star, norms = [], []
+    mu = [[Fraction(0)] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = dot(row, star[j]) / norms[j]
+            v = [a - mu[i][j] * c for a, c in zip(v, star[j])]
+        star.append(v)
+        norms.append(dot(v, v))
+    return mu, norms
+
+
+def _fraction_lll(rows, delta=Fraction(3, 4)):
+    """Reference: textbook LLL with Gram-Schmidt recomputed over Q each step."""
+    b = [list(row) for row in rows]
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            m = _gram_schmidt(b)[0][k][j]
+            if abs(m) > Fraction(1, 2):
+                r = math.floor(abs(m) + Fraction(1, 2)) * (1 if m > 0 else -1)
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+        mu, norms = _gram_schmidt(b)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k = max(k - 1, 1)
+    return b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-60, 60), min_size=n + 2, max_size=n + 2),
+    min_size=n, max_size=n)))
+def test_lll_matches_rational_reference(rows):
+    assume(rank_int(rows) == len(rows))
+    red = lll_reduce(rows)
+    assert red == _fraction_lll(rows)
+    assert hnf_rows(red)[0] == hnf_rows(rows)[0]
+    mu, norms = _gram_schmidt(red)
+    for k in range(len(red)):
+        assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+        if k:
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [2, 4, 6]],
+                                  [[1, 0], [0, 1], [1, 1]],
+                                  [[3, 1, 4, 1], [0, 0, 0, 0], [6, 2, 8, 2]]])
+def test_lll_rejects_dependent_rows(rows):
+    with pytest.raises(ValueError):
+        lll_reduce(rows)
 
 
 def test_hnf_row_space():

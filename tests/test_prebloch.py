@@ -322,3 +322,59 @@ def test_certificate_relations_are_sound():
             prod = prod * x ** e
         assert prod == rel.unity
         assert _is_root_of_unity(prod)
+
+
+@pytest.mark.parametrize("coeffs,seed", [([1, 0, 1], 31), ([1, -1, 0, 1], 37)])
+def test_composed_unities_match_exact_verification(coeffs, seed, monkeypatch):
+    # relations built as combinations of verified ones carry the unity that
+    # direct exact multiplication gives
+    from blochinv import prebloch
+    fld = field_make(coeffs)
+    rng = random.Random(seed)
+    verify = prebloch._verify_relation
+    verified = []
+
+    def counting_verify(elements, e):
+        verified.append(e)
+        return verify(elements, e)
+
+    monkeypatch.setattr(prebloch, "_verify_relation", counting_verify)
+    composed = done = 0
+    while done < 4:
+        x = fld.element([rng.randint(-8, 8) for _ in range(fld.degree)])
+        y = fld.element([rng.randint(-8, 8) for _ in range(fld.degree)])
+        try:
+            base, _ = prebloch._dedup_generators(five_term(x, y))
+        except (DegenerateFiveTerm, DegenerateShape):
+            continue
+        verified.clear()
+        rels = multiplicative_relations(base, precision=256)
+        assert rels
+        for rel in rels:
+            assert rel == verify(base, rel.exponents)
+        composed += sum(rel.exponents not in verified for rel in rels)
+        done += 1
+    assert composed > 0
+
+
+def test_composed_unities_with_a_rejected_row(monkeypatch):
+    # combinations that use a row which failed verification are multiplied
+    # out; the others are still composed from the verified rows
+    from blochinv import prebloch
+    fld = field_make([1, 0, 1])
+    x, y = fld.element([2, 3]), fld.element([-1, 4])
+    base, _ = prebloch._dedup_generators(five_term(x, y))
+    verify = prebloch._verify_relation
+    calls = []
+
+    def reject_first(elements, e):
+        calls.append(e)
+        return None if len(calls) == 1 else verify(elements, e)
+
+    monkeypatch.setattr(prebloch, "_verify_relation", reject_first)
+    rels = multiplicative_relations(base, precision=256)
+    rejected = calls[0]
+    assert rels and all(rel.exponents != rejected for rel in rels)
+    for rel in rels:
+        assert rel == verify(base, rel.exponents)
+    assert any(rel.exponents not in calls for rel in rels)

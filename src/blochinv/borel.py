@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .dilog import bloch_wigner
+from .dilog import _GUARD, bloch_wigner
 from .errors import DegenerateShape
 from .lattice import integer_relations
 from .numfield import FieldElement, embeddings
 from .prebloch import six_fold_normalize
-
-_GUARD = 24
 
 
 @dataclass

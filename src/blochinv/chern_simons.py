@@ -18,11 +18,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .dilog import RhoRepresentative, _mpq, rational_reconstruct, rogers
-from .errors import DegenerateShape, Inconsistent
+from .dilog import (_GUARD, RhoRepresentative, _flattened_rogers,
+                    rational_reconstruct)
+from .errors import Inconsistent
 from .lattice import solve_integer, solve_rational
-
-_GUARD = 24
 
 
 @dataclass
@@ -74,14 +73,8 @@ def cs_formula(shapes, lambdas, flattening, precision=256):
         for j, lam in enumerate(lambdas or []):
             total -= mp.pi / 2 * mp.mpc(lam)
         for nu in range(n):
-            z = mp.mpc(shapes[nu])
-            if z == 0 or z == 1:
-                raise DegenerateShape("shape %s" % z)
-            term = rogers(z, precision)
-            if cp[nu] or cpp[nu]:
-                term -= (mp.mpc(0, 1) * mp.pi / 2) * (
-                    _mpq(cp[nu]) * mp.log(1 - z) - _mpq(cpp[nu]) * mp.log(z))
-            total -= mp.mpc(0, 1) * term
+            total -= mp.mpc(0, 1) * _flattened_rogers(shapes[nu], cp[nu],
+                                                      cpp[nu], precision)
         return CSResult(value=total, vol=mp.re(total),
                         cs_mod_rational=mp.im(total))
 

@@ -23,10 +23,12 @@ from .errors import (BlochError, Diverged, DegeneratedToFlat,
                      JacobianSingular, NotCoprime, NotIntegral,
                      RootFindingFailed, TriangulationSyntaxError)
 from .numfield import embeddings
-from .prebloch import is_bloch, parse_element, six_fold_normalize
+from .prebloch import (is_bloch, parse_element, serialize_element,
+                       six_fold_normalize)
 from .scissors import (cone_decomposition, decomposition_class,
                        parse_polyhedron, polyhedron_class)
 from .surgery import FillingSpec, filled_system, newton_solve, solution_volume
+from .textformat import lines
 from .triang import (bloch_invariant, embedding_for_validation,
                      parse_triangulation)
 
@@ -76,11 +78,8 @@ def _read(path):
 
 def _is_triangulation(text):
     # both formats may open with a field header; the next keyword decides
-    for raw in text.splitlines():
-        toks = raw.split("#", 1)[0].split()
-        if toks and toks[0] != "field":
-            return toks[0] in ("tets", "cusps")
-    return False
+    first = next((key for _, key, _ in lines(text) if key != "field"), None)
+    return first in ("tets", "cusps")
 
 
 def _load_element(path, precision):
@@ -126,9 +125,8 @@ def cmd_invariant(args, config):
             for j, v in enumerate(vols):
                 rep.add("volume_place_%d" % j, _fmt(v, prec))
     rep.add("terms", len(element))
-    from .prebloch import serialize_element
-    rep.add("element", serialize_element(element).strip().splitlines(),
-            text="; ".join(serialize_element(element).strip().splitlines()))
+    element_lines = serialize_element(element).strip().splitlines()
+    rep.add("element", element_lines, text="; ".join(element_lines))
     if element.is_exact() and element.field is not None:
         cert = is_bloch(element, precision=prec)
         rep.add("bloch_certificate", cert.verdict)

@@ -16,6 +16,7 @@ import mpmath as mp
 
 from .errors import DegenerateShape
 
+# guard bits added to a caller's precision by every numeric module
 _GUARD = 24
 
 
@@ -154,16 +155,20 @@ def rho(z, c_prime=0, c_double_prime=0, precision=256):
     triangulation this represents rho(beta(M)) with Im = vol / 2 pi^2.
     """
     with mp.workprec(precision + _GUARD):
-        z = mp.mpc(z)
-        if z == 0 or z == 1:
-            raise DegenerateShape("rho undefined at %s" % z)
-        cp = Fraction(c_prime)
-        cpp = Fraction(c_double_prime)
-        term = rogers(z, precision)
-        if cp or cpp:
-            term -= (mp.mpc(0, 1) * mp.pi / 2) * (
-                _mpq(cp) * mp.log(1 - z) - _mpq(cpp) * mp.log(z))
+        term = _flattened_rogers(z, Fraction(c_prime), Fraction(c_double_prime),
+                                 precision)
         return RhoRepresentative(term / (2 * mp.pi ** 2), precision)
+
+
+def _flattened_rogers(z, cp, cpp, precision):
+    """R(z) - (i pi / 2)(c' log(1-z) - c'' log z) at the caller's working
+    precision; cp, cpp are Fractions.  Raises DegenerateShape at 0 and 1."""
+    z = mp.mpc(z)
+    term = rogers(z, precision)
+    if cp or cpp:
+        term -= (mp.mpc(0, 1) * mp.pi / 2) * (
+            _mpq(cp) * mp.log(1 - z) - _mpq(cpp) * mp.log(z))
+    return term
 
 
 def _mpq(q):

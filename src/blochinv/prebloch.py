@@ -21,11 +21,12 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from . import textformat
 from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      RequiresExactField, TriangulationSyntaxError)
 from .lattice import (factorint, integer_relations, kernel_int,
                       snf_with_projection, solve_integer)
-from .numfield import FieldElement, NumberField, embeddings
+from .numfield import FieldElement, _polish, embeddings
 
 
 class _InfinityType:
@@ -137,12 +138,16 @@ class PreBlochElement:
             pass
         else:
             gen = exact_mpc(gen)
-            # numeric generators computed along different arithmetic routes
-            # differ in trailing bits; merge within a tight relative window
-            tol = mp.mpf(2) ** -48
+            # numeric generators reached by different routes differ in
+            # trailing bits.  A value of b bits is accurate to about b - 64
+            # (canonical_representative works 64 bits above its input), so
+            # merge within the square root of that, never looser than 2^-48
+            bits = _value_bits(gen)
             for k in self.terms:
-                if not isinstance(k, (FieldElement, Fraction)) and \
-                        abs(k - gen) < tol * (1 + abs(k)):
+                if isinstance(k, (FieldElement, Fraction)):
+                    continue
+                b = max(bits, _value_bits(k))
+                if abs(k - gen) < mp.ldexp(1 + abs(k), -max(48, (b - 64) // 2)):
                     gen = k
                     break
         new = self.terms.get(gen, 0) + coeff
@@ -606,20 +611,11 @@ def is_bloch(element, precision=256):
 # ---------------------------------------------------------------------------
 # element file serialization
 
-def serialize_element(element, places=None, comment=None):
-    """Text form: optional field/place headers then one line per term."""
+def serialize_element(element):
+    """Text form: an optional field header then one line per term."""
     lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append("# " + c)
     if element.field is not None:
-        fld = element.field
-        lines.append("field %d %s" % (fld.degree,
-                                      " ".join(str(c) for c in fld.min_poly)))
-    if places:
-        for z in places:
-            lines.append("place %s %s" % (mp.nstr(mp.re(z), 20),
-                                          mp.nstr(mp.im(z), 20)))
+        lines.append(textformat.field_line(element.field))
     for g, c in element.terms.items():
         if isinstance(g, FieldElement):
             lines.append("%d * [%s]" % (c, " ".join(str(q) for q in g.coeffs)))
@@ -640,64 +636,38 @@ def parse_element(text, precision=256):
     element = PreBlochElement()
     fld = None
     raw_places = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "field":
-            try:
-                deg = int(toks[1])
-                coeffs = [int(t) for t in toks[2:]]
-            except (ValueError, IndexError):
-                raise TriangulationSyntaxError("bad field header", lineno)
-            if len(coeffs) != deg + 1:
-                raise TriangulationSyntaxError(
-                    "field degree %d needs %d coefficients" % (deg, deg + 1), lineno)
-            fld = NumberField(coeffs)
-        elif toks[0] == "place":
-            try:
-                raw_places.append(mp.mpc(toks[1], toks[2]))
-            except (ValueError, IndexError):
-                raise TriangulationSyntaxError("bad place line", lineno)
-        elif "*" in toks:
-            star = toks.index("*")
-            try:
-                coeff = int("".join(toks[:star]))
-            except ValueError:
-                raise TriangulationSyntaxError("bad coefficient", lineno)
-            rest = " ".join(toks[star + 1:])
-            if rest.startswith("[") and rest.endswith("]"):
-                try:
-                    qs = [Fraction(t) for t in rest[1:-1].split()]
-                except (ValueError, ZeroDivisionError):
-                    raise TriangulationSyntaxError("bad exact generator", lineno)
-                if fld is not None:
-                    if len(qs) != fld.degree:
-                        raise TriangulationSyntaxError(
-                            "exact generator needs %d coefficients" % fld.degree,
-                            lineno)
-                    gen = fld.element(qs)
-                elif len(qs) == 1:
-                    gen = qs[0]
-                else:
-                    raise TriangulationSyntaxError(
-                        "exact generator without field header", lineno)
-            elif rest.startswith("(") and rest.endswith(")"):
-                parts = rest[1:-1].split()
-                if len(parts) != 2:
-                    raise TriangulationSyntaxError("bad numeric generator", lineno)
-                with mp.workprec(precision + 16):
-                    gen = mp.mpc(mp.mpf(parts[0]), mp.mpf(parts[1]))
-            else:
-                raise TriangulationSyntaxError("bad generator syntax", lineno)
-            element._add_term(gen, coeff)
+
+    def line(lineno, key, args):
+        nonlocal fld
+        if key == "field":
+            fld = textformat.read_field(args)
+        elif key == "place":
+            # a Newton starting point, read in double precision
+            raw_places.append((lineno, textformat.complex_pair(args, 53)))
         else:
-            raise TriangulationSyntaxError("unrecognized line", lineno)
+            coeff, star, rest = " ".join([key] + args).partition(" * ")
+            if not star:
+                raise TriangulationSyntaxError("unrecognized line")
+            coeff = int(coeff.replace(" ", ""))
+            inner = rest[1:-1].split()
+            if rest[:1] + rest[-1:] == "[]":
+                if fld is None and len(inner) != 1:
+                    raise TriangulationSyntaxError(
+                        "exact generator without field header")
+                qs = textformat.exact_vector(
+                    inner, fld.degree if fld else 1, "generator")
+                gen = fld.element(qs) if fld else qs[0]
+            elif rest[:1] + rest[-1:] == "()":
+                gen = textformat.complex_pair(inner, precision + 16)
+            else:
+                raise TriangulationSyntaxError("bad generator syntax")
+            element._add_term(gen, coeff)
+
+    textformat.read(text, line)
     places = None
     if raw_places:
         if fld is None:
-            raise TriangulationSyntaxError("place lines require a field header")
-        from .numfield import _polish
-        places = [_polish(fld.min_poly, z, precision) for z in raw_places]
+            raise TriangulationSyntaxError("place line without a field header",
+                                           raw_places[0][0])
+        places = [_polish(fld.min_poly, z, precision) for _, z in raw_places]
     return element, places

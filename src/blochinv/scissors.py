@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import mpmath as mp
 
+from . import textformat
 from .errors import (DegenerateSimplex, DimensionMismatch,
                      NotAFiveTermConfiguration, NotDistinct,
                      TriangulationSyntaxError)
@@ -250,34 +251,22 @@ def parse_polyhedron(text, precision=256):
     verts = {}
     faces = []
     diags = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        try:
-            if toks[0] == "vertex":
-                idx = int(toks[1])
-                if toks[2] == "inf":
-                    verts[idx] = Infinity
-                else:
-                    with mp.workprec(precision + 16):
-                        verts[idx] = mp.mpc(mp.mpf(toks[2]), mp.mpf(toks[3]))
-            elif toks[0] == "face":
-                faces.append([int(x) for x in toks[1:]])
-            elif toks[0] == "diag":
-                diags.setdefault(int(toks[1]), []).append(
-                    (int(toks[2]), int(toks[3])))
-            else:
-                raise TriangulationSyntaxError("unrecognized keyword %r"
-                                               % toks[0], lineno)
-        except TriangulationSyntaxError:
-            raise
-        except (ValueError, IndexError):
-            raise TriangulationSyntaxError("malformed %r line" % toks[0],
-                                           lineno)
+
+    def line(lineno, key, args):
+        if key == "vertex":
+            idx, *rest = args
+            verts[int(idx)] = Infinity if rest == ["inf"] else \
+                textformat.complex_pair(rest, precision + 16)
+        elif key == "face":
+            faces.append([int(x) for x in args])
+        elif key == "diag":
+            f, i, j = map(int, args)
+            diags.setdefault(f, []).append((i, j))
+        else:
+            raise TriangulationSyntaxError("unrecognized keyword %r" % key)
+
+    textformat.read(text, line)
     if sorted(verts) != list(range(len(verts))):
         raise TriangulationSyntaxError("vertex indices must be 0..n-1")
-    diag_list = [diags.get(k, []) for k in range(len(faces))]
     return IdealPolyhedron([verts[i] for i in range(len(verts))], faces,
-                           diag_list)
+                           [diags.get(k, []) for k in range(len(faces))])

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .dilog import bloch_wigner
+from .dilog import _GUARD, bloch_wigner
 from .errors import (Diverged, DegenerateShape, DegeneratedToFlat,
                      JacobianSingular, NotCoprime, NotFilled, RankDeficient)
 from .lattice import hnf_rows
-
-_GUARD = 24
 
 
 class FillingSpec:

@@ -15,16 +15,14 @@ modulo pi i, the offsets landing in d.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import mpmath as mp
 
+from . import textformat
+from .dilog import _GUARD
 from .errors import (DegenerateShape, DimensionMismatch, NotIntegral,
                      OpenFace, TriangulationSyntaxError)
-from .numfield import FieldElement, NumberField
+from .numfield import FieldElement
 from .prebloch import PreBlochElement, six_fold_normalize
-
-_GUARD = 24
 
 
 def _edge_slot(a, b):
@@ -166,8 +164,8 @@ class Triangulation:
                         raise ValueError("exact shapes need an embedding")
                     out.append(z.evaluate(embedding))
                 elif self._shape_tokens and self._shape_tokens[i] is not None:
-                    re_s, im_s = self._shape_tokens[i]
-                    out.append(mp.mpc(mp.mpf(re_s), mp.mpf(im_s)))
+                    out.append(textformat.complex_pair(self._shape_tokens[i],
+                                                       precision + _GUARD))
                 else:
                     out.append(mp.mpc(z))
             return out
@@ -227,82 +225,55 @@ def bloch_invariant(t):
 # file format
 
 def parse_triangulation(text, precision=256):
-    """Parse the line-oriented triangulation format (see format docstring)."""
-    n = h = None
-    field = None
-    shapes = {}
-    shape_tokens = {}
+    """Parse the line-oriented triangulation format (see the README)."""
+    n = h = field = dvec = None
+    shapes = {}  # index -> (value, (re, im) tokens or None)
     urows = {}
-    dvec = None
     glue = {}
     fillings = {}
-    any_line = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        any_line = True
-        toks = line.split()
-        key = toks[0]
-        try:
-            if key == "tets":
-                n = int(toks[1])
-            elif key == "cusps":
-                h = int(toks[1])
-            elif key == "field":
-                deg = int(toks[1])
-                coeffs = [int(x) for x in toks[2:]]
-                if len(coeffs) != deg + 1:
+
+    def line(lineno, key, args):
+        nonlocal n, h, field, dvec
+        if key == "tets":
+            (n,) = map(int, args)
+        elif key == "cusps":
+            (h,) = map(int, args)
+        elif key == "field":
+            field = textformat.read_field(args)
+        elif key == "shape":
+            idx, *rest = args
+            if rest[:1] == ["exact"]:
+                if field is None:
                     raise TriangulationSyntaxError(
-                        "field degree %d needs %d coefficients" % (deg, deg + 1),
-                        lineno)
-                field = NumberField(coeffs)
-            elif key == "shape":
-                idx = int(toks[1])
-                if toks[2] == "exact":
-                    if field is None:
-                        raise TriangulationSyntaxError(
-                            "exact shape before field header", lineno)
-                    try:
-                        qs = [Fraction(x) for x in toks[3:]]
-                    except (ValueError, ZeroDivisionError):
-                        raise TriangulationSyntaxError("bad exact shape", lineno)
-                    if len(qs) != field.degree:
-                        raise TriangulationSyntaxError(
-                            "exact shape needs %d coefficients" % field.degree,
-                            lineno)
-                    shapes[idx] = field.element(qs)
-                    shape_tokens[idx] = None
-                else:
-                    re_s, im_s = toks[2], toks[3]
-                    with mp.workprec(precision + _GUARD):
-                        shapes[idx] = mp.mpc(mp.mpf(re_s), mp.mpf(im_s))
-                    shape_tokens[idx] = (re_s, im_s)
-            elif key == "urow":
-                idx = int(toks[1])
-                urows[idx] = [int(x) for x in toks[2:]]
-            elif key == "dvec":
-                dvec = [int(x) for x in toks[1:]]
-            elif key == "glue":
-                t_idx, f_idx, t2 = int(toks[1]), int(toks[2]), int(toks[3])
-                perm = tuple(int(c) for c in toks[4])
-                if sorted(perm) != [0, 1, 2, 3]:
-                    raise TriangulationSyntaxError("bad permutation", lineno)
-                glue[(t_idx, f_idx)] = (t2, perm)
-            elif key == "fill":
-                c = int(toks[1])
-                if toks[2] == "complete":
-                    fillings[c] = None
-                else:
-                    fillings[c] = (int(toks[2]), int(toks[3]))
+                        "exact shape before field header")
+                shapes[int(idx)] = (field.element(textformat.exact_vector(
+                    rest[1:], field.degree, "shape")), None)
             else:
-                raise TriangulationSyntaxError("unrecognized keyword %r" % key,
-                                               lineno)
-        except TriangulationSyntaxError:
-            raise
-        except (ValueError, IndexError):
-            raise TriangulationSyntaxError("malformed %r line" % key, lineno)
-    if not any_line or n is None or h is None:
+                shapes[int(idx)] = (
+                    textformat.complex_pair(rest, precision + _GUARD), tuple(rest))
+        elif key == "urow":
+            idx, *row = map(int, args)
+            urows[idx] = row
+        elif key == "dvec":
+            dvec = [int(x) for x in args]
+        elif key == "glue":
+            t_idx, f_idx, t2, perm = args
+            perm = tuple(int(c) for c in perm)
+            if sorted(perm) != [0, 1, 2, 3]:
+                raise TriangulationSyntaxError("bad permutation")
+            glue[(int(t_idx), int(f_idx))] = (int(t2), perm)
+        elif key == "fill":
+            c, *rest = args
+            if rest == ["complete"]:
+                fillings[int(c)] = None
+            else:
+                p, q = map(int, rest)
+                fillings[int(c)] = (p, q)
+        else:
+            raise TriangulationSyntaxError("unrecognized keyword %r" % key)
+
+    textformat.read(text, line)
+    if n is None or h is None:
         raise TriangulationSyntaxError("missing tets/cusps header")
     if sorted(shapes) != list(range(n)):
         raise TriangulationSyntaxError("need one shape per tetrahedron")
@@ -310,20 +281,18 @@ def parse_triangulation(text, precision=256):
         raise TriangulationSyntaxError("need %d urow lines" % (n + 2 * h))
     if dvec is None:
         raise TriangulationSyntaxError("missing dvec")
-    combi = GluingCombinatorics(n, glue) if glue else None
-    fill_list = [fillings.get(j) for j in range(h)]
     return Triangulation(
-        n, h, [shapes[i] for i in range(n)],
+        n, h, [shapes[i][0] for i in range(n)],
         [urows[i] for i in range(n + 2 * h)], dvec,
-        combinatorics=combi, field=field, fillings=fill_list,
-        shape_tokens=[shape_tokens.get(i) for i in range(n)])
+        combinatorics=GluingCombinatorics(n, glue) if glue else None,
+        field=field, fillings=[fillings.get(j) for j in range(h)],
+        shape_tokens=[shapes[i][1] for i in range(n)])
 
 
 def serialize_triangulation(t):
     lines = ["tets %d" % t.n, "cusps %d" % t.h]
     if t.field is not None:
-        lines.append("field %d %s" % (t.field.degree,
-                                      " ".join(str(c) for c in t.field.min_poly)))
+        lines.append(textformat.field_line(t.field))
     for i, z in enumerate(t.shapes):
         if isinstance(z, FieldElement):
             lines.append("shape %d exact %s" % (i, " ".join(str(q) for q in z.coeffs)))

@@ -187,3 +187,31 @@ def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("invalid input:")
     assert "bad exact shape" in err
+
+
+_TRI = "tets 1\ncusps 0\nshape 0 0.5 0.8\nurow 0 0 0\ndvec 0\n"
+
+
+_MALFORMED = [
+    ("num.bloch", "1 * (a b)\n", 1),
+    ("place.bloch", "place 0.5 0.8\n1 * [1/2]\n", 1),
+    ("monic.bloch", "field 2 1 0 2\n1 * [0 1]\n", 1),
+    ("const.bloch", "# constant\nfield 0 5\n1 * [2]\n", 2),
+    ("tets.tri", _TRI.replace("tets 1", "tets 1 2"), 1),
+    ("shape.tri", _TRI.replace("0.8", "0.8 9"), 3),
+    ("glue.tri", _TRI + "glue 0 0 0 0123 1\n", 6),
+    ("fill.tri", _TRI + "fill 0 complete 1\n", 6),
+    ("vertex.poly", "vertex 0 0 0\nvertex 1 inf 0\n", 2),
+    ("diag.poly", "vertex 0 inf\ndiag 0 1 2 3\n", 2),
+]
+
+
+@pytest.mark.parametrize("name,text,line", _MALFORMED,
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_line_exit_2(tmp_path, capsys, name, text, line):
+    p = tmp_path / name
+    p.write_text(text)
+    command = "scissors" if name.endswith(".poly") else "invariant"
+    code, _, err = run(capsys, command, str(p))
+    assert code == 2
+    assert err.startswith("invalid input: line %d:" % line)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                              RequiresExactField, TriangulationSyntaxError)
-from blochinv.numfield import field_make
+from blochinv.numfield import FieldElement, field_make
 from blochinv.prebloch import (Infinity, PreBlochElement, cross_ratio,
                                five_term, is_bloch, multiplicative_relations,
                                parse_element, serialize_element,
@@ -279,6 +280,42 @@ def test_element_roundtrip_numeric():
     assert c == 2 and abs(g - z) < 1e-25
 
 
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_FLOATS = st.floats(-9, 9, allow_nan=False)
+
+
+@st.composite
+def _elements(draw):
+    fld = draw(st.sampled_from([None, field_make([1, 0, 1]), WEEKS]))
+    exact = _RATIONALS if fld is None else st.lists(
+        _RATIONALS, min_size=fld.degree, max_size=fld.degree).map(fld.element)
+    gens = draw(st.lists(st.one_of(exact, st.builds(mp.mpc, _FLOATS, _FLOATS)),
+                         max_size=5))
+    try:
+        e = PreBlochElement([(g, draw(st.integers(-3, 3))) for g in gens])
+    except DegenerateShape:
+        assume(False)
+    # parse_element takes the field from exact terms, which may all cancel
+    assume(e.field is None or any(isinstance(g, FieldElement) for g in e.terms))
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements(), st.sampled_from([64, 256]))
+def test_element_serialize_parse_roundtrip(e, precision):
+    text = serialize_element(e)
+    e2, places = parse_element(text, precision=precision)
+    assert places is None and e2.field == e.field
+    assert serialize_element(e2) == text
+    assert len(e2) == len(e)
+    for (g, c), (g2, c2) in zip(e.terms.items(), e2.terms.items()):
+        assert c2 == c
+        if isinstance(g, (FieldElement, Fraction)):
+            assert g2 == g
+        else:
+            assert abs(g2 - g) < mp.mpf(10) ** -28 * (1 + abs(g))
+
+
 def test_element_parse_places():
     text = """field 4 1 -1 1 0 1
 place 0.547423794586 -0.585651979689
@@ -294,6 +331,17 @@ place -0.547423794586 -1.120873489994
         for z in places:
             assert abs(z ** 4 + z ** 2 - z + 1) < mp.mpf(2) ** -120
         assert mp.im(places[0]) < 0 and mp.re(places[0]) > 0
+
+
+def test_numeric_merge_window_follows_precision():
+    # 1e-16 apart is distinct at 280 bits; trailing-bit noise still merges
+    e, _ = parse_element("1 * (0.5 0.8)\n-1 * (0.5 0.8000000000000001)\n",
+                         precision=280)
+    assert len(e) == 2
+    z, w = e.terms
+    with mp.workprec(296):
+        noisy = PreBlochElement([(z * (1 + mp.mpf(2) ** -200), -1)])
+    assert (e + noisy).terms == {w: -1}
 
 
 @pytest.mark.parametrize("text", ["1 * [a b]\n", "1 * [1/0]\n",

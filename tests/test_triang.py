@@ -1,11 +1,17 @@
+import ast
 import importlib.resources
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DimensionMismatch, NotIntegral, OpenFace,
                              TriangulationSyntaxError)
+from blochinv.numfield import FieldElement, field_make
 from blochinv.triang import (GluingCombinatorics, Triangulation,
                              bloch_invariant, edge_equations, infer_d,
                              parse_triangulation, serialize_triangulation)
@@ -59,6 +65,77 @@ def test_roundtrip_identity(fig8, ex3):
         assert out == canon
         t2 = parse_triangulation(out, precision=256)
         assert serialize_triangulation(t2) == out
+
+
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_DECIMALS = st.integers(-9 * 10 ** 6, 9 * 10 ** 6).map(
+    lambda k: "%s%d.%06d" % ("-" * (k < 0), abs(k) // 10 ** 6, abs(k) % 10 ** 6))
+_FLOATS = st.floats(-9, 9, allow_nan=False)
+
+
+@st.composite
+def _triangulations(draw):
+    n = draw(st.integers(1, 3))
+    h = draw(st.integers(0, 2))
+    fld = draw(st.sampled_from([None, field_make([1, -1, 1]),
+                                field_make([1, -1, 0, 1])]))
+    shapes, tokens = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["tokens", "value"] + ["exact"] * bool(fld)))
+        if kind == "exact":
+            shapes.append(fld.element(draw(st.lists(
+                _RATIONALS, min_size=fld.degree, max_size=fld.degree))))
+            tokens.append(None)
+        elif kind == "tokens":
+            pair = (draw(_DECIMALS), draw(_DECIMALS))
+            shapes.append(mp.mpc(*pair))
+            tokens.append(pair)
+        else:
+            shapes.append(mp.mpc(draw(_FLOATS), draw(_FLOATS)))
+            tokens.append(None)
+    ints = st.integers(-5, 5)
+    U = draw(st.lists(st.lists(ints, min_size=2 * n, max_size=2 * n),
+                      min_size=n + 2 * h, max_size=n + 2 * h))
+    d = draw(st.lists(ints, min_size=n + 2 * h, max_size=n + 2 * h))
+    fillings = draw(st.lists(st.none() | st.tuples(ints, ints),
+                             min_size=h, max_size=h))
+    return Triangulation(n, h, shapes, U, d, field=fld, fillings=fillings,
+                         shape_tokens=tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_triangulations(), st.sampled_from([64, 256]))
+def test_serialize_parse_roundtrip(t, precision):
+    text = serialize_triangulation(t)
+    t2 = parse_triangulation(text, precision=precision)
+    assert serialize_triangulation(t2) == text
+    assert (t2.n, t2.h, t2.U, t2.d, t2.field, t2.fillings) == \
+        (t.n, t.h, t.U, t.d, t.field, t.fillings)
+    for z, z2, pair in zip(t.shapes, t2.shapes, t._shape_tokens):
+        if isinstance(z, FieldElement):
+            assert z2 == z
+        elif pair is not None:
+            with mp.workprec(precision + 24):
+                assert z2 == mp.mpc(mp.mpf(pair[0]), mp.mpf(pair[1]))
+        else:
+            assert abs(z2 - z) < mp.mpf(10) ** -38 * (1 + abs(z))
+
+
+def test_derive_figure_eight_tool_matches_fixture(fig8):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "tools/derive_figure_eight.py"],
+                         cwd=root, capture_output=True, text=True,
+                         check=True).stdout
+    printed = {}
+    for line in out.splitlines():
+        for label in ("edge rows:", "meridian:",
+                      "longitude (nullhomologous):"):
+            if label in line:
+                rest = line.split(label, 1)[1]
+                printed[label] = ast.literal_eval(rest.split("  ")[0].strip())
+    assert printed["edge rows:"] + [printed["meridian:"],
+                                    printed["longitude (nullhomologous):"]] \
+        == fig8.U
 
 
 def test_edge_equations_figure_eight(fig8):

@@ -3,11 +3,11 @@
 Searches the 2-tetrahedron oriented face gluings for the one with two
 valence-6 edge classes, one cusp, and first homology Z (the figure-eight
 knot complement; the other combinatorial solution, with H1 = Z + Z/5, is its
-chiral sibling).  Derives the edge-equation rows by walking edge classes,
-and the cusp meridian/longitude rows by computing turning holonomies of
-fundamental cycles on the cusp torus, calibrated so that a loop around a
-link vertex reproduces the corresponding edge row.  The longitude is picked
-as the homologically trivial cusp curve.
+chiral sibling).  Takes the edge-equation rows from the library's edge
+classes, and derives the cusp meridian/longitude rows from turning
+holonomies of fundamental cycles on the cusp torus, calibrated so that a
+loop around a link vertex reproduces the corresponding edge row.  The
+longitude is picked as the homologically trivial cusp curve.
 
 Validates everything numerically: the complete structure satisfies the rows
 with integral d; the (5,1) filling Newton-solves to the known volume
@@ -24,7 +24,9 @@ import mpmath as mp
 
 sys.path.insert(0, "src")
 
-from blochinv.lattice import solve_rational  # noqa: E402
+from blochinv.lattice import snf_with_projection, solve_rational  # noqa: E402
+from blochinv.triang import (GluingCombinatorics, Triangulation,  # noqa: E402
+                             _edge_slot, edge_equations)
 
 PERMS = [p for p in itertools.permutations(range(4))]
 
@@ -35,15 +37,6 @@ def parity(p):
 
 
 ODD = [p for p in PERMS if parity(p) == 1]
-
-
-def slot(a, b):
-    pair = tuple(sorted((a, b)))
-    if pair in ((0, 1), (2, 3)):
-        return 0
-    if pair in ((0, 2), (1, 3)):
-        return 1
-    return 2
 
 
 def build_gluing(ps):
@@ -60,57 +53,7 @@ def build_gluing(ps):
     return glu if len(glu) == 8 else None
 
 
-def edge_classes(glu):
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    items = [(t, a, b) for t in (0, 1) for a in range(4) for b in range(4)
-             if a != b]
-    for it in items:
-        parent[it] = it
-    for (t, f), (t2, p) in glu.items():
-        for a in range(4):
-            for b in range(4):
-                if a != b and a != f and b != f:
-                    union((t, a, b), (t2, p[a], p[b]))
-    classes = {}
-    for t in (0, 1):
-        for a in range(4):
-            for b in range(a + 1, 4):
-                key = min(find((t, a, b)), find((t, b, a)))
-                classes.setdefault(key, set()).add((t, (a, b)))
-    return list(classes.values())
-
-
-def edge_rows(ecl):
-    rows = []
-    for cls in ecl:
-        a = [0, 0]
-        b = [0, 0]
-        for (t, e) in cls:
-            s = slot(*e)
-            if s == 0:
-                a[t] += 1
-            elif s == 1:
-                b[t] -= 1
-            else:
-                a[t] -= 1
-                b[t] += 1
-        rows.append(a + b)
-    return rows
-
-
-def collapsed_h1(glu, ecl):
+def collapsed_h1(glu):
     """H1 of the end compactification: coker(faces -> edge classes).
 
     Z for the figure-eight complement (the cusp collapses the meridian);
@@ -164,58 +107,11 @@ def collapsed_h1(glu, ecl):
             cid, sg = info[(t, a, b)]
             col[cid] += sg
         cols.append(col)
-    # Smith form of the ncl x len(cols) matrix
-    M = [[cols[j][i] for j in range(len(cols))] for i in range(ncl)]
-    diag = _smith_diag(M)
-    free = ncl - sum(1 for d in diag if d != 0)
-    tors = tuple(sorted(d for d in diag if d not in (0, 1)))
-    return free, tors
+    diag, proj = snf_with_projection(cols, ncl)
+    return len(proj), tuple(sorted(diag))
 
 
-def _smith_diag(M):
-    M = [row[:] for row in M]
-    R = len(M)
-    C = len(M[0]) if M else 0
-    r = c = 0
-    diag = []
-    while r < R and c < C:
-        piv, best = None, None
-        for i in range(r, R):
-            for j in range(c, C):
-                if M[i][j] and (best is None or abs(M[i][j]) < best):
-                    best, piv = abs(M[i][j]), (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        M[r], M[i0] = M[i0], M[r]
-        for row in M:
-            row[c], row[j0] = row[j0], row[c]
-        again = True
-        while again:
-            again = False
-            for i in range(r + 1, R):
-                q = M[i][c] // M[r][c]
-                if q:
-                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
-                if M[i][c]:
-                    M[r], M[i] = M[i], M[r]
-                    again = True
-            for j in range(c + 1, C):
-                q = M[r][j] // M[r][c]
-                if q:
-                    for row in M:
-                        row[j] -= q * row[c]
-                if M[r][j]:
-                    for row in M:
-                        row[c], row[j] = row[j], row[c]
-                    again = True
-        diag.append(abs(M[r][c]))
-        r += 1
-        c += 1
-    return diag
-
-
-def cusp_rows(glu, erows):
+def cusp_rows(glu):
     """(meridian row, longitude row) from cusp-link turning holonomies."""
     tris = [(t, v) for t in (0, 1) for v in range(4)]
     sides = {}
@@ -226,7 +122,7 @@ def cusp_rows(glu, erows):
                 sides[(t, v, f)] = (t2, p[v], p[f])
 
     def corner_vec(t, v, u, sgn):
-        s = slot(v, u)
+        s = _edge_slot(v, u)
         a = [0, 0]
         b = [0, 0]
         if s == 0:
@@ -367,16 +263,17 @@ def main():
             glu = build_gluing(ps)
             if glu is None:
                 continue
-            ecl = edge_classes(glu)
-            if sorted(len(c) for c in ecl) != [6, 6]:
+            g = GluingCombinatorics(2, glu)
+            if sorted(len(c) for c in g.edge_classes()) != [6, 6]:
                 continue
-            if collapsed_h1(glu, ecl) == (0, ()):
-                hits.append((ps, glu, ecl))
+            if collapsed_h1(glu) == (0, ()):
+                hits.append((ps, g))
     print("figure-eight gluings found:", len(hits))
-    ps, glu, ecl = hits[0]
+    ps, g = hits[0]
+    glu = g.gluings
     print("face permutations of tet 0:", ps)
-    erows = edge_rows(ecl)
-    mer, lon = cusp_rows(glu, erows)
+    erows = edge_equations(g)
+    mer, lon = cusp_rows(glu)
     print("edge rows:", erows)
     print("meridian:", mer, " longitude (nullhomologous):", lon)
 
@@ -389,7 +286,6 @@ def main():
         q = mp.fsum([row[k] * Z[k] for k in range(4)]) / (mp.pi * mp.mpc(0, 1))
         print("  %s . Z / (pi i) = %s" % (name, mp.nstr(q, 8)))
     from blochinv.surgery import filled_system, newton_solve, solution_volume
-    from blochinv.triang import Triangulation
     U = [erows[0], erows[1], mer, lon]
     t = Triangulation(2, 1, [z, z], U, [-1, 1, 1, -1])
     res = newton_solve(filled_system(t, [(5, 1)]), precision=160)

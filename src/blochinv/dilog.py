@@ -1,82 +1,148 @@
 """High-precision dilogarithm, Bloch-Wigner function, Rogers function, and
 the flattened regulator representative.
 
-All branch choices are principal.  li2 uses the defining power series inside
-|z| <= 1/2, the reflection z -> 1-z inside |1-z| <= 1/2, the inversion
-z -> 1/z outside |z| >= 2, and a Bernoulli-weighted series in log z on the
-remaining annulus (which covers the unit circle, where both power series are
-useless).  Residuals are bounded by 2^(-precision+8).
+All branch choices are principal: li2 is cut along [1, oo) and takes the
+value mpmath.polylog takes there, Im Li2(x) = -pi log x for x > 1.
+
+li2 sums one series (Zagier, *The Dilogarithm Function*, 2007, section 1;
+'t Hooft-Veltman, *Scalar one-loop integrals*, 1979).  With u = -log(1-z),
+
+    Li2(z) = u - u^2/4 + sum_{k>=1} c_k u^(2k+1),    c_k = B_2k / (2k+1)!,
+
+which converges for |u| < 2 pi.  Two identities first move z into the
+reduced domain |z| <= 1, Re z <= 1/2:
+
+    inversion,  |z| > 1:      Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
+    reflection, Re z > 1/2:   Li2(z) = pi^2/6 - log z log(1-z) - Li2(1-z)
+
+Reflection hands u = -log z to the series, so it costs one log more than
+the series alone.  On the reduced domain w = 1 - z lies in |w - 1| <= 1,
+Re w >= 1/2, where |log w| is largest at w = e^(+-i pi/3) (z = e^(-+i pi/3)),
+so |u| <= pi/3.
+
+Truncation bound.  B_2k = (-1)^(k+1) 2 (2k)! zeta(2k) / (2 pi)^(2k) gives
+c_k u^(2k+1) = u d_k v^k with
+
+    v = (u / 2 pi)^2,   d_k = c_k (2 pi)^(2k) = (-1)^(k+1) 2 zeta(2k)/(2k+1),
+
+and |d_k| <= d_1 = pi^2/9 < 1.1 (zeta(2k) decreases), |v| <= 1/36.  So
+Li2 = u S with S = 1 - u/4 + sum_k d_k v^k, and the tail of that sum after
+K terms is at most d_1 |v|^(K+1) / (1 - |v|) < 2 |v|^(K+1).  That is below
+2^-F once
+
+    (K + 1) log2(1/|v|) >= F + 1.
+
+Each term gains log2(1/|v|) >= log2 36 = 5.17 bits, the least at
+z = e^(i pi/3), so N(F) = ceil((F + 1) / log2 36) - 1 terms suffice on the
+whole reduced domain: 57 at 280 working bits (F = 296), 106 at 536.  The
+cached table holds d_1 .. d_N(F).  A call sums K <= N(F) terms, K from the
+same inequality at its own |v| (log2 of the fixed-point |v|^2), so small |u|
+costs few terms.
+
+Error.  S is summed by Horner's rule in fixed point with F = wp + 16
+fraction bits, wp = precision + _GUARD the working precision.  Each
+fixed-point step truncates by less than 2^-F per component, Horner's rule
+damps what it carries forward by |v| <= 1/36, and the rounding of u, u^2,
+v and the d_k adds a few units more, so S is within 2^(-F+4) = 2^(-wp-12) of
+its exact value.  As |S| >= 1 - (pi/3)/4 - 1.1/35 > 0.7, that is a relative
+error below 2^(-wp-11); u carries the few-ulp error of one mpmath log.  On the
+reduced domain |Li2| < 1.4, so u S is within 2^(-wp+3).  Reflection and
+inversion add terms no larger than pi^2/6 + |log z log(1-z)| < 4 or than
+|log(-z)|^2 / 2 <= |Li2(z)| + |Li2(1/z)| + pi^2/6 < |Li2(z)| + 4, each
+rounded to a few ulps, so
+
+    |li2(z) - Li2(z)| < 2^(-wp+6) max(1, |Li2(z)|)
+                      = 2^(-precision-18) max(1, |Li2(z)|),
+
+inside the 2^(-precision+8) max(1, |Li2(z)|) residual bound of this module.
+The bound is absolute near 0: 1 - z is rounded to wp bits, so li2 of a
+tiny z is accurate to 2^(-wp), not relative to |z|.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import to_fixed, to_rational
 
 from .errors import DegenerateShape
 
 # guard bits added to a caller's precision by every numeric module
 _GUARD = 24
 
+_LOG2_36 = math.log2(36)
+
 
 def li2(z, precision=256):
     """Dilogarithm Li_2(z), principal branch (cut along [1, oo))."""
-    with mp.workprec(precision + _GUARD):
+    wp = precision + _GUARD
+    with mp.workprec(wp):
         z = mp.mpc(z)
         if z == 0:
             return mp.mpc(0)
         if z == 1:
             return mp.mpc(mp.pi ** 2 / 6)
-        az = abs(z)
-        if az <= 0.5:
-            return _li2_series(z, precision)
-        if abs(1 - z) <= 0.5:
-            return (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z)
-                    - _li2_series(1 - z, precision))
-        if az >= 2:
-            return (-li2(1 / z, precision) - mp.pi ** 2 / 6
+        if z.real ** 2 + z.imag ** 2 > 1:
+            return (-_li2_unit_disc(1 / z, wp) - mp.pi ** 2 / 6
                     - mp.log(-z) ** 2 / 2)
-        return _li2_logseries(z, precision)
+        return _li2_unit_disc(z, wp)
 
 
-def _li2_series(z, precision):
-    tol = mp.mpf(2) ** (-(precision + _GUARD - 4))
-    total = mp.mpc(0)
-    zp = mp.mpc(1)
-    n = 0
-    while True:
-        n += 1
-        zp *= z
-        term = zp / (n * n)
-        total += term
-        if abs(term) < tol:
-            return total
+def _li2_unit_disc(z, wp):
+    """Li2 for |z| <= 1 at working precision wp (reflection, then series)."""
+    if z.real > 0.5:
+        log_z = mp.log(z)
+        return (mp.pi ** 2 / 6 - log_z * mp.log(1 - z)
+                - _li2_bernoulli(-log_z, wp))
+    return _li2_bernoulli(-mp.log(1 - z), wp)
 
 
-def _li2_logseries(z, precision):
-    # Li2(e^w) = pi^2/6 + w(1 - log(-w)) + sum_{k>=2} zeta(2-k) w^k / k!
-    # zeta(0) = -1/2; zeta(1-2m) = -B_{2m}/(2m); zeta at negative evens = 0.
-    # Valid for |w| < 2pi; on the annulus |w| <= sqrt(log(2)^2 + pi^2) < 2pi.
-    w = mp.log(z)
-    total = mp.pi ** 2 / 6 + w * (1 - mp.log(-w))
-    total -= w * w / 4  # k = 2 term
-    tol = mp.mpf(2) ** (-(precision + _GUARD - 4))
-    ratio = abs(w) / (2 * mp.pi)
-    wk = w * w * w  # w^k with k = 3
-    fact = mp.mpf(6)
-    k = 3
-    while True:
-        m = (k - 1) // 2
-        zv = -mp.bernoulli(2 * m) / (2 * m)
-        term = zv * wk / fact
-        total += term
-        # tail of the zeta-weighted series decays like ratio^k
-        if abs(term) < tol * (1 - ratio):
-            return total
-        k += 2
-        wk *= w * w
-        fact *= k * (k - 1)
+@functools.cache
+def _bernoulli_table(wp):
+    """(F, 1/(2 pi)^2, (d_1, ..., d_N(F))) as F-bit fixed-point integers.
+
+    F = wp + 16 and N(F) is the truncation bound of the module docstring.
+    """
+    f = wp + 16
+    n = math.ceil((f + 1) / _LOG2_36) - 1
+    with mp.workprec(f + 32):
+        two_pi_sq = (2 * mp.pi) ** 2
+        d = tuple(to_fixed((mp.bernoulli(2 * k) * two_pi_sq ** k
+                            / mp.factorial(2 * k + 1))._mpf_, f)
+                  for k in range(1, n + 1))
+        return f, to_fixed((1 / two_pi_sq)._mpf_, f), d
+
+
+def _li2_bernoulli(u, wp):
+    """Li2 = u S(u) for u = -log(1-z), |u| <= pi/3 (module docstring)."""
+    f, inv_two_pi_sq, d = _bernoulli_table(wp)
+    # u, w = u^2 and v = w / (2 pi)^2 as F-bit fixed-point (real, imag) pairs
+    ur = to_fixed(u.real._mpf_, f)
+    ui = to_fixed(u.imag._mpf_, f)
+    wr = (ur * ur - ui * ui) >> f
+    wi = (ur * ui) >> (f - 1)
+    vr = (wr * inv_two_pi_sq) >> f
+    vi = (wi * inv_two_pi_sq) >> f
+    sr = (1 << f) - (ur >> 2)
+    si = -(ui >> 2)
+    v_sq = vr * vr + vi * vi
+    if v_sq:
+        log2_v = math.log2(v_sq) / 2 - f
+        k = len(d)
+        if log2_v < 0:
+            k = min(k, math.ceil((f + 1) / -log2_v) - 1)
+        if k:
+            # S += v T, T = d_1 + d_2 v + ... + d_k v^(k-1) by Horner's rule
+            tr, ti = d[k - 1], 0
+            for dk in reversed(d[:k - 1]):
+                tr, ti = (dk + ((vr * tr - vi * ti) >> f),
+                          (vr * ti + vi * tr) >> f)
+            sr += (vr * tr - vi * ti) >> f
+            si += (vr * ti + vi * tr) >> f
+    return u * mp.mpc(mp.ldexp(sr, -f), mp.ldexp(si, -f))
 
 
 def bloch_wigner(z, precision=256):
@@ -138,13 +204,23 @@ class RhoRepresentative:
 
 
 def rational_reconstruct(x, max_denominator, tolerance):
-    """Nearest rational p/q with q <= max_denominator, or None outside tolerance."""
-    x = mp.mpf(x)
-    frac = Fraction(mp.nstr(x, mp.mp.dps + 5)).limit_denominator(int(max_denominator))
-    err = abs(x - mp.mpf(frac.numerator) / mp.mpf(frac.denominator))
-    if err < tolerance:
+    """Nearest rational p/q with q <= max_denominator, or None outside tolerance.
+
+    x and tolerance are compared exactly, an mpf as its mantissa times a power
+    of two, so the result does not depend on the ambient precision.
+    """
+    x = _exact(x)
+    frac = x.limit_denominator(int(max_denominator))
+    if abs(x - frac) < _exact(tolerance):
         return frac
     return None
+
+
+def _exact(x):
+    """The exact rational value of an mpf, int, float or Fraction."""
+    if isinstance(x, mp.mpf):
+        return Fraction(*to_rational(x._mpf_))
+    return Fraction(x)
 
 
 def rho(z, c_prime=0, c_double_prime=0, precision=256):

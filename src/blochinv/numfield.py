@@ -431,7 +431,10 @@ class EmbeddingSet:
 def embeddings(field, precision=256):
     """All complex embeddings of the field, polished to ``precision`` bits.
 
-    Each returned root r satisfies |f(r)| < 2^(-precision/2).
+    Each returned root r is Newton-polished until |f(r)| < 2^(-precision-8),
+    and certified with |f(r)| < 2^(-precision/2).  mp.polyroots already
+    returns roots well inside the first bound, so polishing leaves them as
+    they are.
     """
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
@@ -491,11 +494,15 @@ def _poly_eval_deriv_mp(int_coeffs, z):
     return acc
 
 
-def _polish(int_coeffs, z0, precision, allow_fail=False):
-    """Newton-polish a root approximation; certify |f(z)| < 2^(-precision/2)."""
+def _polish(int_coeffs, z0, precision):
+    """Newton-polish a root approximation until |f(z)| < 2^(-precision-8).
+
+    A root that stalls above that bound is still returned when it is
+    certified, |f(z)| < 2^(-precision/2); otherwise RootFindingFailed.
+    """
     with mp.workprec(precision + 64):
         z = mp.mpc(z0)
-        bound = mp.mpf(2) ** (-(precision // 2) - 8)
+        bound = mp.mpf(2) ** (-precision - 8)
         for _ in range(precision):
             fv = _poly_eval_mp(int_coeffs, z)
             if abs(fv) < bound:
@@ -507,16 +514,15 @@ def _polish(int_coeffs, z0, precision, allow_fail=False):
         fv = _poly_eval_mp(int_coeffs, z)
         if abs(fv) < mp.mpf(2) ** (-(precision // 2)):
             return z
-    if allow_fail:
-        return None
     raise RootFindingFailed("Newton polish stalled near %s" % z0)
 
 
 def _polish_real(int_coeffs, x0, precision):
-    """Real Newton polish; returns None when no real root is reached."""
+    """Real Newton polish to the bounds of ``_polish``; returns None when no
+    real root is reached."""
     with mp.workprec(precision + 64):
         x = mp.mpf(x0)
-        bound = mp.mpf(2) ** (-(precision // 2) - 8)
+        bound = mp.mpf(2) ** (-precision - 8)
         for _ in range(precision):
             fv = _poly_eval_mp(int_coeffs, x)
             if abs(fv) < bound:
@@ -525,6 +531,9 @@ def _polish_real(int_coeffs, x0, precision):
             if dv == 0:
                 return None
             x = x - fv / dv
+        fv = _poly_eval_mp(int_coeffs, x)
+        if abs(fv) < mp.mpf(2) ** (-(precision // 2)):
+            return x
     return None
 
 

@@ -664,6 +664,9 @@ def parse_element(text, precision=256):
             element._add_term(gen, coeff)
 
     textformat.read(text, line)
+    if element.field is None:
+        # the header's field, also when every exact term cancelled
+        element.field = fld
     places = None
     if raw_places:
         if fld is None:

@@ -139,6 +139,17 @@ def test_empty_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_header_only_element_is_zero_over_its_field(tmp_path, capsys):
+    # serialize_element writes an element whose terms all cancelled as its
+    # field header alone; reading it back gives the same zero element
+    header, cancelled = tmp_path / "header.bloch", tmp_path / "cancel.bloch"
+    header.write_text("field 2 1 0 1\n")
+    cancelled.write_text("field 2 1 0 1\n1 * [0 1]\n-1 * [0 1]\n")
+    code, out, _ = run(capsys, "invariant", str(header))
+    assert code == 0 and "CertifiedZero" in out
+    assert run(capsys, "invariant", str(cancelled))[1] == out
+
+
 def test_deterministic_output(capsys):
     a = run(capsys, "--precision", "128", "borel", fx("weeks_element.bloch"))
     b = run(capsys, "--precision", "128", "borel", fx("weeks_element.bloch"))

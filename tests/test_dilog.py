@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blochinv.dilog import (RhoRepresentative, bloch_wigner, li2,
-                            rational_reconstruct, rho, rogers)
+from blochinv.dilog import (RhoRepresentative, _bernoulli_table, bloch_wigner,
+                            li2, rational_reconstruct, rho, rogers)
 from blochinv.errors import DegenerateShape
 
 PREC = 256
@@ -209,3 +211,88 @@ def test_rational_reconstruct():
         x = mp.mpf(11) / 48
         assert rational_reconstruct(x, 1000, mp.mpf(1e-40)) == Fraction(11, 48)
         assert rational_reconstruct(mp.pi / 4, 10 ** 6, mp.mpf(1e-40)) is None
+
+
+def test_rational_reconstruct_ignores_ambient_precision():
+    with mp.workprec(300):
+        x = mp.mpf(1) / 3 + mp.mpf(2) ** -200
+    for prec in (53, 600):
+        with mp.workprec(prec):
+            loose = mp.mpf(2) ** -150
+            assert rational_reconstruct(x, 1000, mp.mpf(2) ** -250) is None
+            assert rational_reconstruct(x, 1000, loose) == Fraction(1, 3)
+            assert rational_reconstruct(mp.fneg(x, exact=True), 1000,
+                                        loose) == Fraction(-1, 3)
+
+
+def _boundary_points(p):
+    """Points on each boundary of li2's reduction: |z| = 1, Re z = 1/2,
+    z -> 1, e^(+-i pi/3) and the cut (1, 3)."""
+    with mp.workprec(p + 64):
+        pts = [mp.expjpi(mp.mpf(k) / 12) for k in range(-12, 12) if k]
+        pts += [mp.expjpi(mp.mpf(s) / 3) for s in (1, -1)]
+        pts += [mp.mpc("0.5", y) for y in ("-2", "-0.866", "-0.1", "0.1",
+                                           "0.5", "0.8660254", "1", "3")]
+        pts += [1 + mp.mpc(a, b) * mp.mpf(2) ** -e
+                for e in (20, 90, p - 4) for a, b in ((1, 0), (-1, 0), (0, 1),
+                                                      (0, -1), (1, 1))]
+        pts += [mp.mpc(x) for x in ("1.0000001", "1.5", "2", "2.5", "2.9999")]
+        pts += [mp.mpc(x, s * mp.mpf(2) ** -60) for x in ("1.5", "2.5")
+                for s in (1, -1)]
+    return pts
+
+
+@pytest.mark.parametrize("p", [128, 256, 512])
+def test_li2_reduction_boundaries_against_polylog(p):
+    for z in _boundary_points(p):
+        with mp.workprec(p + 64):
+            ref = mp.polylog(2, z)
+            tol = mp.mpf(2) ** (-p + 8) * max(1, abs(ref))
+            assert abs(li2(z, p) - ref) < tol, (p, z)
+
+
+@pytest.mark.parametrize("wp", [88, 152, 280, 536])
+def test_bernoulli_table_length_is_the_truncation_bound(wp):
+    # N(F) is the least N with (N + 1) log2 36 >= F + 1 (dilog docstring),
+    # and the entries are d_k = (-1)^(k+1) 2 zeta(2k) / (2k+1)
+    f, _, d = _bernoulli_table(wp)
+    n = len(d)
+    assert f == wp + 16
+    assert (n + 1) * math.log2(36) >= f + 1 > n * math.log2(36)
+    with mp.workprec(f + 32):
+        for k, dk in enumerate(d, 1):
+            exact = (-1) ** (k + 1) * 2 * mp.zeta(2 * k) / (2 * k + 1)
+            assert abs(mp.ldexp(dk, -f) - exact) < mp.mpf(2) ** (-f + 1)
+        # the tail beyond the table at the worst point |v| = 1/36
+        tail = mp.nsum(lambda k: 2 * mp.zeta(2 * k) / (2 * k + 1) / 36 ** k,
+                       [n + 1, mp.inf])
+        assert tail < mp.mpf(2) ** -f
+
+
+_COORD = st.floats(-4, 4, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COORD, _COORD, st.sampled_from([64, 128, 256]))
+def test_li2_and_d2_agree_at_p_and_2p(x, y, p):
+    z = mp.mpc(x, y)
+    if z in (0, 1):
+        return
+    with mp.workprec(2 * p + 32):
+        fine = li2(z, 2 * p)
+        tol = mp.mpf(2) ** (-p + 8)
+        assert abs(li2(z, p) - fine) < tol * max(1, abs(fine))
+        assert abs(bloch_wigner(z, p) - bloch_wigner(z, 2 * p)) < tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COORD, _COORD.filter(lambda y: y != 0),
+       st.sampled_from([64, 128, 256]))
+def test_d2_six_fold_symmetry(x, y, p):
+    z = mp.mpc(x, y)
+    with mp.workprec(p + 32):
+        d = bloch_wigner(z, p)
+        tol = mp.mpf(2) ** (-p + 8)
+        for w, sign in ((1 - 1 / z, 1), (1 / (1 - z), 1), (1 / z, -1),
+                        (z / (z - 1), -1), (1 - z, -1)):
+            assert abs(bloch_wigner(w, p) - sign * d) < tol

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import mpmath as mp
 import pytest
@@ -295,8 +296,6 @@ def _elements(draw):
         e = PreBlochElement([(g, draw(st.integers(-3, 3))) for g in gens])
     except DegenerateShape:
         assume(False)
-    # parse_element takes the field from exact terms, which may all cancel
-    assume(e.field is None or any(isinstance(g, FieldElement) for g in e.terms))
     return e
 
 
@@ -331,6 +330,23 @@ place -0.547423794586 -1.120873489994
         for z in places:
             assert abs(z ** 4 + z ** 2 - z + 1) < mp.mpf(2) ** -120
         assert mp.im(places[0]) < 0 and mp.re(places[0]) > 0
+
+
+def test_element_parse_keeps_header_field():
+    # how serialize_element writes an element whose exact terms cancelled
+    e, _ = parse_element("field 2 1 0 1\n")
+    assert e.is_zero() and e.field == field_make([1, 0, 1])
+
+
+def test_element_places_polished_to_full_precision():
+    text = files("blochinv").joinpath(
+        "fixtures/example2_beta1.bloch").read_text()
+    _, places = parse_element(text, precision=256)
+    _, fine = parse_element(text, precision=512)
+    with mp.workprec(320):
+        for z, w in zip(places, fine):
+            assert abs(z ** 4 + z ** 2 - z + 1) < mp.mpf(2) ** (-256 - 8)
+            assert abs(z - w) < mp.mpf(2) ** -256
 
 
 def test_numeric_merge_window_follows_precision():

@@ -55,8 +55,8 @@ rounded to a few ulps, so
                       = 2^(-precision-18) max(1, |Li2(z)|),
 
 inside the 2^(-precision+8) max(1, |Li2(z)|) residual bound of this module.
-The bound is absolute near 0: 1 - z is rounded to wp bits, so li2 of a
-tiny z is accurate to 2^(-wp), not relative to |z|.
+Without reflection or inversion u = -log1p(-z) is accurate relative to |z|,
+so near 0 the error of u S is also relative: below 2^(-wp+3) |Li2(z)|.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _li2_unit_disc(z, wp):
         log_z = mp.log(z)
         return (mp.pi ** 2 / 6 - log_z * mp.log(1 - z)
                 - _li2_bernoulli(-log_z, wp))
-    return _li2_bernoulli(-mp.log(1 - z), wp)
+    return _li2_bernoulli(-mp.log1p(-z), wp)
 
 
 @functools.cache

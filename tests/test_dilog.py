@@ -251,6 +251,14 @@ def test_li2_reduction_boundaries_against_polylog(p):
             assert abs(li2(z, p) - ref) < tol, (p, z)
 
 
+def test_li2_relative_near_zero():
+    for z in (mp.mpc("1e-100", "1e-100"), mp.mpc("1e-30"),
+              mp.mpc("-3e-20", "1e-25"), mp.mpc("1e-80", "-1e-90")):
+        with mp.workprec(PREC + 64):
+            ref = mp.polylog(2, z)
+            assert abs(li2(z, PREC) - ref) < mp.mpf(2) ** (-PREC + 8) * abs(ref)
+
+
 @pytest.mark.parametrize("wp", [88, 152, 280, 536])
 def test_bernoulli_table_length_is_the_truncation_bound(wp):
     # N(F) is the least N with (N + 1) log2 36 >= F + 1 (dilog docstring),

@@ -9,8 +9,8 @@ and evaluates Borel regulator vectors with integer-relation detection.
 __version__ = "0.1.0"
 
 from .numfield import (NumberField, FieldElement, EmbeddingSet, field_make,
-                       embeddings, eval_embedding)
-from .dilog import (li2, bloch_wigner, rogers, rho, volume_of_prebloch,
+                       embeddings)
+from .dilog import (li2, bloch_wigner, rogers, volume_of_prebloch,
                     RhoRepresentative)
 from .prebloch import (PreBlochElement, Infinity, cross_ratio,
                        six_fold_normalize, five_term, wedge, is_bloch,
@@ -25,14 +25,14 @@ from .chern_simons import (FlatteningSolution, CSResult, solve_flattening,
                            cs_formula, rho_of_beta, eta_from_cs,
                            rationalize_mod_pi2)
 from .borel import (RegulatorVector, RelationReport, borel_regulator,
-                    detect_relation, galois_conjugate_sum, conjugate_family,
+                    detect_relation, per_root_values, conjugate_family,
                     rank_witness)
 from .scissors import (IdealPolyhedron, cone_decomposition, polyhedron_class,
                        cycle_move, decomposition_class, parse_polyhedron)
 
 __all__ = [
     "NumberField", "FieldElement", "EmbeddingSet", "field_make", "embeddings",
-    "eval_embedding", "li2", "bloch_wigner", "rogers", "rho",
+    "li2", "bloch_wigner", "rogers",
     "volume_of_prebloch", "RhoRepresentative", "PreBlochElement", "Infinity",
     "cross_ratio", "six_fold_normalize", "five_term", "wedge", "is_bloch",
     "multiplicative_relations", "WedgeElement", "BlochCertificate",
@@ -43,7 +43,7 @@ __all__ = [
     "core_length", "solution_volume", "FlatteningSolution", "CSResult",
     "solve_flattening", "cs_formula", "rho_of_beta", "eta_from_cs",
     "rationalize_mod_pi2", "RegulatorVector", "RelationReport",
-    "borel_regulator", "detect_relation", "galois_conjugate_sum",
+    "borel_regulator", "detect_relation", "per_root_values",
     "conjugate_family", "rank_witness", "IdealPolyhedron",
     "cone_decomposition", "polyhedron_class", "cycle_move",
     "decomposition_class", "parse_polyhedron",

@@ -71,7 +71,7 @@ def borel_regulator(element, precision=256, places=None):
         raise DegenerateShape("regulator needs exact generators over a field")
     with mp.workprec(precision + _GUARD):
         if places is None:
-            places = embeddings(element.field, precision).places
+            places = embeddings(element.field, precision).complex_pairs
         vals = [_element_value_at(element, r, precision) for r in places]
     return RegulatorVector(field=element.field, values=vals)
 
@@ -132,15 +132,6 @@ def per_root_values(element, precision=256):
         es = embeddings(element.field, precision)
         return [_element_value_at(element, r, precision)
                 for r in es.all_roots()]
-
-
-def galois_conjugate_sum(element, precision=256):
-    """Per-root D2 sums; their total vanishes for Bloch-group elements.
-
-    Returns the vector over all roots of min_poly; callers check that
-    fsum(vector) is numerically zero.
-    """
-    return per_root_values(element, precision)
 
 
 def conjugate_family(element, precision=256, roots_idx=None):

@@ -14,7 +14,7 @@ import sys
 import mpmath as mp
 
 from . import __version__
-from .borel import (borel_regulator, detect_relation, galois_conjugate_sum,
+from .borel import (borel_regulator, detect_relation, per_root_values,
                     rank_witness)
 from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_beta,
                            solve_flattening)
@@ -94,7 +94,7 @@ def _element_places(element, places, precision):
         return places
     if element.field is None:
         return None
-    return embeddings(element.field, precision).places
+    return embeddings(element.field, precision).complex_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def cmd_invariant(args, config):
         rep.add("bloch_certificate", cert.verdict)
         es = embeddings(element.field, prec)
         with mp.workprec(prec + 16):
-            for j, root in enumerate(es.places):
+            for j, root in enumerate(es.complex_pairs):
                 v = volume_of_prebloch(element, embedding=root, precision=prec)
                 rep.add("volume_embedding_%d" % j, _fmt(v, prec),
                         text="%s (at root %s)" % (_fmt(v, prec),
@@ -236,7 +236,7 @@ def cmd_borel(args, config):
         rep.add("regulator_%s" % path, [_fmt(v, prec) for v in vec.values],
                 text=" ".join(_fmt(v, prec) for v in vec.values))
         with mp.workprec(prec + 16):
-            gal = galois_conjugate_sum(element, precision=prec)
+            gal = per_root_values(element, precision=prec)
             rep.add("galois_sum_%s" % path, mp.nstr(mp.fsum(gal), 8))
     rep.emit(config)
     return 0

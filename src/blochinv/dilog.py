@@ -223,19 +223,6 @@ def _exact(x):
     return Fraction(x)
 
 
-def rho(z, c_prime=0, c_double_prime=0, precision=256):
-    """Flattened Bloch-regulator summand at a single shape.
-
-    Returns (1/2 pi^2) [ R(z) - (i pi / 2)(c' log(1-z) - c'' log z) ] as a
-    representative modulo Q.  Summed over the shapes of a flattened
-    triangulation this represents rho(beta(M)) with Im = vol / 2 pi^2.
-    """
-    with mp.workprec(precision + _GUARD):
-        term = _flattened_rogers(z, Fraction(c_prime), Fraction(c_double_prime),
-                                 precision)
-        return RhoRepresentative(term / (2 * mp.pi ** 2), precision)
-
-
 def _flattened_rogers(z, cp, cpp, precision):
     """R(z) - (i pi / 2)(c' log(1-z) - c'' log z) at the caller's working
     precision; cp, cpp are Fractions.  Raises DegenerateShape at 0 and 1."""

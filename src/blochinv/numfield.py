@@ -1,9 +1,10 @@
 """Exact number field arithmetic and complex embeddings.
 
 A number field is Q[x]/(f) for a monic integer polynomial f, assumed
-irreducible (only cheap reducibility witnesses are rejected).  Elements are
-rational coefficient vectors reduced mod f.  Embeddings are the roots of f,
-refined by Newton iteration to a caller-specified binary precision.
+irreducible (only cheap reducibility witnesses are rejected); an exact Sturm
+count gives its number r1 of real places.  Elements are rational coefficient
+vectors reduced mod f.  Embeddings are the roots of f, Newton-polished once
+per field and caller-specified binary precision.
 """
 
 from __future__ import annotations
@@ -76,17 +77,6 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_gcd(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        _, r = poly_divmod(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        p = [a / lead for a in p]
-    return p
-
-
 def poly_deriv(p):
     return poly_trim([i * a for i, a in enumerate(p)][1:])
 
@@ -152,9 +142,14 @@ class NumberField:
         if coeffs[-1] != 1:
             raise NonMonic("minimal polynomial must be monic, got leading %s"
                            % coeffs[-1])
-        g = poly_gcd(coeffs, poly_deriv(coeffs))
-        if len(g) > 1:
-            raise NotSquarefree("gcd with derivative has degree %d" % (len(g) - 1))
+        # Sturm chain f, f', -rem, ...: it reaches a constant iff f is
+        # squarefree, and otherwise ends in 0 after gcd(f, f')
+        chain = [coeffs, poly_deriv(coeffs)]
+        while len(chain[-1]) > 1:
+            chain.append(poly_scale(poly_divmod(chain[-2], chain[-1])[1], -1))
+        if not chain[-1]:
+            raise NotSquarefree("gcd with derivative has degree %d"
+                                % (len(chain[-2]) - 1))
         deg = len(coeffs) - 1
         rr = _rational_roots(coeffs)
         if deg > 1 and rr:
@@ -163,6 +158,11 @@ class NumberField:
         # input contract beyond the rational-root witness.
         self.min_poly = tuple(coeffs)
         self.degree = deg
+        # real roots: sign changes of the chain at -oo minus those at +oo
+        at_inf = [1 if p[-1] > 0 else -1 for p in chain]
+        at_minus_inf = [s * (-1) ** (len(p) - 1) for s, p in zip(at_inf, chain)]
+        self.r1 = _sign_changes(at_minus_inf) - _sign_changes(at_inf)
+        self._embeddings = {}  # precision -> EmbeddingSet, see embeddings()
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -193,6 +193,10 @@ class NumberField:
 
     def from_rational(self, q):
         return FieldElement(self, [Fraction(q)] + [0] * (self.degree - 1))
+
+
+def _sign_changes(signs):
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def field_make(min_poly):
@@ -383,23 +387,19 @@ class EmbeddingSet:
     """All archimedean embeddings of a field at a fixed precision.
 
     real_roots are sorted ascending; complex_pairs holds one representative
-    per conjugate pair with Im > 0, sorted by (real part, imaginary part).
-    ``places`` is the default evaluation list for regulator vectors; callers
-    reproducing a specific published convention may conjugate / reorder via
-    ``select``.
+    per conjugate pair with Im > 0, sorted by (real part, imaginary part),
+    and is the default evaluation list for regulator vectors; ``select``
+    conjugates / reorders it for a published convention.  Both are tuples,
+    as one instance is shared by all callers at its field and precision.
     """
 
     def __init__(self, field, real_roots, complex_pairs, precision):
         self.field = field
-        self.real_roots = list(real_roots)
-        self.complex_pairs = list(complex_pairs)
-        self.r1 = len(real_roots)
-        self.r2 = len(complex_pairs)
+        self.real_roots = tuple(real_roots)
+        self.complex_pairs = tuple(complex_pairs)
+        self.r1 = len(self.real_roots)
+        self.r2 = len(self.complex_pairs)
         self.precision = precision
-
-    @property
-    def places(self):
-        return list(self.complex_pairs)
 
     def all_roots(self):
         """Every root of min_poly: real roots, then each pair (rep, conjugate)."""
@@ -431,52 +431,37 @@ class EmbeddingSet:
 def embeddings(field, precision=256):
     """All complex embeddings of the field, polished to ``precision`` bits.
 
-    Each returned root r is Newton-polished until |f(r)| < 2^(-precision-8),
-    and certified with |f(r)| < 2^(-precision/2).  mp.polyroots already
-    returns roots well inside the first bound, so polishing leaves them as
-    they are.
+    The roots of mp.polyroots are polished by ``_polish``.  The field's exact
+    Sturm count r1 says how many are real: the r1 roots of smallest |Im|,
+    polished again from their real parts.  The others with Im > 0 are the
+    pair representatives.  Each root r has |f(r)| < 2^(-precision-8), or at
+    worst the certified |f(r)| < 2^(-precision/2).  The result is computed
+    once per field and precision and then shared.
     """
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
-    deg = field.degree
-    if deg == 1:
-        return EmbeddingSet(field, [mp.mpf(-field.min_poly[0])], [], precision)
+    es = field._embeddings.get(precision)
+    if es is not None:
+        return es
+    f = field.min_poly
     with mp.workprec(precision + 64):
         try:
-            roots = mp.polyroots([mp.mpf(c) for c in reversed(field.min_poly)],
+            roots = mp.polyroots([mp.mpf(c) for c in reversed(f)],
                                  maxsteps=200, extraprec=precision)
         except mp.libmp.libhyper.NoConvergence as exc:
             raise RootFindingFailed(str(exc))
-        roots = [_polish(field.min_poly, r, precision) for r in roots]
-        bound = mp.mpf(2) ** (-(precision // 2))
-        for r in roots:
-            if abs(_poly_eval_mp(field.min_poly, r)) >= bound:
-                raise RootFindingFailed("residual above certified bound at %s" % r)
-        # classify: a root is real when real Newton from Re(r) lands on it
-        reals, complexes = [], []
-        for r in roots:
-            cand = _polish_real(field.min_poly, mp.re(r), precision)
-            if cand is not None and abs(cand - r) < mp.mpf(2) ** (-precision // 4):
-                reals.append(cand)
-            else:
-                complexes.append(r)
-        reals = sorted(set_dedup(reals, precision))
-        ups = sorted(set_dedup([z if mp.im(z) > 0 else mp.conj(z)
-                                for z in complexes], precision),
-                     key=lambda z: (mp.re(z), mp.im(z)))
-        if len(reals) + 2 * len(ups) != deg:
-            raise RootFindingFailed(
-                "classified r1=%d, r2=%d for degree %d" % (len(reals), len(ups), deg))
-    return EmbeddingSet(field, reals, ups, precision)
-
-
-def set_dedup(vals, precision):
-    out = []
-    tol = mp.mpf(2) ** (-precision // 2)
-    for v in vals:
-        if not any(abs(v - w) < tol for w in out):
-            out.append(v)
-    return out
+        roots = sorted((_polish(f, r, precision) for r in roots),
+                       key=lambda z: abs(mp.im(z)))
+        reals = sorted(_polish(f, mp.re(r), precision)
+                       for r in roots[:field.r1])
+        pairs = sorted((z for z in roots[field.r1:] if mp.im(z) > 0),
+                       key=lambda z: (mp.re(z), mp.im(z)))
+    if 2 * len(pairs) != field.degree - field.r1:
+        raise RootFindingFailed("found %d of %d conjugate pairs" % (
+            len(pairs), (field.degree - field.r1) // 2))
+    es = EmbeddingSet(field, reals, pairs, precision)
+    field._embeddings[precision] = es
+    return es
 
 
 def _poly_eval_mp(int_coeffs, z):
@@ -486,28 +471,22 @@ def _poly_eval_mp(int_coeffs, z):
     return acc
 
 
-def _poly_eval_deriv_mp(int_coeffs, z):
-    acc = mp.mpc(0) if isinstance(z, mp.mpc) else mp.mpf(0)
-    dcoeffs = [i * c for i, c in enumerate(int_coeffs)][1:]
-    for c in reversed(dcoeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _polish(int_coeffs, z0, precision):
     """Newton-polish a root approximation until |f(z)| < 2^(-precision-8).
 
-    A root that stalls above that bound is still returned when it is
-    certified, |f(z)| < 2^(-precision/2); otherwise RootFindingFailed.
+    A real start stays real.  A root that stalls above that bound is still
+    returned when it is certified, |f(z)| < 2^(-precision/2); otherwise
+    RootFindingFailed.
     """
+    deriv = poly_deriv(int_coeffs)
     with mp.workprec(precision + 64):
-        z = mp.mpc(z0)
+        z = z0 if isinstance(z0, mp.mpc) else mp.mpf(z0)
         bound = mp.mpf(2) ** (-precision - 8)
         for _ in range(precision):
             fv = _poly_eval_mp(int_coeffs, z)
             if abs(fv) < bound:
                 return z
-            dv = _poly_eval_deriv_mp(int_coeffs, z)
+            dv = _poly_eval_mp(deriv, z)
             if dv == 0:
                 break
             z = z - fv / dv
@@ -515,29 +494,3 @@ def _polish(int_coeffs, z0, precision):
         if abs(fv) < mp.mpf(2) ** (-(precision // 2)):
             return z
     raise RootFindingFailed("Newton polish stalled near %s" % z0)
-
-
-def _polish_real(int_coeffs, x0, precision):
-    """Real Newton polish to the bounds of ``_polish``; returns None when no
-    real root is reached."""
-    with mp.workprec(precision + 64):
-        x = mp.mpf(x0)
-        bound = mp.mpf(2) ** (-precision - 8)
-        for _ in range(precision):
-            fv = _poly_eval_mp(int_coeffs, x)
-            if abs(fv) < bound:
-                return x
-            dv = _poly_eval_deriv_mp(int_coeffs, x)
-            if dv == 0:
-                return None
-            x = x - fv / dv
-        fv = _poly_eval_mp(int_coeffs, x)
-        if abs(fv) < mp.mpf(2) ** (-(precision // 2)):
-            return x
-    return None
-
-
-def eval_embedding(elem, root, precision=256):
-    """Evaluate a FieldElement at one embedding (a numeric root of min_poly)."""
-    with mp.workprec(precision + 32):
-        return elem.evaluate(root)

@@ -23,7 +23,8 @@ import mpmath as mp
 
 from . import textformat
 from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
-                     RequiresExactField, TriangulationSyntaxError)
+                     RequiresExactField, RootFindingFailed,
+                     TriangulationSyntaxError)
 from .lattice import (factorint, integer_relations, kernel_int,
                       snf_with_projection, solve_integer)
 from .numfield import FieldElement, _polish, embeddings
@@ -672,5 +673,10 @@ def parse_element(text, precision=256):
         if fld is None:
             raise TriangulationSyntaxError("place line without a field header",
                                            raw_places[0][0])
-        places = [_polish(fld.min_poly, z, precision) for _, z in raw_places]
+        places = []
+        for lineno, z in raw_places:
+            try:
+                places.append(_polish(fld.min_poly, z, precision))
+            except RootFindingFailed as exc:
+                raise TriangulationSyntaxError(str(exc), lineno) from None
     return element, places

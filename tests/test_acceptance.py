@@ -10,7 +10,7 @@ from fractions import Fraction
 import importlib.resources
 import mpmath as mp
 
-from blochinv.borel import borel_regulator, detect_relation, galois_conjugate_sum
+from blochinv.borel import borel_regulator, detect_relation, per_root_values
 from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2,
                                    solve_flattening)
 from blochinv.dilog import bloch_wigner
@@ -281,7 +281,7 @@ def _vol(e, prec):
 def test_criterion_10_galois_sum():
     prec = 256
     b1, _ = beta_elements()
-    vec = galois_conjugate_sum(b1, precision=prec)
+    vec = per_root_values(b1, precision=prec)
     with mp.workprec(prec + 16):
         s = abs(mp.fsum(vec))
     report(10, s < mp.mpf(10) ** -40, "conjugate D2 sum %s" % mp.nstr(s, 3))

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+from hypothesis import assume, given, settings, strategies as st
 
 from blochinv.borel import (borel_regulator, conjugate_family, detect_relation,
-                            galois_conjugate_sum, per_root_values, rank_witness)
+                            per_root_values, rank_witness)
 from blochinv.numfield import embeddings, field_make
 from blochinv.prebloch import PreBlochElement
 
@@ -12,6 +13,7 @@ PREC = 256
 
 WEEKS = field_make([1, -1, 0, 1])
 QUARTIC = field_make([1, -1, 1, 0, 1])
+GAUSS = field_make([1, 0, 1])
 
 # 50-digit printed regulator pairs, at the embeddings sigma_1: tau -> the
 # root 0.547... - 0.585...i and sigma_2: tau -> -0.547... - 1.120...i
@@ -148,7 +150,7 @@ def test_detect_relation_none_for_random():
 
 def test_galois_sum_weeks():
     e = PreBlochElement([(WEEKS.gen(), 1)])
-    vec = galois_conjugate_sum(e, precision=PREC)
+    vec = per_root_values(e, precision=PREC)
     assert len(vec) == 3
     with mp.workprec(PREC + 16):
         assert vec[0] == 0  # real root contributes zero
@@ -156,7 +158,7 @@ def test_galois_sum_weeks():
 
 
 def test_galois_sum_beta1():
-    vec = galois_conjugate_sum(beta1(), precision=PREC)
+    vec = per_root_values(beta1(), precision=PREC)
     assert len(vec) == 4
     with mp.workprec(PREC + 16):
         assert abs(mp.fsum(vec)) < mp.mpf(2) ** (-PREC // 2 + 8)
@@ -164,7 +166,7 @@ def test_galois_sum_beta1():
 
 def test_galois_sum_scaled():
     e = PreBlochElement([(WEEKS.gen(), 6)])
-    vec = galois_conjugate_sum(e, precision=192)
+    vec = per_root_values(e, precision=192)
     with mp.workprec(208):
         assert abs(mp.fsum(vec)) < mp.mpf(2) ** -150
 
@@ -213,3 +215,31 @@ def test_two_families_rank_six_and_five():
     # roots order: [rep1(-0.547+1.121i), conj, rep2(0.547+0.586i), conj]
     sub = [fam1[2], fam1[3], fam2[0], fam2[1], fam2[2], fam2[3]]
     assert rank_witness(sub, precision=prec) == 5
+
+
+@st.composite
+def _exact_elements(draw):
+    """A field among Q(i), x^3 - x + 1 and the quartic, and an element with
+    one to three generators of small coefficients, none of them 0 or 1."""
+    k = draw(st.sampled_from([GAUSS, WEEKS, QUARTIC]))
+    coeff = st.fractions(-4, 4, max_denominator=3)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        z = k.element(draw(st.lists(coeff, min_size=k.degree,
+                                    max_size=k.degree)))
+        assume(not z.is_zero() and not z.is_one())
+        terms.append((z, draw(st.integers(-3, 3).filter(bool))))
+    e = PreBlochElement(terms)
+    assume(not e.is_zero())
+    return e
+
+
+@settings(max_examples=30, deadline=None)
+@given(_exact_elements(), st.sampled_from([64, 128, 256]))
+def test_regulator_agrees_at_p_and_2p(e, p):
+    lo = borel_regulator(e, precision=p).values
+    hi = borel_regulator(e, precision=2 * p).values
+    assert len(lo) == len(hi) == embeddings(e.field, p).r2
+    with mp.workprec(2 * p + 32):
+        for a, v in zip(lo, hi):
+            assert abs(a - v) < mp.mpf(2) ** (-p + 8) * max(1, abs(v))

@@ -206,6 +206,7 @@ _TRI = "tets 1\ncusps 0\nshape 0 0.5 0.8\nurow 0 0 0\ndvec 0\n"
 _MALFORMED = [
     ("num.bloch", "1 * (a b)\n", 1),
     ("place.bloch", "place 0.5 0.8\n1 * [1/2]\n", 1),
+    ("polish.bloch", "field 2 1 0 1\nplace 0 0\n1 * [0 1]\n", 2),
     ("monic.bloch", "field 2 1 0 2\n1 * [0 1]\n", 1),
     ("const.bloch", "# constant\nfield 0 5\n1 * [2]\n", 2),
     ("tets.tri", _TRI.replace("tets 1", "tets 1 2"), 1),

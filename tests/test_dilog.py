@@ -6,8 +6,9 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blochinv.chern_simons import rho_of_beta
 from blochinv.dilog import (RhoRepresentative, _bernoulli_table, bloch_wigner,
-                            li2, rational_reconstruct, rho, rogers)
+                            li2, rational_reconstruct, rogers)
 from blochinv.errors import DegenerateShape
 
 PREC = 256
@@ -169,14 +170,14 @@ def test_rogers_reflection():
 
 
 def test_rho_real_input():
-    r = rho(mp.mpf("0.3"), 0, 0, PREC)
+    r = rho_of_beta([mp.mpf("0.3")], [0, 0], precision=PREC)
     assert abs(mp.im(r.value)) == 0
 
 
 def test_rho_imag_part_is_scaled_volume():
     with mp.workprec(PREC + 16):
         z = mp.exp(mp.mpc(0, mp.pi / 3))
-        r = rho(z, 0, 0, PREC)
+        r = rho_of_beta([z], [0, 0], precision=PREC)
         d2 = bloch_wigner(z, PREC)
         assert abs(mp.im(r.value) - d2 / (2 * mp.pi ** 2)) < mp.mpf(2) ** (-PREC + 16)
 
@@ -188,8 +189,8 @@ def test_rho_flattening_shift_rational_at_root_of_unity():
     # with the 2 pi i periods.
     with mp.workprec(PREC + 16):
         z = mp.mpc(0, 1)
-        r0 = rho(z, 0, 0, PREC).value
-        r1 = rho(z, 4, 0, PREC).value
+        r0 = rho_of_beta([z], [0, 0], precision=PREC).value
+        r1 = rho_of_beta([z], [4, 0], precision=PREC).value
         # c' log(1-z) term: 4 * (i pi/2) log(1-i) / (2 pi^2)
         diff = r1 - r0
         expect = -(mp.mpc(0, 1) * mp.pi / 2) * 4 * mp.log(1 - z) / (2 * mp.pi ** 2)

@@ -1,11 +1,15 @@
+import random
+import types
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blochinv.numfield import (field_make, embeddings,
-                               eval_embedding, poly_gcd, poly_ext_gcd,
-                               poly_mul, _rational_roots)
+from blochinv import numfield
+from blochinv.numfield import (NumberField, field_make, embeddings,
+                               poly_ext_gcd, poly_mul, _rational_roots)
+from blochinv.prebloch import five_term, is_bloch
 from blochinv.errors import (DetectedReducible, DivisionByZero, FieldMismatch,
                              NonMonic, NotSquarefree)
 
@@ -184,7 +188,7 @@ def test_embedding_residual_bound():
     th = k.gen()
     with mp.workprec(prec + 32):
         for root in es.all_roots():
-            v = eval_embedding(th, root, prec)
+            v = th.evaluate(root)
             resid = v ** 4 + v ** 2 - v + 1
             assert abs(resid) < mp.mpf(2) ** (-prec // 2)
 
@@ -193,7 +197,8 @@ def test_eval_embedding_constant():
     k = field_make(WEEKS)
     es = embeddings(k, 128)
     half = k.from_rational(Fraction(1, 2))
-    assert abs(eval_embedding(half, es.complex_pairs[0], 128) - 0.5) < 1e-30
+    with mp.workprec(128 + 32):
+        assert abs(half.evaluate(es.complex_pairs[0]) - 0.5) < 1e-30
 
 
 def test_eval_embedding_ring_homomorphism():
@@ -208,8 +213,8 @@ def test_eval_embedding_ring_homomorphism():
         for _ in range(10):
             a = k.element([rng.randint(-6, 6) for _ in range(4)])
             b = k.element([rng.randint(-6, 6) for _ in range(4)])
-            lhs = eval_embedding(a * b, root, prec)
-            rhs = eval_embedding(a, root, prec) * eval_embedding(b, root, prec)
+            lhs = (a * b).evaluate(root)
+            rhs = a.evaluate(root) * b.evaluate(root)
             assert abs(lhs - rhs) < tol * max(1, abs(rhs))
 
 
@@ -226,3 +231,79 @@ def test_degree_one_field_is_rational():
     es = embeddings(q, 128)
     assert es.r1 == 1 and es.r2 == 0
     assert q.gen().as_rational() == 0
+
+
+def _check_embeddings(k, p):
+    """Order, type, residual and p-vs-2p agreement of embeddings(k, p)."""
+    es, fine = embeddings(k, p), embeddings(k, 2 * p)
+    assert es.r1 == k.r1 and es.r1 + 2 * es.r2 == k.degree
+    assert all(type(r) is mp.mpf for r in es.real_roots)
+    assert list(es.real_roots) == sorted(es.real_roots)
+    assert all(mp.im(z) > 0 for z in es.complex_pairs)
+    assert list(es.complex_pairs) == sorted(
+        es.complex_pairs, key=lambda z: (mp.re(z), mp.im(z)))
+    th = k.gen()
+    with mp.workprec(p + 32):
+        for root in es.all_roots():
+            v = th.evaluate(root)
+            resid = mp.fsum(c * v ** i for i, c in enumerate(k.min_poly))
+            assert abs(resid) < mp.mpf(2) ** (-p // 2)
+    with mp.workprec(2 * p + 32):
+        for lo, hi in zip(es.all_roots(), fine.all_roots()):
+            assert abs(lo - hi) < mp.mpf(2) ** (-p // 2)
+
+
+def _poly_product(factors):
+    out = [1]
+    for f in factors:
+        out = [int(c) for c in poly_mul(out, f)]
+    return out
+
+
+# x^2 - a (a > 1 not a square: two real roots) and x^2 + b (b >= 1: none)
+_QUADRATICS = ([(-a, 0, 1) for a in (2, 3, 5, 6, 7, 8, 10, 11)] +
+               [(b, 0, 1) for b in range(1, 13)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(_QUADRATICS), min_size=2, max_size=3,
+                unique=True), st.sampled_from([64, 128]))
+def test_signature_of_quadratic_products(factors, p):
+    k = NumberField(_poly_product(factors))
+    assert k.r1 == 2 * sum(1 for f in factors if f[0] < 0)
+    _check_embeddings(k, p)
+
+
+def test_signature_matches_sturm_oracle():
+    rng = random.Random(20)
+    checked = 0
+    while checked < 40:
+        deg = rng.randint(2, 7)
+        f = [rng.randint(-6, 6) for _ in range(deg)] + [1]
+        try:
+            k = NumberField(f)
+        except (DetectedReducible, NotSquarefree):
+            continue
+        bound = 1 + max(abs(c) for c in f)  # Cauchy bound on |roots|
+        assert k.r1 == _sturm_count(f, -bound, bound)
+        _check_embeddings(k, 64)
+        checked += 1
+
+
+def test_embeddings_computed_once_per_field_and_precision(monkeypatch):
+    k = NumberField(WEEKS)
+    calls = []
+    polyroots = mp.polyroots
+    monkeypatch.setattr(mp, "polyroots",
+                        lambda *a, **kw: calls.append(1) or polyroots(*a, **kw))
+    th = k.gen()
+    cert = is_bloch(five_term(th, th + 1), precision=128)
+    assert cert.certified_zero
+    es = embeddings(k, 128)
+    assert len(calls) == 1
+    assert embeddings(k, 128) is es
+    assert type(es.real_roots) is tuple and type(es.complex_pairs) is tuple
+    embeddings(k, 256)
+    assert len(calls) == 2
+    # the bench tracer wraps plain module functions only
+    assert type(numfield.embeddings) is types.FunctionType

@@ -1,8 +1,10 @@
 import importlib.resources
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochinv.chern_simons import (cs_formula, eta_from_cs,
                                    rationalize_mod_pi2, rho_of_beta,
@@ -10,6 +12,7 @@ from blochinv.chern_simons import (cs_formula, eta_from_cs,
 from blochinv.dilog import bloch_wigner
 from blochinv.errors import Inconsistent
 from blochinv.lattice import kernel_int
+from blochinv.surgery import filled_system, newton_solve, solution_volume
 from blochinv.triang import parse_triangulation
 
 PREC = 256
@@ -172,3 +175,24 @@ def test_rationalize_weeks_eta_not_found():
         x = mp.pi ** 2 * 2 * mp.mpf(
             "0.060043066678727155012132615144817756316780200913123686")
         assert rationalize_mod_pi2(x, 10 ** 6, 256) is None
+
+
+_SLOPES = [(p, q) for q in range(1, 7) for p in range(-12, 13)
+           if math.gcd(p, q) == 1 and not (q == 1 and abs(p) <= 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_SLOPES), st.sampled_from([64, 128, 256]))
+def test_cs_formula_precision_doubling_agrees(fig8, slope, p):
+    # one filled solution at 2p, evaluated at p and at 2p
+    res = newton_solve(filled_system(fig8, [slope]), precision=2 * p)
+    sol = solve_flattening(fig8.U, fig8.d)
+    lo = cs_formula(res.shapes, res.lambdas, sol, precision=p)
+    hi = cs_formula(res.shapes, res.lambdas, sol, precision=2 * p)
+    vol = solution_volume(res, precision=p)
+    with mp.workprec(2 * p + 32):
+        tol = mp.mpf(2) ** (-p + 16)
+        assert abs(lo.vol - hi.vol) < tol * max(1, abs(hi.vol))
+        assert abs(lo.cs_mod_rational - hi.cs_mod_rational) < \
+            tol * max(1, abs(hi.cs_mod_rational))
+        assert abs(lo.vol - vol) < tol * max(1, abs(vol))

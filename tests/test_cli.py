@@ -2,8 +2,10 @@ import json
 
 import importlib.resources
 
+import mpmath as mp
 import pytest
 
+from blochinv import textformat
 from blochinv.cli import main
 
 
@@ -99,6 +101,19 @@ def test_borel_prints_published_pairs(capsys):
     assert "-1.41510489726556334068950858771050203613466795960" in out
     assert "-0.6985440827844407197307266120368427639773667053" in out
     assert "3.82168758617997773911092222429038551682130249550" in out
+
+
+def test_borel_shares_one_field_across_files(monkeypatch, capsys):
+    # the two example2 files share one quartic field, Weeks has a cubic one
+    textformat._field.cache_clear()
+    calls = []
+    polyroots = mp.polyroots
+    monkeypatch.setattr(mp, "polyroots",
+                        lambda *a, **kw: calls.append(1) or polyroots(*a, **kw))
+    code, _, _ = run(capsys, "borel", fx("example2_beta1.bloch"),
+                     fx("example2_beta2.bloch"), fx("weeks_element.bloch"))
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_relation_duplicate_inputs(capsys):

@@ -1,12 +1,21 @@
+import functools
 import importlib.resources
+import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blochinv import surgery
 from blochinv.errors import Diverged, DegeneratedToFlat, NotCoprime, NotFilled
 from blochinv.surgery import (FillingSpec, completion_curve, core_length,
                               filled_system, newton_solve, solution_volume)
 from blochinv.triang import parse_triangulation
+
+# coprime p/q with |p| <= 12, 1 <= q <= 6 outside the exceptional slopes
+# 1/0, 0/1, +-1, ..., +-4 of the figure-eight knot
+SLOPES = [(p, q) for q in range(1, 7) for p in range(-12, 13)
+          if math.gcd(p, q) == 1 and not (q == 1 and abs(p) <= 4)]
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +23,23 @@ def fig8():
     text = importlib.resources.files("blochinv").joinpath(
         "fixtures/figure_eight.tri").read_text()
     return parse_triangulation(text, precision=256)
+
+
+@functools.cache
+def fig8_at(precision):
+    text = importlib.resources.files("blochinv").joinpath(
+        "fixtures/figure_eight.tri").read_text()
+    return parse_triangulation(text, precision=precision)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Count the runs of the damped fallback stage."""
+    calls = []
+    stage = surgery._newton_stage
+    monkeypatch.setattr(surgery, "_newton_stage",
+                        lambda *a, **kw: calls.append(a[2]) or stage(*a, **kw))
+    return calls
 
 
 def test_filling_spec_coprime():
@@ -122,3 +148,69 @@ def test_allow_flat_bypasses_entry_guard(fig8):
         pass
     except DegeneratedToFlat:
         raise AssertionError("flat guard fired despite allow_flat")
+
+
+def test_non_exceptional_slopes_never_fall_back(stage_calls):
+    assert len(SLOPES) == 84
+    for prec in (128, 256, 512):
+        t = fig8_at(prec)
+        for slope in SLOPES:
+            res = newton_solve(filled_system(t, [slope]), precision=prec)
+            assert res.converged and res.flat == ()
+            assert res.residual < mp.mpf(2) ** (-prec + 24)
+    assert stage_calls == []
+
+
+# Outcome of each exceptional slope with allow_flat=False at 128/256/512
+# bits: the exception class, or None for a converged non-flat solution.
+# Recorded from the damped solver before precision doubling.
+D, DF = Diverged, DegeneratedToFlat
+EXCEPTIONAL = {
+    (1, 0): (DF, DF, DF), (-1, 0): (D, DF, D), (0, 1): (DF, DF, DF),
+    (1, 1): (DF, DF, DF), (2, 1): (DF, DF, DF), (3, 1): (DF, DF, DF),
+    (4, 1): (DF, DF, DF), (-1, 1): (None,) * 3, (-2, 1): (None,) * 3,
+    (-3, 1): (None,) * 3, (-4, 1): (DF, DF, DF),
+}
+
+
+@pytest.mark.parametrize("slope", sorted(EXCEPTIONAL))
+def test_exceptional_slope_outcomes(slope):
+    for prec, expected in zip((128, 256, 512), EXCEPTIONAL[slope]):
+        system = filled_system(fig8_at(prec), [slope])
+        if expected is None:
+            res = newton_solve(system, precision=prec)
+            assert res.converged and res.flat == ()
+        else:
+            with pytest.raises(expected) as info:
+                newton_solve(system, precision=prec)
+            assert type(info.value) is expected, (slope, prec)
+
+
+def test_allow_flat_exceptional_outcomes(stage_calls):
+    # these fillings degenerate: the solver lands on flat solutions, some of
+    # them only through the damped fallback
+    for prec in (128, 256):
+        for slope in [(-4, 1), (0, 1), (1, 1), (2, 1), (3, 1)]:
+            res = newton_solve(filled_system(fig8_at(prec), [slope]),
+                               precision=prec, allow_flat=True)
+            assert res.converged and res.flat == (0, 1), (slope, prec)
+            assert res.residual < mp.mpf(2) ** (-prec + 24)
+        for slope in [(1, 0), (-1, 0), (4, 1)]:
+            with pytest.raises(Diverged):
+                newton_solve(filled_system(fig8_at(prec), [slope]),
+                             precision=prec, allow_flat=True)
+    assert 128 in stage_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SLOPES), st.sampled_from([64, 128, 256]))
+def test_newton_solve_precision_doubling_agrees(slope, p):
+    t = fig8_at(2 * p + 64)
+    lo = newton_solve(filled_system(t, [slope]), precision=p)
+    hi = newton_solve(filled_system(t, [slope]), precision=2 * p)
+    assert lo.converged and hi.converged
+    with mp.workprec(2 * p + 64):
+        tol = mp.mpf(2) ** (-p + 24)
+        assert lo.residual < tol
+        for a, b in zip(lo.shapes, hi.shapes):
+            assert abs(a - b) < tol * abs(b)

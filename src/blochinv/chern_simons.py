@@ -81,7 +81,12 @@ def cs_formula(shapes, lambdas, flattening, precision=256):
 
 def rho_of_beta(shapes, flattening, precision=256, lambdas=None):
     """(i / 2 pi^2) (vol + i CS) as a representative modulo Q."""
-    res = cs_formula(shapes, lambdas or [], flattening, precision)
+    return rho_of_cs(cs_formula(shapes, lambdas or [], flattening, precision),
+                     precision)
+
+
+def rho_of_cs(res, precision=256):
+    """The rho representative (i / 2 pi^2) res.value of a CSResult."""
     with mp.workprec(precision + _GUARD):
         return RhoRepresentative(mp.mpc(0, 1) / (2 * mp.pi ** 2) * res.value,
                                  precision)

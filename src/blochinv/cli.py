@@ -16,7 +16,7 @@ import mpmath as mp
 from . import __version__
 from .borel import (borel_regulator, detect_relation, per_root_values,
                     rank_witness)
-from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_beta,
+from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                            solve_flattening)
 from .dilog import volume_of_prebloch
 from .errors import (BlochError, Diverged, DegeneratedToFlat,
@@ -212,7 +212,7 @@ def cmd_cs(args, config):
         rep.add("cs_over_pi2_rational", str(probe) if probe is not None
                 else None, text=probe if probe is not None else "NotFound")
         rep.add("denominator_bound", config.denom_bound)
-        rho = rho_of_beta(shapes, flat, precision=prec, lambdas=lambdas)
+        rho = rho_of_cs(result, precision=prec)
         rep.add("rho_representative", _fmt(rho.value, prec))
         if args.calibrate_cs is not None:
             known = mp.mpf(args.calibrate_cs)

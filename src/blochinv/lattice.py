@@ -316,18 +316,19 @@ def solve_integer(mat, rhs):
     # Column HNF via the transpose: U @ mat^T = H, so mat @ U^T = H^T, whose
     # columns (= rows of H) are in echelon form with pivots moving down.
     At = [[int(mat[i][j]) for i in range(m)] for j in range(n)]
+    rem = [int(r) for r in rhs]
+    if any(a != r for a, r in zip(rem, rhs)):
+        return None  # a non-integral right-hand side
     H, U = hnf_rows(At)
-    rem = [Fraction(r) for r in rhs]
     y = [0] * n
     for j in range(n):
         col = H[j]  # column j of mat @ U^T, length m
         piv = next((i for i, v in enumerate(col) if v != 0), None)
         if piv is None:
             continue
-        val = rem[piv] / col[piv]
-        if val.denominator != 1:
+        y[j], r = divmod(rem[piv], col[piv])
+        if r:
             return None
-        y[j] = int(val)
         rem = [rem[i] - y[j] * col[i] for i in range(m)]
     if any(r != 0 for r in rem):
         return None

@@ -2,13 +2,16 @@
 
 A number field is Q[x]/(f) for a monic integer polynomial f, assumed
 irreducible (only cheap reducibility witnesses are rejected); an exact Sturm
-count gives its number r1 of real places.  Elements are rational coefficient
-vectors reduced mod f.  Embeddings are the roots of f, Newton-polished once
-per field and caller-specified binary precision.
+count gives its number r1 of real places.  Elements are coefficient vectors
+reduced mod f, held as integer numerators over one common denominator in
+lowest terms; norm and inverse come from one fraction-free (Bareiss)
+elimination on the integer multiplication matrix.  Embeddings are the roots
+of f, Newton-polished once per field and caller-specified binary precision.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -163,6 +166,13 @@ class NumberField:
         at_minus_inf = [s * (-1) ** (len(p) - 1) for s, p in zip(at_inf, chain)]
         self.r1 = _sign_changes(at_minus_inf) - _sign_changes(at_inf)
         self._embeddings = {}  # precision -> EmbeddingSet, see embeddings()
+        # x^deg, ..., x^(2 deg - 2) mod f: integral, as f is monic
+        row = [-c for c in coeffs[:deg]]
+        self._xpow = []
+        for _ in range(deg - 1):
+            self._xpow.append(tuple(row))
+            top = row[-1]
+            row = [top * a + b for a, b in zip(self._xpow[0], [0] + row[:-1])]
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -177,22 +187,27 @@ class NumberField:
         return self.degree == 1
 
     def zero(self):
-        return FieldElement(self, [0] * self.degree)
+        return _new(self, (0,) * self.degree, 1)
 
     def one(self):
-        return FieldElement(self, [1] + [0] * (self.degree - 1))
+        return _new(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def gen(self):
         """The class of x (for degree 1 this is the rational root of f)."""
         if self.degree == 1:
-            return FieldElement(self, [-Fraction(self.min_poly[0])])
-        return FieldElement(self, [0, 1] + [0] * (self.degree - 2))
+            return _new(self, (-self.min_poly[0],), 1)
+        return _new(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def element(self, coeffs):
         return FieldElement(self, coeffs)
 
     def from_rational(self, q):
-        return FieldElement(self, [Fraction(q)] + [0] * (self.degree - 1))
+        if isinstance(q, int):
+            n, d = q, 1
+        else:
+            q = Fraction(q)
+            n, d = q.numerator, q.denominator
+        return _new(self, (n,) + (0,) * (self.degree - 1), d)
 
 
 def _sign_changes(signs):
@@ -206,9 +221,11 @@ def field_make(min_poly):
 
 
 class FieldElement:
-    """Element of a NumberField as a reduced coefficient vector over Q."""
+    """Element of a NumberField: integer numerators ``num`` (one per power of
+    x) over one positive denominator ``den``, with gcd(den, *num) == 1, so
+    that equal elements have equal (num, den)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -216,13 +233,21 @@ class FieldElement:
             coeffs = _reduce_mod(coeffs, field.min_poly)
         coeffs = coeffs[:field.degree]
         coeffs += [Fraction(0)] * (field.degree - len(coeffs))
+        # the lcm of reduced denominators leaves gcd(den, *num) == 1
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coefficient vector as Fractions in lowest terms."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- ring structure ---------------------------------------------------
     def _check(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("elements of %r and %r" %
                                     (self.field, other.field))
             return other
@@ -234,13 +259,17 @@ class FieldElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        if a == b:
+            return _make(self.field,
+                         [x + y for x, y in zip(self.num, other.num)], a)
+        return _make(self.field, [x * b + y * a
+                                  for x, y in zip(self.num, other.num)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return _new(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -255,21 +284,34 @@ class FieldElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = poly_mul(list(self.coeffs), list(other.coeffs))
-        return FieldElement(self.field, _reduce_mod(prod, self.field.min_poly))
+        d = self.field.degree
+        prod = [0] * (2 * d - 1)
+        b = other.num
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        out = prod[:d]
+        for c, row in zip(prod[d:], self.field._xpow):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return _make(self.field, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        g, s, _ = poly_ext_gcd(poly_trim(list(self.coeffs)),
-                               list(self.field.min_poly))
-        if len(g) != 1:
-            # gcd nontrivial: witnesses reducibility of the min poly
+        det, adj = _bareiss(self._mult_matrix())
+        if not det:
+            # a zero divisor witnesses reducibility of the min poly
             raise DetectedReducible("element %s is a zero divisor" % (self,))
-        inv = poly_scale(s, 1 / g[0])
-        return FieldElement(self.field, _reduce_mod(inv, self.field.min_poly))
+        # self = M/den acts as the integer matrix M over den, so its inverse
+        # is den * M^-1 e_0 = den * adj(M) e_0 / det(M)
+        if det < 0:
+            det, adj = -det, [-y for y in adj]
+        return _make(self.field, [self.den * y for y in adj], det)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -295,51 +337,126 @@ class FieldElement:
 
     # -- predicates, hashing ----------------------------------------------
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("element is not rational: %s" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, int):
+            return self.is_rational() and self.num[0] == other * self.den
+        if isinstance(other, Fraction):
+            return (self.is_rational() and self.num[0] * other.denominator
+                    == other.numerator * self.den)
         return (isinstance(other, FieldElement) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.field.min_poly, self.coeffs))
+            return hash(self.num[0] if self.den == 1 else self.as_rational())
+        return hash((self.field.min_poly, self.num, self.den))
 
     def __repr__(self):
-        return "FieldElement(%s)" % " ".join(str(c) for c in self.coeffs)
+        return "FieldElement(%s)" % " ".join(
+            str(p) if q == 1 else "%d/%d" % (p, q)
+            for p, q in map(self._reduced, self.num))
+
+    def _reduced(self, n):
+        """Coefficient n/den in lowest terms, as (numerator, denominator)."""
+        g = math.gcd(n, self.den)
+        return n // g, self.den // g
+
+    def _mult_matrix(self):
+        """The integer matrix of multiplication by den * self."""
+        xpow = self.field._xpow
+        col = list(self.num)
+        cols = [col]
+        for _ in range(self.field.degree - 1):
+            # column j + 1 is x times column j, reduced by x^deg mod f
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [c + top * r for c, r in zip(col, xpow[0])]
+            cols.append(col)
+        return [list(row) for row in zip(*cols)]
 
     def norm(self):
         """Field norm: determinant of the multiplication-by-self matrix."""
-        d = self.field.degree
-        cols = []
-        for j in range(d):
-            basis = [Fraction(0)] * d
-            basis[j] = Fraction(1)
-            col = (self * FieldElement(self.field, basis)).coeffs
-            cols.append(list(col))
-        return _det_fraction([[cols[j][i] for j in range(d)] for i in range(d)])
+        det, _ = _bareiss(self._mult_matrix())
+        return Fraction(det, self.den ** self.field.degree)
 
     # -- numerics -----------------------------------------------------------
     def evaluate(self, root):
         """Horner evaluation of the coefficient vector at a numeric root."""
         acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + mp.mpf(c.numerator) / mp.mpf(c.denominator)
+        for n in reversed(self.num):
+            p, q = self._reduced(n)
+            acc = acc * root + mp.mpf(p) / mp.mpf(q)
         return acc
+
+
+def _new(field, num, den):
+    """A FieldElement from canonical (num, den), with no checks."""
+    out = object.__new__(FieldElement)
+    out.field = field
+    out.num = num
+    out.den = den
+    return out
+
+
+def _make(field, num, den):
+    """A FieldElement from integer numerators over den > 0, reduced by their
+    common gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return _new(field, tuple(x // g for x in num), den // g)
+    return _new(field, tuple(num), den)
+
+
+def _bareiss(m):
+    """Fraction-free (Bareiss) elimination of a square integer matrix
+    augmented by e_0: returns (det(m), adj(m) e_0), the column being None
+    when det(m) = 0.
+
+    Every division is exact: by Sylvester's identity the pivot of step k is a
+    k x k minor of the row-permuted matrix, and it divides every entry that
+    step k + 1 produces (Bareiss 1968; Cohen, GTM 138, section 2.2).
+    """
+    n = len(m)
+    a = [row + [int(i == 0)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rowk = a[k]
+        p = rowk[k]
+        for i in range(k + 1, n):
+            rowi = a[i]
+            f = rowi[k]
+            a[i] = [0] * (k + 1) + [(p * x - f * y) // prev for x, y in
+                                    zip(rowi[k + 1:], rowk[k + 1:])]
+        prev = p
+    det = prev
+    # back substitution on the triangular system: y = det * x is integral
+    # (it is adj e_0 of the permuted matrix), so each division is exact
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        s = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = s // row[i]
+    return sign * det, [sign * v for v in y]
 
 
 def _reduce_mod(coeffs, min_poly):
@@ -354,30 +471,6 @@ def _reduce_mod(coeffs, min_poly):
             coeffs[shift + i] -= c * b
         coeffs = coeffs[:-1]
     return coeffs
-
-
-def _det_fraction(m):
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,28 @@ def test_cs_figure_eight(capsys):
     assert "alpha_fitted_over_pi2: 1/3" in out
 
 
+
+def test_cs_evaluates_each_shape_once(monkeypatch, capsys):
+    # vol, the CS representative and the rho representative share one
+    # cs_formula evaluation: one li2 per shape of figure_eight.tri
+    from blochinv import chern_simons, cli, dilog
+    calls = {"cs_formula": 0, "li2": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cs_formula = counting("cs_formula", chern_simons.cs_formula)
+    monkeypatch.setattr(cli, "cs_formula", cs_formula)
+    monkeypatch.setattr(chern_simons, "cs_formula", cs_formula)
+    monkeypatch.setattr(dilog, "li2", counting("li2", dilog.li2))
+    code, out, _ = run(capsys, "--format", "records", "cs",
+                       fx("figure_eight.tri"))
+    assert code == 0 and "rho_representative" in out
+    assert calls == {"cs_formula": 1, "li2": 2}
+
 def test_cs_example3_rational_probe(capsys):
     code, out, _ = run(capsys, "--precision", "192", "cs", fx("example3.tri"))
     assert code == 0

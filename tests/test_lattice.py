@@ -209,6 +209,13 @@ def test_solve_integer():
     assert x is not None and 2 * x[0] + 3 * x[1] == 1
 
 
+
+def test_solve_integer_non_integral_rhs():
+    # solve_flattening falls back to solve_rational on None
+    assert solve_integer([[1, 0], [0, 1]], [Fraction(1, 2), 1]) is None
+    assert solve_integer([[2, 3]], [Fraction(4, 1)]) is not None
+    assert solve_integer([[2, 0], [0, 3]], [Fraction(4), Fraction(9)]) == [2, 3]
+
 def test_integer_relations_numeric():
     prec = 192
     with mp.workprec(prec + 32):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -307,3 +309,171 @@ def test_embeddings_computed_once_per_field_and_precision(monkeypatch):
     assert len(calls) == 2
     # the bench tracer wraps plain module functions only
     assert type(numfield.embeddings) is types.FunctionType
+
+
+# --------------------------------------------------------------------------
+# the integral representation against a Fraction reference
+
+_FIELDS = [NumberField(GAUSS), NumberField(WEEKS), NumberField(QUARTIC),
+           NumberField([-3, 1])]
+
+
+def _ref(a):
+    return list(a.coeffs)
+
+
+def _ref_reduce(p, k):
+    out = numfield._reduce_mod(p, k.min_poly)[:k.degree]
+    return out + [Fraction(0)] * (k.degree - len(out))
+
+
+def _ref_mul(p, q, k):
+    return _ref_reduce(poly_mul(p, q), k)
+
+
+def _ref_inverse(p, k):
+    g, s, _ = poly_ext_gcd(numfield.poly_trim(p), list(k.min_poly))
+    assert g == [1]
+    return _ref_reduce(s, k)
+
+
+def _ref_norm(p, k):
+    # Leibniz determinant of the Fraction multiplication matrix
+    d = k.degree
+    cols = [_ref_mul(p, [0] * j + [1], k) for j in range(d)]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(d)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(d)
+                           for j in range(i + 1, d))
+        total += sign * math.prod(cols[j][perm[j]] for j in range(d))
+    return total
+
+
+_RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=15)
+
+
+@st.composite
+def _field_and_elements(draw, count):
+    k = draw(st.sampled_from(_FIELDS))
+    vec = st.lists(_RATIONAL, min_size=k.degree, max_size=k.degree)
+    return (k,) + tuple(k.element(draw(vec)) for _ in range(count))
+
+
+def _canonical(a):
+    return (a.den > 0 and math.gcd(a.den, *a.num) == 1
+            and all(type(n) is int for n in a.num))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_and_elements(2), st.integers(-3, 4))
+def test_arithmetic_matches_fraction_reference(kab, n):
+    k, a, b = kab
+    pa, pb = _ref(a), _ref(b)
+    assert _ref(a + b) == [x + y for x, y in zip(pa, pb)]
+    assert _ref(a - b) == [x - y for x, y in zip(pa, pb)]
+    assert _ref(-a) == [-x for x in pa]
+    assert _ref(a * b) == _ref_mul(pa, pb, k)
+    assert a.norm() == _ref_norm(pa, k)
+    for r in (a + b, a - b, a * b):
+        assert _canonical(r)
+    if not b.is_zero():
+        inv = _ref_inverse(pb, k)
+        assert _ref(b.inverse()) == inv
+        assert _ref(a / b) == _ref_mul(pa, inv, k)
+        assert _canonical(a / b)
+    if not a.is_zero() or n >= 0:
+        power = [Fraction(1)] + [Fraction(0)] * (k.degree - 1)
+        base = pa if n >= 0 else _ref_inverse(pa, k)
+        for _ in range(abs(n)):
+            power = _ref_mul(power, base, k)
+        assert _ref(a ** n) == power
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_and_elements(2))
+def test_canonical_form_equal_values_equal_hash(kab):
+    k, a, b = kab
+    assert _canonical(a)
+    for other in ((a + b) - b, b + a - b, (a * 3) / 3, -(-a),
+                  k.element(_ref(a) + [0, 0]),
+                  k.element([Fraction(2 * c) for c in _ref(a)]) / 2):
+        assert other == a and hash(other) == hash(a)
+        assert (other.num, other.den) == (a.num, a.den)
+    if not b.is_zero():
+        assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+    # over-long input is reduced mod f by the constructor
+    ab = k.element(poly_mul(_ref(a), _ref(b)))
+    assert ab == a * b and hash(ab) == hash(a * b) and _canonical(ab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FIELDS), _RATIONAL)
+def test_rational_element_equals_and_hashes_like_fraction(k, q):
+    for r in (k.from_rational(q), k.element([q]), k.one() * q, k.zero() + q):
+        assert r == q and hash(r) == hash(q)
+        assert r.as_rational() == q and r.is_rational()
+    if q.denominator == 1:
+        r = k.from_rational(int(q.numerator))
+        assert r == q.numerator and hash(r) == hash(q.numerator)
+    assert {k.from_rational(q): 1}[q] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_and_elements(1))
+def test_coeffs_are_fractions_in_lowest_terms(ka):
+    k, a = ka
+    cs = a.coeffs
+    assert type(cs) is tuple and len(cs) == k.degree
+    for c, n in zip(cs, a.num):
+        assert type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+        assert c == Fraction(n, a.den)
+
+
+@pytest.mark.parametrize("k", _FIELDS)
+def test_evaluate_rounds_each_reduced_coefficient(k):
+    # one mpf(p) / mpf(q) per coefficient p/q in lowest terms, bit for bit;
+    # 200-bit numerators and denominators, wider than the working precision,
+    # tell it apart from rounding num[i] / den
+    rng = random.Random(k.degree)
+    root = embeddings(k, 128).all_roots()[-1]
+    for _ in range(10):
+        a = k.element([Fraction(rng.getrandbits(200) - 2 ** 199,
+                                rng.getrandbits(200) + 1)
+                       for _ in range(k.degree)])
+        with mp.workprec(160):
+            acc = mp.mpc(0)
+            for c in reversed(a.coeffs):
+                acc = acc * root + mp.mpf(c.numerator) / mp.mpf(c.denominator)
+            assert a.evaluate(root) == acc
+
+
+def test_zero_divisor_in_reducible_quartic():
+    k = NumberField([2, 0, 3, 0, 1])  # (x^2 + 1)(x^2 + 2)
+    z = k.element([1, 0, 1])
+    assert z.norm() == 0
+    with pytest.raises(DetectedReducible, match="zero divisor"):
+        z.inverse()
+    with pytest.raises(DetectedReducible, match="zero divisor"):
+        k.one() / z
+    assert (z * k.element([2, 0, 1])).is_zero()
+    x = k.gen()
+    assert (x * x.inverse()).is_one()
+
+
+def test_mul_inverse_norm_make_no_fraction(monkeypatch):
+    k = NumberField(QUARTIC)
+    a = k.element([Fraction(1, 2), -3, Fraction(5, 7), 2])
+    b = k.element([Fraction(-4, 3), 1, 0, Fraction(1, 6)])
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    a * b, 3 * a, a.inverse(), a / b, a ** -3, a + b, a - b
+    assert made == []
+    norm = a.norm()
+    assert made == [(8776541, 38416)]  # the returned value only
+    assert norm == Fraction(8776541, 38416)

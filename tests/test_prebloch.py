@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from importlib.resources import files
@@ -12,7 +13,7 @@ from blochinv.errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
 from blochinv.numfield import FieldElement, field_make
 from blochinv.prebloch import (Infinity, PreBlochElement, cross_ratio,
                                five_term, is_bloch, multiplicative_relations,
-                               parse_element, serialize_element,
+                               orbit_images, parse_element, serialize_element,
                                six_fold_normalize, wedge)
 
 WEEKS = field_make([1, -1, 0, 1])
@@ -258,6 +259,66 @@ def test_wedge_five_term_certified_zero_gaussian():
         w = wedge(e, precision=256)
         assert w.is_zero(), (x.coeffs, y.coeffs)
         done += 1
+
+
+# Certificates of seeded five-term elements at 256 bits, recorded from the
+# Fraction-coefficient field arithmetic: the verdict, the number of relations,
+# a digest of every relation's exponents and unity coefficients, and the
+# residual basis.  Exact arithmetic must reproduce them bit for bit.
+_PINNED_CERTIFICATES = [
+    ([1, 0, 1], ["-4", "-2"], ["1", "6"], 30, "d181465237a8ffe7",
+     ["9/5 11/10", "71/60 -3/10", "-11/60 3/10", "-1/3 5/6", "4/3 -5/6"]),
+    ([1, 0, 1], ["-3/2", "-1/4"], ["4", "3"], 30, "b9eb9c7da9d4f6ba",
+     ["145/37 56/37", "141/74 -89/222", "-67/74 89/222", "-11/24 3/8",
+      "35/24 -3/8"]),
+    ([1, -1, 0, 1], ["-1", "-5/4", "1/2"], ["-5", "-5", "-6"], 30,
+     "b8b323037b4558f8",
+     ["-307/317 -1792/317 52/317",
+      "121992/96685 32702/96685 -27601/96685",
+      "-25307/96685 -32702/96685 27601/96685",
+      "259/1220 1/305 -91/610", "961/1220 -1/305 91/610"]),
+    ([1, -1, 0, 1], ["1", "5/3", "6"], ["1", "6", "-3"], 30,
+     "bbbea644a147fe71",
+     ["4564/9385 -1611/9385 8538/9385",
+      "206534/197085 35494/197085 591/65695",
+      "-9449/197085 -35494/197085 -591/65695",
+      "-1/21 82/63 41/63", "22/21 -82/63 -41/63"]),
+]
+
+
+@pytest.mark.parametrize("poly,x,y,count,digest,basis", _PINNED_CERTIFICATES)
+def test_is_bloch_pinned_certificates(poly, x, y, count, digest, basis):
+    k = field_make(poly)
+    cert = is_bloch(five_term(k.element([Fraction(a) for a in x]),
+                              k.element([Fraction(a) for a in y])),
+                    precision=256)
+    assert cert.verdict == "CertifiedZero"
+    text = ";".join("%s:%s" % (",".join(map(str, r.exponents)),
+                               " ".join(map(str, r.unity.coeffs)))
+                    for r in cert.relations)
+    assert len(cert.relations) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert [" ".join(map(str, b.coeffs)) for b in cert.residual_basis] == basis
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([field_make([1, 0, 1]), WEEKS]), st.data(),
+       st.integers(0, 4), st.integers(0, 5))
+def test_wedge_verdict_invariant_under_six_fold_images(k, data, term, image):
+    # [z] = s [g] for each signed image (g, s) of z, so swapping one term of
+    # five_term(x, y) for an image leaves its wedge verdict unchanged
+    coeffs = st.lists(st.integers(-6, 6), min_size=k.degree,
+                      max_size=k.degree).map(k.element)
+    try:
+        e = five_term(data.draw(coeffs), data.draw(coeffs))
+    except (DegenerateFiveTerm, DegenerateShape):
+        assume(False)
+    terms = list(e.terms.items())
+    z, c = terms[term % len(terms)]
+    g, s = orbit_images(z)[image]
+    swapped = PreBlochElement([(w, n) for w, n in terms if w != z] +
+                              [(g, s * c)])
+    assert is_bloch(swapped).verdict == is_bloch(e).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,29 @@ _GUARD = 24
 
 _LOG2_36 = math.log2(36)
 
+# li2 values kept.  A Dehn filling solved at three precisions has six shapes,
+# each needed by the volume sum and again by the Chern-Simons sum; 32 entries
+# hold all of them and only the last few fillings before.
+_LI2_MEMO_SIZE = 32
+
 
 def li2(z, precision=256):
-    """Dilogarithm Li_2(z), principal branch (cut along [1, oo))."""
+    """Dilogarithm Li_2(z), principal branch (cut along [1, oo)).
+
+    z is rounded to precision + _GUARD bits; the value is memoised by that
+    rounding and precision, so a shape the volume and Chern-Simons sums both
+    need costs one evaluation.
+    """
+    with mp.workprec(precision + _GUARD):
+        return _li2_kernel(mp.mpc(z)._mpc_, precision)
+
+
+@functools.lru_cache(maxsize=_LI2_MEMO_SIZE)
+def _li2_kernel(z_mpc, precision):
+    """li2 of the rounded z with mpc tuple z_mpc, evaluated afresh."""
     wp = precision + _GUARD
     with mp.workprec(wp):
-        z = mp.mpc(z)
+        z = mp.make_mpc(z_mpc)
         if z == 0:
             return mp.mpc(0)
         if z == 1:
@@ -163,11 +180,17 @@ def bloch_wigner(z, precision=256):
 
 def rogers(z, precision=256):
     """Rogers dilogarithm R(z) = (1/2) log(z) log(1-z) + Li_2(z)."""
+    return _rogers_logs(z, precision)[0]
+
+
+def _rogers_logs(z, precision):
+    """(R(z), log z, log(1-z)), all at precision + _GUARD bits."""
     with mp.workprec(precision + _GUARD):
         z = mp.mpc(z)
         if z == 0 or z == 1:
             raise DegenerateShape("Rogers function undefined at %s" % z)
-        return mp.log(z) * mp.log(1 - z) / 2 + li2(z, precision)
+        log_z, log_1mz = mp.log(z), mp.log(1 - z)
+        return log_z * log_1mz / 2 + li2(z, precision), log_z, log_1mz
 
 
 class RhoRepresentative:
@@ -224,14 +247,14 @@ def _exact(x):
 
 
 def _flattened_rogers(z, cp, cpp, precision):
-    """R(z) - (i pi / 2)(c' log(1-z) - c'' log z) at the caller's working
-    precision; cp, cpp are Fractions.  Raises DegenerateShape at 0 and 1."""
-    z = mp.mpc(z)
-    term = rogers(z, precision)
-    if cp or cpp:
-        term -= (mp.mpc(0, 1) * mp.pi / 2) * (
-            _mpq(cp) * mp.log(1 - z) - _mpq(cpp) * mp.log(z))
-    return term
+    """R(z) - (i pi / 2)(c' log(1-z) - c'' log z) at precision + _GUARD bits;
+    cp, cpp are Fractions.  Raises DegenerateShape at 0 and 1."""
+    with mp.workprec(precision + _GUARD):
+        term, log_z, log_1mz = _rogers_logs(z, precision)
+        if cp or cpp:
+            term -= (mp.mpc(0, 1) * mp.pi / 2) * (
+                _mpq(cp) * log_1mz - _mpq(cpp) * log_z)
+        return term
 
 
 def _mpq(q):

@@ -311,15 +311,29 @@ def solve_rational(mat, rhs):
 
 def solve_integer(mat, rhs):
     """One integer solution of mat @ x = rhs, or None when none exists."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
+    return solve_integer_columns(mat, [rhs])[0]
+
+
+def solve_integer_columns(mat, rhs_list):
+    """solve_integer(mat, rhs) for every rhs in rhs_list, from one Hermite
+    form of mat."""
+    A = [[int(a) for a in row] for row in mat]
+    m = len(A)
+    n = len(A[0]) if m else 0
     # Column HNF via the transpose: U @ mat^T = H, so mat @ U^T = H^T, whose
     # columns (= rows of H) are in echelon form with pivots moving down.
-    At = [[int(mat[i][j]) for i in range(m)] for j in range(n)]
-    rem = [int(r) for r in rhs]
-    if any(a != r for a, r in zip(rem, rhs)):
+    H, U = hnf_rows([[A[i][j] for i in range(m)] for j in range(n)])
+    return [_hnf_solve(A, H, U, rhs) for rhs in rhs_list]
+
+
+def _hnf_solve(A, H, U, rhs):
+    """Integer x with A @ x = rhs by back-substitution through the column
+    HNF (H, U) of A, or None."""
+    m, n = len(A), len(H)
+    b = [int(r) for r in rhs]
+    if any(a != r for a, r in zip(b, rhs)):
         return None  # a non-integral right-hand side
-    H, U = hnf_rows(At)
+    rem = b
     y = [0] * n
     for j in range(n):
         col = H[j]  # column j of mat @ U^T, length m
@@ -334,7 +348,7 @@ def solve_integer(mat, rhs):
         return None
     x = [sum(U[j][i] * y[j] for j in range(n)) for i in range(n)]
     for i in range(m):
-        if sum(int(mat[i][j]) * x[j] for j in range(n)) != int(rhs[i]):
+        if sum(A[i][j] * x[j] for j in range(n)) != b[i]:
             return None
     return x
 

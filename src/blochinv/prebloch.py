@@ -26,7 +26,7 @@ from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      RequiresExactField, RootFindingFailed,
                      TriangulationSyntaxError)
 from .lattice import (factorint, integer_relations, kernel_int,
-                      snf_with_projection, solve_integer)
+                      snf_with_projection, solve_integer_columns)
 from .numfield import FieldElement, _polish, embeddings
 
 
@@ -575,20 +575,17 @@ def wedge(element, precision=256):
 def _quotient_basis(base, proj):
     """Field elements whose classes form a basis of the free quotient.
 
-    proj rows are part of a unimodular matrix, so an exact right inverse
-    exists; we solve for it column by column over Q (entries come out
-    integral) and realize each column as a monomial in the base elements.
+    proj rows are part of a unimodular matrix, so an exact integer right
+    inverse exists; we solve for its columns from one Hermite form of proj
+    and realize each column as a monomial in the base elements.
     """
     f = len(proj)
     if f == 0:
         return []
-    cols = []
-    for a in range(f):
-        rhs = [1 if b == a else 0 for b in range(f)]
-        sol = solve_integer(proj, rhs)
-        if sol is None:
-            return list(base)  # fall back: report raw elements
-        cols.append(sol)
+    cols = solve_integer_columns(
+        proj, [[1 if b == a else 0 for b in range(f)] for a in range(f)])
+    if None in cols:
+        return list(base)  # fall back: report raw elements
     return [math.prod((x ** e for x, e in zip(base, col)),
                       start=_one_like(base[0])) for col in cols]
 

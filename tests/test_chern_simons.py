@@ -196,3 +196,27 @@ def test_cs_formula_precision_doubling_agrees(fig8, slope, p):
         assert abs(lo.cs_mod_rational - hi.cs_mod_rational) < \
             tol * max(1, abs(hi.cs_mod_rational))
         assert abs(lo.vol - vol) < tol * max(1, abs(vol))
+
+
+def test_volume_and_cs_share_one_li2_per_shape(fig8, monkeypatch):
+    # solution_volume needs Im li2 and cs_formula li2 of the same shapes;
+    # the li2 memo evaluates each shape once
+    from blochinv import dilog
+    res = newton_solve(filled_system(fig8, [(5, 1)]), precision=128)
+    sol = solve_flattening(fig8.U, fig8.d)
+    runs = []
+    kernel = dilog._li2_unit_disc
+
+    def counting(z, wp):
+        runs.append(z)
+        return kernel(z, wp)
+
+    monkeypatch.setattr(dilog, "_li2_unit_disc", counting)
+    dilog._li2_kernel.cache_clear()
+    vol = solution_volume(res, precision=128)
+    cs = cs_formula(res.shapes, res.lambdas, sol, precision=128)
+    n = len(res.shapes)
+    assert len(runs) == n
+    assert dilog._li2_kernel.cache_info()[:2] == (n, n)  # (hits, misses)
+    with mp.workprec(152):
+        assert abs(cs.vol - vol) < mp.mpf(2) ** -120

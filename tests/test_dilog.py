@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochinv.chern_simons import rho_of_beta
-from blochinv.dilog import (RhoRepresentative, _bernoulli_table, bloch_wigner,
-                            li2, rational_reconstruct, rogers)
+from blochinv.dilog import (_GUARD, _LI2_MEMO_SIZE, RhoRepresentative,
+                            _bernoulli_table, _li2_kernel, bloch_wigner, li2,
+                            rational_reconstruct, rogers)
 from blochinv.errors import DegenerateShape
 
 PREC = 256
@@ -305,3 +306,76 @@ def test_d2_six_fold_symmetry(x, y, p):
         for w, sign in ((1 - 1 / z, 1), (1 / (1 - z), 1), (1 / z, -1),
                         (z / (z - 1), -1), (1 - z, -1)):
             assert abs(bloch_wigner(w, p) - sign * d) < tol
+
+
+# -- the li2 memo ----------------------------------------------------------
+
+def _uncached(z, p):
+    with mp.workprec(p + _GUARD):
+        return _li2_kernel.__wrapped__(mp.mpc(z)._mpc_, p)
+
+
+@st.composite
+def _li2_points(draw):
+    """z from each li2 branch, perturbed below double precision."""
+    unit = st.floats(-1, 1, allow_nan=False)
+    branch = draw(st.sampled_from(
+        ["series", "reflection", "inversion", "real", "zero", "one"]))
+    if branch == "zero":
+        return mp.mpc(0)
+    if branch == "one":
+        return mp.mpc(1)
+    x = draw(unit)
+    if branch == "real":
+        return mp.mpc(4 * x)
+    if branch == "series":
+        x = min(x, 0.5)
+    elif branch == "reflection":
+        x = 0.5 + abs(x) / 2 + 1e-9
+    h = math.sqrt(max(0.0, 1 - x * x))
+    z = mp.mpc(x, draw(unit) * h)
+    if branch == "inversion":
+        z = 1 / z if z != 0 else mp.mpc(3, 1)
+    # bits down to 2^-760, so that the rounding to the working precision
+    # matters at every p
+    with mp.workprec(800):
+        return z * (1 + mp.mpf(draw(st.integers(0, 2 ** 700))) / 2 ** 760)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_li2_points(), st.sampled_from([128, 256, 512]))
+def test_li2_memo_is_bit_identical_to_the_kernel(z, p):
+    expect = _uncached(z, p)._mpc_
+    _li2_kernel.cache_clear()
+    assert li2(z, p)._mpc_ == expect
+    assert li2(z, p)._mpc_ == expect
+    assert _li2_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_li2_memo_is_keyed_by_precision():
+    z = mp.mpc("0.3", "0.4")
+    _li2_kernel.cache_clear()
+    coarse = li2(z, 128)
+    fine = li2(z, 256)
+    assert fine._mpc_ == _uncached(z, 256)._mpc_
+    # mantissa bit counts
+    assert coarse.real._mpf_[3] <= 152 < fine.real._mpf_[3] <= 280
+
+
+def test_li2_memo_is_keyed_by_the_rounded_input():
+    with mp.workprec(600):
+        z = mp.mpc(1, 1) / 3
+    with mp.workprec(152):
+        z152 = mp.mpc(z)
+    assert z._mpc_ != z152._mpc_
+    _li2_kernel.cache_clear()
+    assert li2(z, 128)._mpc_ == li2(z152, 128)._mpc_ == _uncached(z, 128)._mpc_
+    assert _li2_kernel.cache_info()[:2] == (1, 1)
+
+
+def test_li2_memo_size_is_bounded():
+    _li2_kernel.cache_clear()
+    assert _li2_kernel.cache_info().maxsize == _LI2_MEMO_SIZE
+    for k in range(3 * _LI2_MEMO_SIZE):
+        li2(mp.mpc(k, 1), 128)
+        assert _li2_kernel.cache_info().currsize <= _LI2_MEMO_SIZE

@@ -14,7 +14,8 @@ import blochinv
 from blochinv.lattice import (factorint, hnf_rows, integer_relations,
                               kernel_int, lll_reduce, rank_int,
                               snf_with_projection, solve_integer,
-                              solve_rational)
+                              solve_integer_columns, solve_rational)
+from blochinv.prebloch import _quotient_basis
 
 
 def test_lll_finds_short_vector():
@@ -215,6 +216,41 @@ def test_solve_integer_non_integral_rhs():
     assert solve_integer([[1, 0], [0, 1]], [Fraction(1, 2), 1]) is None
     assert solve_integer([[2, 3]], [Fraction(4, 1)]) is not None
     assert solve_integer([[2, 0], [0, 3]], [Fraction(4), Fraction(9)]) == [2, 3]
+
+def _unimodular_rows(rng, f, n):
+    """The first f rows of a random n x n unimodular integer matrix."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-2, 2)
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    rng.shuffle(U)
+    return U[:f]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_integer_columns_matches_solve_integer(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    f = rng.randint(1, n)
+    proj = _unimodular_rows(rng, f, n)
+    rhs_list = [[int(a == b) for b in range(f)] for a in range(f)]
+    rhs_list += [[rng.randint(-9, 9) for _ in range(f)] for _ in range(3)]
+    # a scaled row has no integer preimage of an odd entry
+    scaled = [[2 * a for a in proj[0]]] + proj[1:]
+    for mat in (proj, scaled):
+        sols = solve_integer_columns(mat, rhs_list)
+        assert sols == [solve_integer(mat, rhs) for rhs in rhs_list]
+    assert None not in solve_integer_columns(proj, rhs_list)
+    assert solve_integer_columns(scaled, rhs_list)[0] is None
+    # the right inverse realized in the base elements, or the raw elements
+    base = [Fraction(p) for p in (2, 3, 5, 7, 11, 13)[:n]]
+    cols = [solve_integer(proj, e) for e in rhs_list[:f]]
+    assert _quotient_basis(base, proj) == [
+        math.prod((b ** e for b, e in zip(base, col)), start=Fraction(1))
+        for col in cols]
+    assert _quotient_basis(base, scaled) == base
+
 
 def test_integer_relations_numeric():
     prec = 192

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .dilog import _GUARD, bloch_wigner
-from .errors import DegenerateShape
+from .errors import DegenerateShape, DimensionMismatch
 from .lattice import integer_relations
 from .numfield import FieldElement, embeddings
 from .prebloch import six_fold_normalize
@@ -92,7 +92,7 @@ def detect_relation(vectors, coefficient_bound=64, precision=256,
         return None
     dim = len(vecs[0])
     if any(len(v) != dim for v in vecs):
-        raise ValueError("vectors of unequal length")
+        raise DimensionMismatch("vectors of unequal length")
     with mp.workprec(precision + _GUARD):
         tol = mp.mpf(2) ** (-(precision // 2))
         for coeffs in integer_relations(vecs, precision,
@@ -134,7 +134,7 @@ def per_root_values(element, precision=256):
                 for r in es.all_roots()]
 
 
-def conjugate_family(element, precision=256, roots_idx=None):
+def conjugate_family(element, precision=256):
     """Vectors realizing the Galois conjugates of an element.
 
     Conjugate k (evaluation at root k) maps to the vector indexed by
@@ -147,15 +147,14 @@ def conjugate_family(element, precision=256, roots_idx=None):
     if d > 6:
         raise ValueError("degree %d conjugate family is too large" % d)
     perms = list(itertools.permutations(range(d)))
-    idxs = roots_idx if roots_idx is not None else range(d)
-    return [[W[p[k]] for p in perms] for k in idxs]
+    return [[W[p[k]] for p in perms] for k in range(d)]
 
 
-def rank_witness(vectors, precision=256, threshold=None):
+def rank_witness(vectors, precision=256):
     """Numerical rank of the span of equal-length real vectors.
 
     Gaussian elimination with full pivoting; a pivot counts while it exceeds
-    threshold (default 2^(-precision/2)) times the largest pivot.
+    2^(-precision/2) times the largest pivot.
     """
     vecs = [v.values if isinstance(v, RegulatorVector) else list(v)
             for v in vectors]
@@ -164,8 +163,7 @@ def rank_witness(vectors, precision=256, threshold=None):
     with mp.workprec(precision + _GUARD):
         A = [[mp.mpf(x) for x in row] for row in vecs]
         m, n = len(A), len(A[0])
-        if threshold is None:
-            threshold = mp.mpf(2) ** (-(precision // 2))
+        threshold = mp.mpf(2) ** (-(precision // 2))
         pivots = []
         r = 0
         cols = list(range(n))

@@ -22,20 +22,13 @@ from .dilog import (_GUARD, RhoRepresentative, _flattened_rogers,
                     rational_reconstruct)
 from .errors import Inconsistent
 from .lattice import solve_integer, solve_rational
+from .prebloch import _value_bits
 
 
 @dataclass
 class FlatteningSolution:
     c: list                   # 2n Fractions
     integral: bool
-
-    @property
-    def c_prime(self):
-        return self.c[:len(self.c) // 2]
-
-    @property
-    def c_double_prime(self):
-        return self.c[len(self.c) // 2:]
 
 
 @dataclass
@@ -94,10 +87,11 @@ def rho_of_cs(res, precision=256):
 
 def eta_from_cs(cs_over_2pi2):
     """(1/2 pi^2) CS = (3/2) eta modulo 1/2 (compact manifolds): reduce mod 1/2
-    into [0, 1/2)."""
-    x = mp.mpf(cs_over_2pi2)
-    half = mp.mpf(1) / 2
-    return x - half * mp.floor(x / half)
+    into [0, 1/2), at the bits of the input plus 32."""
+    with mp.workprec(_value_bits(cs_over_2pi2) + 32):
+        x = mp.mpf(cs_over_2pi2)
+        half = mp.mpf(1) / 2
+        return x - half * mp.floor(x / half)
 
 
 def rationalize_mod_pi2(x, max_denominator=120, precision=256):

@@ -111,7 +111,7 @@ def cmd_invariant(args, config):
             rep.add("field", list(t.field.min_poly))
         t.validate(precision=prec, embedding=emb)
         rep.add("validated", True)
-        element = bloch_invariant(t)
+        element = bloch_invariant(t, precision=prec)
     else:
         element, places = _load_element(args.file, prec)
         element = six_fold_normalize(element)
@@ -215,7 +215,11 @@ def cmd_cs(args, config):
         rho = rho_of_cs(result, precision=prec)
         rep.add("rho_representative", _fmt(rho.value, prec))
         if args.calibrate_cs is not None:
-            known = mp.mpf(args.calibrate_cs)
+            try:
+                known = mp.mpf(args.calibrate_cs)
+            except ValueError:
+                raise TriangulationSyntaxError("bad --calibrate-cs value %r"
+                                               % args.calibrate_cs) from None
             alpha = (result.vol + mp.mpc(0, 1) * known) - result.value
             q = rationalize_mod_pi2(mp.im(alpha), config.denom_bound, prec)
             rep.add("alpha_fitted_over_pi2", str(q) if q is not None else None,

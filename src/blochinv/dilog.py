@@ -68,7 +68,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import to_fixed, to_rational
 
-from .errors import DegenerateShape
+from .errors import DegenerateShape, DimensionMismatch
 
 # guard bits added to a caller's precision by every numeric module
 _GUARD = 24
@@ -279,7 +279,7 @@ def volume_of_prebloch(element, embedding=None, precision=256):
                 if emb is None:
                     es = _embeddings(gen.field, precision)
                     if es.r2 != 1:
-                        raise ValueError(
+                        raise DimensionMismatch(
                             "field has %d complex places; pass an embedding" % es.r2)
                     emb = es.complex_pairs[0]
                 zv = gen.evaluate(emb)

@@ -104,8 +104,6 @@ def _is_exact(g):
 def _degenerate(g):
     if isinstance(g, FieldElement):
         return g.is_zero() or g.is_one()
-    if isinstance(g, (Fraction, int)):
-        return g == 0 or g == 1
     return g == 0 or g == 1
 
 
@@ -279,7 +277,8 @@ def five_term(x, y):
     """The five-term relation element [x]-[y]+[y/x]-[(1-1/x)/(1-1/y)]+[(1-x)/(1-y)].
 
     Zero in the pre-Bloch group; raises DegenerateFiveTerm when any entry
-    degenerates or x = y.
+    degenerates or x = y.  Numeric entries are computed at the bits of the
+    arguments, at least 256 (the default precision), plus 32.
     """
     if _pt_eq(x, y):
         raise DegenerateFiveTerm("x = y")
@@ -291,13 +290,16 @@ def five_term(x, y):
     one_y = _one_like(y)
     if _degenerate(x) or _degenerate(y):
         raise DegenerateFiveTerm("x or y in {0, 1}")
-    entries = [
-        (x, 1),
-        (y, -1),
-        (y / x, 1),
-        ((one_x - one_x / x) / (one_y - one_y / y), -1),
-        ((one_x - x) / (one_y - y), 1),
-    ]
+    numeric = [_value_bits(p) for p in (x, y) if not _is_exact(p)]
+    with mp.workprec(max(numeric + [256]) + 32) if numeric else \
+            contextlib.nullcontext():
+        entries = [
+            (x, 1),
+            (y, -1),
+            (y / x, 1),
+            ((one_x - one_x / x) / (one_y - one_y / y), -1),
+            ((one_x - x) / (one_y - y), 1),
+        ]
     for g, _ in entries:
         if _degenerate(g):
             raise DegenerateFiveTerm("entry %s lies in {0, 1}" % (g,))
@@ -356,8 +358,6 @@ def _dedup_generators(element):
     index = {}
 
     def idx(x):
-        if isinstance(x, Fraction):
-            x = Fraction(x)
         if x in index:
             return index[x]
         index[x] = len(base)

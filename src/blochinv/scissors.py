@@ -27,16 +27,13 @@ from .prebloch import (Infinity, PreBlochElement, cross_ratio,
 class IdealPolyhedron:
     """Ideal polyhedron with triangulated, coherently oriented faces."""
 
-    def __init__(self, vertices, faces, diagonals=None, orientation=True):
+    def __init__(self, vertices, faces, diagonals=None):
         self.vertices = list(vertices)
         for i in range(len(self.vertices)):
             for j in range(i + 1, len(self.vertices)):
                 if _pt_eq(self.vertices[i], self.vertices[j]):
                     raise NotDistinct("vertices %d and %d coincide" % (i, j))
-        faces = [list(f) for f in faces]
-        if not orientation:
-            faces = [list(reversed(f)) for f in faces]
-        self.faces = faces
+        self.faces = faces = [list(f) for f in faces]
         self.diagonals = [list(diagonals[k]) if diagonals and k < len(diagonals)
                           and diagonals[k] else [] for k in range(len(faces))]
         self._validate()

@@ -93,6 +93,7 @@ _DOUBLE = SimpleNamespace(exp=cmath.exp, log=cmath.log, fsum=sum, pi=math.pi)
 _DOUBLE_TOL = 2.0 ** -40     # doubles reach about 2^-48 on these systems
 _UNDAMPED_MAX = 2.0 ** -32   # no undamped step from a residual this large
 _FINAL_TESTS = 4             # residual tests at the full working precision
+_MAX_STEPS = 100             # damped Newton steps per stage
 
 
 def _shape_logs(zs, ar=mp):
@@ -134,8 +135,7 @@ def _solve(J, b):
     return x
 
 
-def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False,
-                 max_steps=100):
+def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     """Newton iteration on shape logarithms: a damped search in doubles,
     then one undamped step per precision doubling up to precision + 24 bits,
     where the residual is tested.  If that fails, damped Newton at 128 bits
@@ -156,15 +156,13 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False,
             "initial shapes on or near the real line (pass allow_flat)")
     try:
         zs, Z, residual, steps = _doubling_solve(
-            system, initial_shapes, precision, float(floor), allow_flat,
-            max_steps)
+            system, initial_shapes, precision, float(floor), allow_flat)
     except (BlochError, ArithmeticError, ValueError):  # cmath: overflow, log 0
         zs = None
     if zs is None:
         shapes, steps = initial_shapes, 0
         for stage in [128, precision] if precision > 128 else [precision]:
-            shapes, k = _newton_stage(system, shapes, stage, allow_flat,
-                                      max_steps)
+            shapes, k = _newton_stage(system, shapes, stage, allow_flat)
             steps += k
         with mp.workprec(precision + _GUARD):
             zs = [mp.mpc(z) for z in shapes]
@@ -182,7 +180,7 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False,
                        converged=True, steps=steps, system=system, flat=flat)
 
 
-def _doubling_solve(system, shapes, precision, floor, allow_flat, max_steps):
+def _doubling_solve(system, shapes, precision, floor, allow_flat):
     """Damped Newton in doubles; then, up the halving ladder w < wp =
     precision + _GUARD, one undamped step at each level whose residual is not
     below 2^(-w+_GUARD); at wp, up to _FINAL_TESTS residual tests with a step
@@ -191,7 +189,7 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat, max_steps):
     """
     zs = [complex(z) for z in shapes]
     zs, steps = _damped(system, zs, _shape_logs(zs, _DOUBLE), _DOUBLE_TOL,
-                        floor, allow_flat, max_steps, _DOUBLE)
+                        floor, allow_flat, _DOUBLE)
     # with no step taken, keep the caller's precision; doubles convert exactly
     zs = [mp.mpc(z) for z in zs] if steps else shapes
     wp = precision + _GUARD
@@ -213,21 +211,21 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat, max_steps):
     raise Diverged("residual %s in precision doubling" % mp.nstr(res, 5))
 
 
-def _newton_stage(system, shapes, precision, allow_flat, max_steps):
+def _newton_stage(system, shapes, precision, allow_flat):
     """Damped Newton at precision + _GUARD bits: (shapes, steps)."""
     with mp.workprec(precision + _GUARD):
         zs = [mp.mpc(z) for z in shapes]
         tol, floor = [mp.mpf(2) ** -e for e in (precision - _GUARD, precision // 8)]
-        return _damped(system, zs, _shape_logs(zs), tol, floor, allow_flat,
-                       max_steps, mp)
+        return _damped(system, zs, _shape_logs(zs), tol, floor, allow_flat, mp)
 
 
-def _damped(system, zs, Z, tol, floor, allow_flat, max_steps, ar):
-    """Damped Newton in ``ar`` (mpmath or _DOUBLE) to residual tol: (zs, steps).
+def _damped(system, zs, Z, tol, floor, allow_flat, ar):
+    """Damped Newton in ``ar`` (mpmath or _DOUBLE) to residual tol, in at
+    most _MAX_STEPS steps: (zs, steps).
     A step is halved up to 40 times until the max residual falls; shapes at 0,
     1 or (unless allow_flat) within floor of the real line are rejected."""
     F, res = _system_value(system, Z, ar)
-    for step in range(max_steps):
+    for step in range(_MAX_STEPS):
         if res < tol:
             return zs, step
         delta = _solve(_jacobian(system, zs), [-v for v in F])
@@ -249,7 +247,7 @@ def _damped(system, zs, Z, tol, floor, allow_flat, max_steps, ar):
             raise Diverged("no progress at step %d, residual %s"
                            % (step, mp.nstr(res, 5)))
     if res < tol:
-        return zs, max_steps
+        return zs, _MAX_STEPS
     raise Diverged("step budget exhausted, residual %s" % mp.nstr(res, 5))
 
 

@@ -21,18 +21,23 @@ from . import textformat
 from .dilog import _GUARD
 from .errors import (DegenerateShape, DimensionMismatch, NotIntegral,
                      OpenFace, TriangulationSyntaxError)
-from .numfield import FieldElement
+from .lattice import hnf_rows
+from .numfield import FieldElement, embeddings
 from .prebloch import PreBlochElement, six_fold_normalize
 
 
-def _edge_slot(a, b):
-    """0, 1, 2 for a z-, z'-, z''-edge of a tetrahedron."""
-    pair = tuple(sorted((a, b)))
-    if pair in ((0, 1), (2, 3)):
-        return 0
-    if pair in ((0, 2), (1, 3)):
-        return 1
-    return 2
+# (log z, log(1-z)) coefficients of the log parameter of each edge: z on
+# {01, 23} -> log z, z' on {02, 13} -> -log(1-z), z'' on {03, 12} ->
+# log(1-z) - log z (modulo pi i)
+_EDGE_LOGS = {(0, 1): (1, 0), (2, 3): (1, 0), (0, 2): (0, -1),
+              (1, 3): (0, -1), (0, 3): (-1, 1), (1, 2): (-1, 1)}
+
+
+def _add_edge_log(row, n, t, edge, sign=1):
+    """Add sign times the log parameter of ``edge`` of tet t to a U row."""
+    a, b = _EDGE_LOGS[tuple(sorted(edge))]
+    row[t] += sign * a
+    row[n + t] += sign * b
 
 
 class GluingCombinatorics:
@@ -51,6 +56,13 @@ class GluingCombinatorics:
             if back is None or back != (t, inv):
                 raise DimensionMismatch(
                     "gluing of tet %d face %d is not involutive" % (t, f))
+
+    def _require_closed(self):
+        """Raise OpenFace if some face is unmatched."""
+        for t in range(self.n):
+            for f in range(4):
+                if (t, f) not in self.gluings:
+                    raise OpenFace("tet %d face %d unglued" % (t, f))
 
     def edge_classes(self):
         """Orbits of tetrahedron edges under the face pairings."""
@@ -85,34 +97,76 @@ class GluingCombinatorics:
                     classes.setdefault(key, set()).add((t, (a, b)))
         return [sorted(c) for c in sorted(classes.values(), key=sorted)]
 
+    def cusp_holonomies(self):
+        """Per cusp, the U rows of the fundamental cycles of its link.
+
+        A cusp is a component of the vertex-link triangles (tet, v), adjacent
+        across the sides (tet, v, f) cut by faces f != v.  One BFS tree per
+        component; each non-tree side closes a loop whose row sums, over the
+        corners it turns, +- the log parameter of the edge (v, u) there:
+        + when the exit side follows the entry side in the order of the
+        faces != v, increasing at even v and reversed at odd v.  With the
+        edge rows these span the edge and cusp rows (Neumann-Zagier).
+        Raises OpenFace if some face is unmatched.
+        """
+        self._require_closed()
+        n = self.n
+
+        def across(side):
+            t, v, f = side
+            t2, perm = self.gluings[(t, f)]
+            return t2, perm[v], perm[f]
+
+        def holonomy(loop):
+            row = [0] * (2 * n)
+            for side, nxt in zip(loop, loop[1:] + loop[:1]):
+                t, v, f_in = across(side)
+                f_out = nxt[2]
+                if f_in != f_out:
+                    faces = [f for f in range(4) if f != v]
+                    turn = faces[(faces.index(f_in) + 1) % 3] == f_out
+                    _add_edge_log(row, n, t, (v, 6 - v - f_in - f_out),
+                                  (-1) ** v * (1 if turn else -1))
+            return row
+
+        paths = {}
+        cusps = []
+        for root in ((t, v) for t in range(n) for v in range(4)):
+            if root in paths:
+                continue
+            paths[root] = []
+            queue, tree, loops = [root], set(), []
+            for t, v in queue:
+                for f in range(4):
+                    side = (t, v, f)
+                    if f == v or side in tree:
+                        continue
+                    back = across(side)
+                    if back[:2] not in paths:
+                        paths[back[:2]] = paths[(t, v)] + [side]
+                        tree.update((side, back))
+                        queue.append(back[:2])
+                    elif side <= back:
+                        loops.append(paths[(t, v)] + [side] + [
+                            across(s) for s in reversed(paths[back[:2]])])
+            cusps.append([holonomy(loop) for loop in loops])
+        return cusps
+
 
 def edge_equations(g):
     """Edge rows of U from gluing combinatorics.
 
-    One row per edge class; tetrahedron nu contributes +1 to column nu per
-    z-edge, -1 to column n+nu per z'-edge, and (-1, +1) to columns
-    (nu, n+nu) per z''-edge (the pi i offsets go to d via infer_d).
+    One row per edge class, the sum of the log parameters of its
+    tetrahedron edges (the pi i offsets go to d via infer_d).
     Raises OpenFace if some face is unmatched.
     """
-    n = g.n
-    for t in range(n):
-        for f in range(4):
-            if (t, f) not in g.gluings:
-                raise OpenFace("tet %d face %d unglued" % (t, f))
+    g._require_closed()
     rows = []
     for cls in g.edge_classes():
-        a = [0] * n
-        b = [0] * n
+        row = [0] * (2 * g.n)
         for (t, e) in cls:
-            s = _edge_slot(*e)
-            if s == 0:
-                a[t] += 1
-            elif s == 1:
-                b[t] -= 1
-            else:
-                a[t] -= 1
-                b[t] += 1
-        rows.append(a + b)
+            _add_edge_log(row, g.n, t, e)
+        rows.append(row)
     return rows
 
 
@@ -205,15 +259,16 @@ def infer_d(t, precision=256, embedding=None):
         return out
 
 
-def bloch_invariant(t):
-    """The pre-Bloch class sum [z_j], six-fold normalized."""
+def bloch_invariant(t, precision=256):
+    """The pre-Bloch class sum [z_j], six-fold normalized; numeric shapes
+    are read at ``precision`` bits."""
     if t.n == 0:
         return PreBlochElement()
     if t.exact_shapes():
         terms = [(z, 1) for z in t.shapes]
         e = PreBlochElement(terms, field=t.field)
     else:
-        zs = t.numeric_shapes()
+        zs = t.numeric_shapes(precision)
         for z in zs:
             if z == 0 or z == 1:
                 raise DegenerateShape("shape %s" % z)
@@ -225,15 +280,16 @@ def bloch_invariant(t):
 # file format
 
 def parse_triangulation(text, precision=256):
-    """Parse the line-oriented triangulation format (see the README)."""
-    n = h = field = dvec = None
+    """Parse the line-oriented triangulation format (see the README); glue
+    lines are checked against the urow lines by _checked_gluing."""
+    n = h = field = dvec = glue_line = None
     shapes = {}  # index -> (value, (re, im) tokens or None)
     urows = {}
     glue = {}
     fillings = {}
 
     def line(lineno, key, args):
-        nonlocal n, h, field, dvec
+        nonlocal n, h, field, dvec, glue_line
         if key == "tets":
             (n,) = map(int, args)
         elif key == "cusps":
@@ -262,6 +318,7 @@ def parse_triangulation(text, precision=256):
             if sorted(perm) != [0, 1, 2, 3]:
                 raise TriangulationSyntaxError("bad permutation")
             glue[(int(t_idx), int(f_idx))] = (int(t2), perm)
+            glue_line = glue_line or lineno
         elif key == "fill":
             c, *rest = args
             if rest == ["complete"]:
@@ -281,12 +338,42 @@ def parse_triangulation(text, precision=256):
         raise TriangulationSyntaxError("need %d urow lines" % (n + 2 * h))
     if dvec is None:
         raise TriangulationSyntaxError("missing dvec")
-    return Triangulation(
+    t = Triangulation(
         n, h, [shapes[i][0] for i in range(n)],
         [urows[i] for i in range(n + 2 * h)], dvec,
-        combinatorics=GluingCombinatorics(n, glue) if glue else None,
         field=field, fillings=[fillings.get(j) for j in range(h)],
         shape_tokens=[shapes[i][1] for i in range(n)])
+    if glue:
+        t.combinatorics = _checked_gluing(t, glue, glue_line)
+    return t
+
+
+def _checked_gluing(t, glue, line):
+    """The gluing of the glue lines, if its link has t.h components and its
+    edge rows and cusp holonomies span the lattice of t.U; otherwise a
+    TriangulationSyntaxError at ``line``, the first glue line."""
+    if any(not (0 <= a < t.n and 0 <= b < t.n and 0 <= f < 4)
+           for (a, f), (b, _) in glue.items()):
+        raise TriangulationSyntaxError("glue names a tet or face out of range",
+                                       line)
+    try:
+        g = GluingCombinatorics(t.n, glue)
+        cusps = g.cusp_holonomies()
+        derived = edge_equations(g) + [row for rows in cusps for row in rows]
+    except (DimensionMismatch, OpenFace) as exc:
+        raise TriangulationSyntaxError(str(exc), line) from None
+    if len(cusps) != t.h:
+        raise TriangulationSyntaxError(
+            "the gluing has %d cusps, not %d" % (len(cusps), t.h), line)
+    if _row_lattice(derived) != _row_lattice(t.U):
+        raise TriangulationSyntaxError(
+            "urow rows do not span the lattice of the gluing's edge rows and "
+            "cusp holonomies", line)
+    return g
+
+
+def _row_lattice(rows):
+    return [row for row in hnf_rows(rows)[0] if any(row)]
 
 
 def serialize_triangulation(t):
@@ -324,10 +411,9 @@ def embedding_for_validation(t, precision=256):
     Tries every root of the field's minimal polynomial and returns the first
     match in deterministic order; raises NotIntegral when none works.
     """
-    from .numfield import embeddings as _embeddings
     if not t.exact_shapes():
         return None
-    es = _embeddings(t.field, precision)
+    es = embeddings(t.field, precision)
     last = None
     for root in es.all_roots():
         try:

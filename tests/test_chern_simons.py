@@ -220,3 +220,11 @@ def test_volume_and_cs_share_one_li2_per_shape(fig8, monkeypatch):
     assert dilog._li2_kernel.cache_info()[:2] == (n, n)  # (hits, misses)
     with mp.workprec(152):
         assert abs(cs.vol - vol) < mp.mpf(2) ** -120
+
+
+def test_eta_from_cs_keeps_input_bits():
+    with mp.workprec(256):
+        x = mp.pi / 7 + 3
+    eta = eta_from_cs(x)
+    with mp.workprec(300):
+        assert abs(eta - (x - 3)) < mp.mpf(2) ** -250

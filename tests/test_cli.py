@@ -7,6 +7,8 @@ import pytest
 
 from blochinv import textformat
 from blochinv.cli import main
+from blochinv.dilog import bloch_wigner
+from blochinv.triang import parse_triangulation
 
 
 def fx(name):
@@ -238,6 +240,14 @@ def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
 
 
 _TRI = "tets 1\ncusps 0\nshape 0 0.5 0.8\nurow 0 0 0\ndvec 0\n"
+_FIG8 = importlib.resources.files("blochinv").joinpath(
+    "fixtures/figure_eight.tri").read_text()
+_FIG8_GLUE = "".join(l + "\n" for l in _FIG8.splitlines()
+                     if l.startswith("glue"))
+# the chiral sibling of the figure-eight gluing (collapsed H1 = Z/5)
+_SIBLING_GLUE = "".join("glue %s\n" % g for g in (
+    "0 0 1 0132", "0 1 1 2103", "0 2 1 0321", "0 3 1 1023",
+    "1 0 0 0132", "1 1 0 2103", "1 2 0 0321", "1 3 0 1023"))
 
 
 _MALFORMED = [
@@ -250,6 +260,15 @@ _MALFORMED = [
     ("shape.tri", _TRI.replace("0.8", "0.8 9"), 3),
     ("glue.tri", _TRI + "glue 0 0 0 0123 1\n", 6),
     ("fill.tri", _TRI + "fill 0 complete 1\n", 6),
+    ("urow_lattice.tri", _FIG8.replace("urow 2 0 1 -1 -1", "urow 2 0 1 -1 0"),
+     13),
+    ("sibling_glue.tri", _FIG8.replace(_FIG8_GLUE, _SIBLING_GLUE), 13),
+    ("open_face.tri", _FIG8.replace("glue 0 0 1 0213\n", "")
+     .replace("glue 1 0 0 0213\n", ""), 13),
+    ("glue_range.tri", _FIG8.replace("glue 0 0 1 0213", "glue 0 0 2 0213"), 13),
+    ("cusp_count.tri", _FIG8.replace("cusps 1", "cusps 0")
+     .replace("urow 2 0 1 -1 -1\nurow 3 -1 -2 -1 1\n", "")
+     .replace("dvec -1 1 1 -1", "dvec -1 1"), 11),
     ("vertex.poly", "vertex 0 0 0\nvertex 1 inf 0\n", 2),
     ("diag.poly", "vertex 0 inf\ndiag 0 1 2 3\n", 2),
 ]
@@ -264,3 +283,30 @@ def test_malformed_line_exit_2(tmp_path, capsys, name, text, line):
     code, _, err = run(capsys, command, str(p))
     assert code == 2
     assert err.startswith("invalid input: line %d:" % line)
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["invariant", "mixed.bloch"],
+     "field 2 -2 0 1\n1 * [1 1]\n1 * (0.5 0.5)\n"),
+    (["relation", fx("weeks_element.bloch"), fx("example2_beta1.bloch")],
+     None),
+    (["cs", fx("figure_eight.tri"), "--calibrate-cs", "abc"], None),
+], ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs"])
+def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
+    if text is not None:
+        (tmp_path / argv[1]).write_text(text)
+        argv = [argv[0], str(tmp_path / argv[1])]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_invariant_volume_at_requested_precision(capsys):
+    # the shapes are read at 512 bits, not at the 256-bit default
+    code, out, _ = run(capsys, "--precision", "512", "--format", "records",
+                       "invariant", fx("example3.tri"))
+    assert code == 0
+    t = parse_triangulation(open(fx("example3.tri")).read(), precision=512)
+    with mp.workprec(600):
+        ref = mp.fsum(bloch_wigner(z, 600) for z in t.numeric_shapes(512))
+        assert abs(mp.mpf(json.loads(out)["volume"]) - ref) < mp.mpf(2) ** -500

@@ -503,3 +503,11 @@ def test_composed_unities_with_a_rejected_row(monkeypatch):
     for rel in rels:
         assert rel == verify(base, rel.exponents)
     assert any(rel.exponents not in calls for rel in rels)
+
+
+def test_five_term_entries_at_argument_bits():
+    # 300-bit arguments, no ambient workprec: the entries keep their bits
+    with mp.workprec(300):
+        x, y = mp.mpc(2, 1) / 3, mp.mpc(-2, 5) / 7
+    v = volume_of_prebloch(five_term(x, y), precision=256)
+    assert abs(v) < mp.mpf(2) ** -200

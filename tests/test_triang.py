@@ -1,8 +1,5 @@
-import ast
 import importlib.resources
-import pathlib
-import subprocess
-import sys
+import itertools
 
 import mpmath as mp
 import pytest
@@ -11,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DimensionMismatch, NotIntegral, OpenFace,
                              TriangulationSyntaxError)
+from blochinv.lattice import hnf_rows
 from blochinv.numfield import FieldElement, field_make
 from blochinv.triang import (GluingCombinatorics, Triangulation,
                              bloch_invariant, edge_equations, infer_d,
@@ -121,21 +119,74 @@ def test_serialize_parse_roundtrip(t, precision):
             assert abs(z2 - z) < mp.mpf(10) ** -38 * (1 + abs(z))
 
 
-def test_derive_figure_eight_tool_matches_fixture(fig8):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "tools/derive_figure_eight.py"],
-                         cwd=root, capture_output=True, text=True,
-                         check=True).stdout
-    printed = {}
-    for line in out.splitlines():
-        for label in ("edge rows:", "meridian:",
-                      "longitude (nullhomologous):"):
-            if label in line:
-                rest = line.split(label, 1)[1]
-                printed[label] = ast.literal_eval(rest.split("  ")[0].strip())
-    assert printed["edge rows:"] + [printed["meridian:"],
-                                    printed["longitude (nullhomologous):"]] \
-        == fig8.U
+def _parity(perm):
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+
+
+def _two_tetrahedron_gluings():
+    """The oriented gluings of two tetrahedra with two valence-6 edge
+    classes: face f of tet 0 meets face ps[f][f] of tet 1 by the odd
+    permutation ps[f]."""
+    odd = [p for p in itertools.permutations(range(4)) if _parity(p)]
+    out = []
+    for ps in itertools.product(odd, repeat=4):
+        if sorted(p[f] for f, p in enumerate(ps)) != [0, 1, 2, 3]:
+            continue
+        glu = {}
+        for f, p in enumerate(ps):
+            glu[(0, f)] = (1, p)
+            glu[(1, p[f])] = (0, tuple(p.index(i) for i in range(4)))
+        g = GluingCombinatorics(2, glu)
+        if sorted(len(c) for c in g.edge_classes()) == [6, 6]:
+            out.append(g)
+    return out
+
+
+def _row_lattice(rows):
+    return [row for row in hnf_rows(rows)[0] if any(row)]
+
+
+def _derived_rows(g):
+    return edge_equations(g) + [row for rows in g.cusp_holonomies()
+                                for row in rows]
+
+
+def test_cusp_holonomies_two_tetrahedron_gluings(fig8):
+    # figure-eight and its Z/5 sibling, each under all vertex relabelings;
+    # every one has one cusp, rank n + h = 3 and rows in pi i Z at the
+    # regular shape, and only the fixture's relabelings give its lattice
+    gluings = _two_tetrahedron_gluings()
+    assert len(gluings) == 144
+    fixture = _row_lattice(fig8.U)
+    same = 0
+    with mp.workprec(120):
+        z = mp.exp(mp.mpc(0, mp.pi / 3))
+        Z = [mp.log(z)] * 2 + [mp.log(1 - z)] * 2
+        for g in gluings:
+            assert len(g.cusp_holonomies()) == 1
+            rows = _derived_rows(g)
+            assert len(_row_lattice(rows)) == 3
+            for row in rows:
+                q = mp.fsum(a * b for a, b in zip(row, Z)) / (mp.pi * 1j)
+                assert abs(q - mp.nint(mp.re(q))) < mp.mpf(2) ** -100
+            same += _row_lattice(rows) == fixture
+    assert same == 8
+
+
+def test_cusp_holonomies_figure_eight_lattice(fig8):
+    (rows,) = fig8.combinatorics.cusp_holonomies()
+    assert len(rows) == 5  # 8 link triangles, 12 dual edges: 12 - 8 + 1
+    assert _row_lattice(_derived_rows(fig8.combinatorics)) == \
+        _row_lattice(fig8.U)
+
+
+def test_cusp_holonomies_disjoint_union(fig8):
+    g = dict(fig8.combinatorics.gluings)
+    for (t, f), (t2, perm) in fig8.combinatorics.gluings.items():
+        g[(t + 2, f)] = (t2 + 2, perm)
+    combi = GluingCombinatorics(4, g)
+    assert len(combi.cusp_holonomies()) == 2
+    assert len(_row_lattice(_derived_rows(combi))) == 6
 
 
 def test_edge_equations_figure_eight(fig8):

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .dilog import _GUARD, bloch_wigner
+from .dilog import _GUARD, bloch_wigner, volume_of_prebloch  # noqa: F401 (re-export)
 from .errors import DegenerateShape, DimensionMismatch
 from .lattice import integer_relations
-from .numfield import FieldElement, embeddings
+from .numfield import embeddings
 from .prebloch import six_fold_normalize
 
 
@@ -47,19 +47,6 @@ class RelationReport:
     confidence: str  # "ExactInputVerified" | "NumericOnly"
 
 
-def _element_value_at(element, root, precision):
-    total = mp.mpf(0)
-    for gen, coeff in element.terms.items():
-        if isinstance(gen, FieldElement):
-            zv = gen.evaluate(root)
-        else:
-            zv = gen
-        if zv == 0 or zv == 1:
-            raise DegenerateShape("generator maps to %s under embedding" % zv)
-        total += coeff * bloch_wigner(zv, precision)
-    return total
-
-
 def borel_regulator(element, precision=256, places=None):
     """Regulator vector (sum_i n_i D2(sigma_j(z_i)))_j of an exact element.
 
@@ -69,10 +56,10 @@ def borel_regulator(element, precision=256, places=None):
     """
     if not element.is_exact() or element.field is None:
         raise DegenerateShape("regulator needs exact generators over a field")
-    with mp.workprec(precision + _GUARD):
-        if places is None:
-            places = embeddings(element.field, precision).complex_pairs
-        vals = [_element_value_at(element, r, precision) for r in places]
+    if places is None:
+        places = embeddings(element.field, precision).complex_pairs
+    vals = [volume_of_prebloch(element, embedding=r, precision=precision)
+            for r in places]
     return RegulatorVector(field=element.field, values=vals)
 
 
@@ -128,10 +115,9 @@ def per_root_values(element, precision=256):
     deterministic all-roots order (real roots contribute zero)."""
     if not element.is_exact() or element.field is None:
         raise DegenerateShape("needs exact generators over a field")
-    with mp.workprec(precision + _GUARD):
-        es = embeddings(element.field, precision)
-        return [_element_value_at(element, r, precision)
-                for r in es.all_roots()]
+    es = embeddings(element.field, precision)
+    return [volume_of_prebloch(element, embedding=r, precision=precision)
+            for r in es.all_roots()]
 
 
 def conjugate_family(element, precision=256):

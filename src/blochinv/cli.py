@@ -20,8 +20,8 @@ from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                            solve_flattening)
 from .dilog import volume_of_prebloch
 from .errors import (BlochError, Diverged, DegeneratedToFlat,
-                     JacobianSingular, NotCoprime, NotIntegral,
-                     RootFindingFailed, TriangulationSyntaxError)
+                     JacobianSingular, NotCoprime, RootFindingFailed,
+                     TriangulationSyntaxError)
 from .numfield import embeddings
 from .prebloch import (is_bloch, parse_element, serialize_element,
                        six_fold_normalize)
@@ -36,7 +36,6 @@ SCHEMA = "blochinv.report/1"
 
 _NUMERIC_ERRORS = (Diverged, DegeneratedToFlat, JacobianSingular,
                    RootFindingFailed)
-_INPUT_ERRORS = (TriangulationSyntaxError, NotIntegral, NotCoprime)
 
 
 def _digits(precision):
@@ -273,14 +272,14 @@ def cmd_scissors(args, config):
     rep = Report("scissors", config)
     prec = config.precision
     poly = parse_polyhedron(_read(args.file), precision=prec)
-    element = polyhedron_class(poly)
+    element = polyhedron_class(poly, precision=prec)
     rep.add("vertices", len(poly.vertices))
     rep.add("triangles", len(poly.triangles()))
     rep.add("class_terms", len(element))
     with mp.workprec(prec + 16):
         vols = []
         for apex in range(len(poly.vertices)):
-            e = decomposition_class(poly, cone_decomposition(poly, apex))
+            e = decomposition_class(poly, cone_decomposition(poly, apex), prec)
             vols.append(volume_of_prebloch(e, precision=prec))
         spread = max(vols) - min(vols)
         rep.add("volume", _fmt(vols[0], prec))
@@ -351,11 +350,8 @@ def main(argv=None):
     except _NUMERIC_ERRORS as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return 2
     except BlochError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("invalid input: %s" % exc, file=sys.stderr)
         return 2
 
 

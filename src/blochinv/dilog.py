@@ -194,11 +194,11 @@ def _rogers_logs(z, precision):
 
 
 class RhoRepresentative:
-    """Complex representative of a value in C/Q.
+    """Complex representative of a value in C/Q, with the precision it was
+    computed at.
 
-    Two representatives agree when their difference is a rational number;
-    comparison reconstructs the difference by continued fractions with a
-    caller-bounded denominator.
+    Two representatives agree when their difference is a rational number,
+    which ``rational_reconstruct`` finds with a caller-bounded denominator.
     """
 
     __slots__ = ("value", "precision")
@@ -210,17 +210,6 @@ class RhoRepresentative:
             value = mp.mpc(value)
         self.value = value
         self.precision = precision
-
-    def eq_mod_q(self, other, max_denominator=10 ** 6, tolerance=None):
-        prec = min(self.precision, getattr(other, "precision", self.precision))
-        with mp.workprec(prec + _GUARD):
-            diff = self.value - mp.mpc(other.value if isinstance(other, RhoRepresentative) else other)
-            if tolerance is None:
-                tolerance = mp.mpf(2) ** (-prec // 2)
-            if abs(mp.im(diff)) > tolerance:
-                return None
-            q = rational_reconstruct(mp.re(diff), max_denominator, tolerance)
-            return q
 
     def __repr__(self):
         return "RhoRepresentative(%s)" % mp.nstr(self.value, 30)

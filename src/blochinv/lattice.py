@@ -80,7 +80,10 @@ def _rho_divisor(n):
 # ---------------------------------------------------------------------------
 # LLL
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
+_LLL_DELTA = (3, 4)  # the Lovasz constant delta = p/q
+
+
+def lll_reduce(basis):
     """LLL-reduce linearly independent integer row vectors; returns a new
     list of rows.
 
@@ -90,13 +93,13 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     |b*_i|^2 = d[i+1] / d[i]) and lam[k][j] = d[j+1] * mu[k][j].  The steps are the textbook rational ones:
     full size reduction of row k for j = k-1 down to 0 whenever |mu| > 1/2
     (nearest integer, halves away from zero), the Lovasz test for
-    delta = p/q, a swap, then k = max(k-1, 1).  Each test is the rational
+    delta = 3/4, a swap, then k = max(k-1, 1).  Each test is the rational
     comparison multiplied through by positive d's, so the reduced basis is
     the same one the Fraction Gram-Schmidt algorithm returns.
     """
     b = [list(map(int, row)) for row in basis if any(row)]
     n = len(b)
-    p, q = delta.as_integer_ratio()
+    p, q = _LLL_DELTA
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
@@ -189,11 +192,6 @@ def hnf_rows(mat):
         if r == m:
             break
     return A, U
-
-
-def rank_int(mat):
-    H, _ = hnf_rows(mat)
-    return sum(1 for row in H if any(row))
 
 
 def kernel_int(mat):

@@ -39,26 +39,8 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
 def poly_scale(p, c):
     return poly_trim([c * a for a in p])
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p, q):
@@ -82,24 +64,6 @@ def poly_divmod(p, q):
 
 def poly_deriv(p):
     return poly_trim([i * a for i, a in enumerate(p)][1:])
-
-
-def poly_ext_gcd(p, q):
-    """Extended Euclid: returns (g, s, t) with s*p + t*q = g, g monic."""
-    r0, r1 = poly_trim(p), poly_trim(q)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        quot, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(quot, s1), -1))
-        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(quot, t1), -1))
-    if r0:
-        lead = r0[-1]
-        r0 = [a / lead for a in r0]
-        s0 = [a / lead for a in s0]
-        t0 = [a / lead for a in t0]
-    return r0, s0, t0
 
 
 def _rational_roots(coeffs):

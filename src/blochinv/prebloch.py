@@ -13,7 +13,6 @@ only a one-sided verdict, since a missed relation can inflate the image.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field as dfield
@@ -22,6 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import textformat
+from .dilog import _GUARD
 from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      RequiresExactField, RootFindingFailed,
                      TriangulationSyntaxError)
@@ -56,11 +56,12 @@ def exact_mpc(x):
     return mp.mpc(x)
 
 
-def cross_ratio(z1, z2, z3, z4):
+def cross_ratio(z1, z2, z3, z4, precision=256):
     """Cross ratio [z1:z2:z3:z4] = ((z3-z2)(z4-z1)) / ((z3-z1)(z4-z2)).
 
     Points may be exact field elements, Fractions, mpmath complex numbers, or
-    Infinity.  Distinct points give a value outside {0, 1}.
+    Infinity.  Distinct points give a value outside {0, 1}.  Numeric points
+    are combined at precision + _GUARD bits.
     """
     pts = [z1, z2, z3, z4]
     for i in range(4):
@@ -68,11 +69,7 @@ def cross_ratio(z1, z2, z3, z4):
             if _pt_eq(pts[i], pts[j]):
                 raise NotDistinct("cross-ratio points %d and %d coincide" % (i, j))
     inf_at = [i for i, p in enumerate(pts) if p is Infinity]
-    numeric = [p for p in pts if p is not Infinity and not _is_exact(p)]
-    bits = max([_value_bits(p) for p in numeric], default=0) + 32 \
-        if numeric else 0
-    ctx = mp.workprec(bits) if numeric else contextlib.nullcontext()
-    with ctx:
+    with mp.workprec(precision + _GUARD):
         if not inf_at:
             num = (z3 - z2) * (z4 - z1)
             den = (z3 - z1) * (z4 - z2)
@@ -273,12 +270,12 @@ def six_fold_normalize(element):
     return out
 
 
-def five_term(x, y):
+def five_term(x, y, precision=256):
     """The five-term relation element [x]-[y]+[y/x]-[(1-1/x)/(1-1/y)]+[(1-x)/(1-y)].
 
     Zero in the pre-Bloch group; raises DegenerateFiveTerm when any entry
-    degenerates or x = y.  Numeric entries are computed at the bits of the
-    arguments, at least 256 (the default precision), plus 32.
+    degenerates or x = y.  Numeric entries are computed at precision + _GUARD
+    bits.
     """
     if _pt_eq(x, y):
         raise DegenerateFiveTerm("x = y")
@@ -290,9 +287,7 @@ def five_term(x, y):
     one_y = _one_like(y)
     if _degenerate(x) or _degenerate(y):
         raise DegenerateFiveTerm("x or y in {0, 1}")
-    numeric = [_value_bits(p) for p in (x, y) if not _is_exact(p)]
-    with mp.workprec(max(numeric + [256]) + 32) if numeric else \
-            contextlib.nullcontext():
+    with mp.workprec(precision + _GUARD):
         entries = [
             (x, 1),
             (y, -1),
@@ -320,7 +315,6 @@ class Relation:
 class WedgeElement:
     basis: list
     matrix: list          # antisymmetric integer matrix over the basis
-    certified: bool
     relations: list = dfield(default_factory=list)
 
     def is_zero(self):
@@ -390,16 +384,22 @@ def _valuation_kernel(values):
     return kernel_int([[fac.get(p, 0) for p in primes] for fac in facs])
 
 
-def multiplicative_relations(elements, precision=256, max_coeff=64):
+# relation candidates with a larger exponent are dropped unverified
+_MAX_EXPONENT = 64
+
+
+def multiplicative_relations(elements, precision=256):
     """Verified multiplicative relations among nonzero exact elements.
 
     Candidates come from lattice reduction on the full archimedean complex-log
     vectors (modulus and argument at every place, with 2 pi / M ambiguity
     vectors for the possible torsion orders M), restricted to the exact
     kernel of the norm-valuation matrix; each candidate is then verified by
-    exact multiplication.  At sufficient precision the numeric kernel equals
-    the true relation lattice: a product whose embeddings all lie on the
-    M-grid of the unit circle is a root of unity.
+    exact multiplication and kept if it passes.  At sufficient precision the
+    numeric kernel equals the true relation lattice: a product whose
+    embeddings all lie on the M-grid of the unit circle is a root of unity.
+    The candidates are part of an LLL-reduced basis, so the verified ones are
+    independent, and their lattice holds every integer combination of them.
     """
     if not elements:
         return []
@@ -445,77 +445,15 @@ def multiplicative_relations(elements, precision=256, max_coeff=64):
             search.append(aux)
         combos = integer_relations(search, precision, max_coeff=None)
     nk = len(val_kernel)
-    cand_basis = []
+    out = []
     for combo in combos:
         e = tuple(sum(combo[i] * val_kernel[i][j] for i in range(nk))
                   for j in range(m))
-        if any(e) and (max_coeff is None or max(map(abs, e)) <= max_coeff):
-            cand_basis.append(e)
-    out = []
-    seen = set()
-    unities = {}  # exponents -> unity of each verified relation
-    rows = cand_basis[:6]
-    row_unity = []  # (u, 1/u) per row of ``rows``, None if not a relation
-
-    def try_vec(e, combo=None):
-        e = tuple(e)
-        if not any(e) or e in seen or tuple(-x for x in e) in seen:
-            return
-        seen.add(e)
-        if combo is not None and all(row_unity[k] for k, c in enumerate(combo) if c):
-            # a combination of verified relations: its unity is the same
-            # combination of theirs, with no power of an element to take
-            unity = fld.one()
-            for pair, c in zip(row_unity, combo):
-                for _ in range(abs(c)):
-                    unity = unity * pair[c < 0]
-            rel = Relation(e, unity)
-        else:
+        if any(e) and max(map(abs, e)) <= _MAX_EXPONENT:
             rel = _verify_relation(elements, e)
-        if rel is not None:
-            out.append(rel)
-            unities[e] = rel.unity
-
-    for e in cand_basis:
-        try_vec(e)
-    # short combinations of the candidate basis: an LLL-reduced basis is
-    # near-orthogonal, so any remaining true relation has small coordinates
-    row_unity += [_unity_and_inverse(unities, r) for r in rows]
-    for e, combo in _small_combinations(rows, radius=2):
-        try_vec(e, combo)
+            if rel is not None:
+                out.append(rel)
     return out
-
-
-def _unity_and_inverse(unities, row):
-    """(u, 1/u) for a row verified as a relation, as itself or negated, with
-    unity u; None for a row that failed verification."""
-    if row in unities:
-        return unities[row], unities[row].inverse()
-    neg = tuple(-x for x in row)
-    if neg in unities:
-        return unities[neg].inverse(), unities[neg]
-    return None
-
-
-def _small_combinations(rows, radius):
-    """Integer combinations of rows with L1 coefficient norm <= radius, each
-    as (vector, coefficients)."""
-    if not rows:
-        return
-    m = len(rows[0])
-    k = len(rows)
-
-    def rec(idx, budget, acc, coeffs):
-        if idx == k:
-            yield tuple(acc), coeffs
-            return
-        for c in range(-budget, budget + 1):
-            nxt = acc
-            if c:
-                nxt = [a + c * b for a, b in zip(acc, rows[idx])]
-            yield from rec(idx + 1, budget - abs(c), nxt, coeffs + (c,))
-
-    yield from rec(0, radius, [0] * m, ())
 
 
 def _verify_relation(elements, exps):
@@ -547,14 +485,13 @@ def wedge(element, precision=256):
 
     Returns a WedgeElement carrying an antisymmetric integer matrix over a
     multiplicative basis of the group generated by the z and 1-z, modulo the
-    verified relation lattice.  ``certified`` records that every relation
-    used was verified exactly (always true here; the flag mirrors the
-    one-sided nature of the verdict for callers).
+    verified relation lattice.  Every relation used was verified exactly, so
+    a zero matrix certifies membership; a nonzero one is one-sided.
     """
     if not element.is_exact():
         raise RequiresExactField("wedge needs exact generators")
     if element.is_zero():
-        return WedgeElement(basis=[], matrix=[], certified=True)
+        return WedgeElement(basis=[], matrix=[])
     base, pairs = _dedup_generators(element)
     m = len(base)
     rels = multiplicative_relations(base, precision=precision)
@@ -569,7 +506,7 @@ def wedge(element, precision=256):
             for b in range(f):
                 mat[a][b] += 2 * c * (u[a] * w[b] - u[b] * w[a])
     basis = _quotient_basis(base, proj)
-    return WedgeElement(basis=basis, matrix=mat, certified=True, relations=rels)
+    return WedgeElement(basis=basis, matrix=mat, relations=rels)
 
 
 def _quotient_basis(base, proj):

@@ -144,8 +144,9 @@ def cone_decomposition(poly, apex):
     return out
 
 
-def decomposition_class(poly, decomposition):
-    """Pre-Bloch element of a signed simplex decomposition."""
+def decomposition_class(poly, decomposition, precision=256):
+    """Pre-Bloch element of a signed simplex decomposition; numeric cross
+    ratios are taken at ``precision``."""
     terms = []
     for (quad, sign) in decomposition:
         pts = [poly.vertices[i] for i in quad]
@@ -154,11 +155,11 @@ def decomposition_class(poly, decomposition):
                 if _pt_eq(pts[i], pts[j]):
                     raise DegenerateSimplex("cone simplex %s has equal "
                                             "vertices" % (quad,))
-        terms.append((cross_ratio(*pts), sign))
+        terms.append((cross_ratio(*pts, precision=precision), sign))
     return PreBlochElement(terms)
 
 
-def polyhedron_class(poly, apex=None):
+def polyhedron_class(poly, apex=None, precision=256):
     """Class of the polyhedron in the pre-Bloch group.
 
     Cones from the lexicographically first vertex (finite vertices ordered
@@ -171,7 +172,7 @@ def polyhedron_class(poly, apex=None):
         apex = min(range(len(poly.vertices)),
                    key=lambda i: _vertex_key(poly.vertices[i]))
     dec = cone_decomposition(poly, apex)
-    return six_fold_normalize(decomposition_class(poly, dec))
+    return six_fold_normalize(decomposition_class(poly, dec, precision))
 
 
 def _vertex_key(v):

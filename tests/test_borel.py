@@ -78,6 +78,14 @@ def test_regulator_zero_element():
     assert v.values == [0, 0]  # zero vector, one slot per complex place
 
 
+def test_regulator_skips_rational_generators():
+    # a rational generator has D2 = 0 at every place
+    z = GAUSS.element([1, 1])
+    with_rational = PreBlochElement([(Fraction(1, 3), 1), (z, 1)])
+    assert borel_regulator(with_rational).values == \
+        borel_regulator(PreBlochElement([(z, 1)])).values
+
+
 def test_regulator_linear():
     e = beta1()
     v1 = borel_regulator(e, precision=192)

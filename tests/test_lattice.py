@@ -12,10 +12,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import blochinv
 from blochinv.lattice import (factorint, hnf_rows, integer_relations,
-                              kernel_int, lll_reduce, rank_int,
-                              snf_with_projection, solve_integer,
-                              solve_integer_columns, solve_rational)
+                              kernel_int, lll_reduce, snf_with_projection,
+                              solve_integer, solve_integer_columns,
+                              solve_rational)
 from blochinv.prebloch import _quotient_basis
+
+
+def rank_int(mat):
+    """Rank of an integer matrix: the nonzero rows of its Hermite form."""
+    H, _ = hnf_rows(mat)
+    return sum(1 for row in H if any(row))
 
 
 def test_lll_finds_short_vector():

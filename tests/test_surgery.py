@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.resources
 import math
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochinv import surgery
-from blochinv.errors import Diverged, DegeneratedToFlat, NotCoprime, NotFilled
+from blochinv.errors import (BlochError, Diverged, DegeneratedToFlat,
+                             NotCoprime, NotFilled)
 from blochinv.surgery import (FillingSpec, completion_curve, core_length,
                               filled_system, newton_solve, solution_volume)
 from blochinv.triang import parse_triangulation
@@ -214,3 +216,35 @@ def test_newton_solve_precision_doubling_agrees(slope, p):
         assert lo.residual < tol
         for a, b in zip(lo.shapes, hi.shapes):
             assert abs(a - b) < tol * abs(b)
+
+
+# SHA-256 of every newton_solve outcome below, recorded before the solver's
+# multi-precision part moved from mpc objects to raw libmp tuples
+SOLVER_BITS = "b6cb98fd206edf6306e8a1b392a5f2a601c22e91dc4ec094dc18b339527f042e"
+
+
+def _solve_outcome(system, precision, allow_flat=False):
+    """Exception type and message, or the exact bits of a solution."""
+    try:
+        res = newton_solve(system, precision=precision, allow_flat=allow_flat)
+    except BlochError as exc:
+        return type(exc).__name__, str(exc)
+    parts = [res.residual._mpf_] + [p for z in res.shapes + res.lambdas
+                                    for p in z._mpc_]
+    # int() so that the hash is the same with and without gmpy2
+    return ([(sign, int(man), exp) for sign, man, exp, _ in parts],
+            res.steps, res.flat)
+
+
+def test_solver_bits_pinned():
+    out = []
+    for prec in (128, 256, 512):
+        t = fig8_at(prec)
+        out += [_solve_outcome(filled_system(t, [s]), prec)
+                for s in SLOPES + sorted(EXCEPTIONAL)]
+    for prec in (128, 256):
+        t = fig8_at(prec)
+        out += [_solve_outcome(filled_system(t, [s]), prec, allow_flat=True)
+                for s in [(-4, 1), (0, 1), (1, 1), (2, 1), (3, 1),
+                          (1, 0), (-1, 0), (4, 1)]]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SOLVER_BITS

@@ -292,15 +292,34 @@ def cmd_scissors(args, config):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as one ``invalid input:`` line, exit 2;
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(2, "invalid input: %s\n" % message)
+
+
+def _positive(text):
+    """A bound argument: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a positive integer, got %r"
+                                     % text)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="blochinv",
         description="Bloch invariants, Chern-Simons values and Borel "
                     "regulators from ideal-triangulation data.")
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--precision", type=int, default=256,
                     help="working precision in bits (default 256)")
-    ap.add_argument("--denom-bound", type=int, default=120,
+    ap.add_argument("--denom-bound", type=_positive, default=120,
                     help="denominator bound for mod-pi^2-Q reconstruction")
     ap.add_argument("--format", choices=("text", "records"), default="text")
     ap.add_argument("--allow-flat", action="store_true",
@@ -330,7 +349,7 @@ def build_parser():
 
     p = sub.add_parser("relation", help="integer-relation detection")
     p.add_argument("files", nargs="+")
-    p.add_argument("--bound", type=int, default=64,
+    p.add_argument("--bound", type=_positive, default=64,
                    help="coefficient bound for the relation search")
     p.set_defaults(func=cmd_relation)
 

@@ -11,11 +11,14 @@ unfilled cusp (completeness), or p*meridian + q*longitude = 2 pi i for a
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import mpmath as mp
+from mpmath import libmp
 
 from .dilog import _GUARD, bloch_wigner
 from .errors import (BlochError, Diverged, DegenerateShape, DegeneratedToFlat,
@@ -88,50 +91,127 @@ def filled_system(t, filling):
     return FilledSystem(triangulation=t, rows=rows, rhs=rhs, filling=filling)
 
 
-# the mpmath functions the damped search uses, in doubles
-_DOUBLE = SimpleNamespace(exp=cmath.exp, log=cmath.log, fsum=sum, pi=math.pi)
-_DOUBLE_TOL = 2.0 ** -40     # doubles reach about 2^-48 on these systems
-_UNDAMPED_MAX = 2.0 ** -32   # no undamped step from a residual this large
-_FINAL_TESTS = 4             # residual tests at the full working precision
-_MAX_STEPS = 100             # damped Newton steps per stage
+# Arithmetic namespaces: the solver routines below take one as ``ar``.
+# _DOUBLE is Python complex; _libmp(prec) works on raw libmp (re, im) pairs,
+# rounding to nearest at prec bits.  Each libmp entry is the call an mpc
+# operator or mpmath function makes, so results equal mpc arithmetic's bits.
+_DOUBLE = SimpleNamespace(
+    log=cmath.log, exp=cmath.exp, add=operator.add, sub=operator.sub,
+    mul=operator.mul, div=operator.truediv, neg=operator.neg,
+    rsub=operator.sub, mul_int=operator.mul, mul_real=operator.mul,
+    fsum=sum, sum=sum, abs_max=lambda F: max(map(abs, F), default=0),
+    l1=lambda z: abs(z.real) + abs(z.imag), abs_imag=lambda z: abs(z.imag),
+    eq_int=operator.eq, lt=operator.lt,
+    pow2=lambda k: 2.0 ** k, pi_i=math.pi * 1j, show=lambda x: mp.nstr(x, 5))
 
 
-def _shape_logs(zs, ar=mp):
+@functools.lru_cache(maxsize=16)
+def _libmp(prec):
+    """The _DOUBLE operations, and pos and ge, on libmp (re, im) pairs at
+    prec bits."""
+    rnd = libmp.round_nearest
+    zero = libmp.fzero
+
+    def fsum(terms):                  # mp.fsum: one exact sum per part
+        terms = list(terms)
+        return (libmp.mpf_sum([a for a, _ in terms], prec, rnd),
+                libmp.mpf_sum([b for _, b in terms], prec, rnd))
+
+    def add(a, b):
+        return libmp.mpc_add(a, b, prec, rnd)
+
+    def abs_max(F):                   # max(map(abs, F)): first maximum
+        m = zero
+        for i, v in enumerate(F):
+            v = libmp.mpc_abs(v, prec, rnd)
+            if not i or libmp.mpf_lt(m, v):
+                m = v
+        return m
+
+    return SimpleNamespace(
+        log=lambda z: libmp.mpc_log(z, prec, rnd),
+        exp=lambda z: libmp.mpc_exp(z, prec, rnd),
+        add=add,
+        sub=lambda a, b: libmp.mpc_sub(a, b, prec, rnd),
+        mul=lambda a, b: libmp.mpc_mul(a, b, prec, rnd),
+        div=lambda a, b: libmp.mpc_div(a, b, prec, rnd),
+        neg=lambda z: libmp.mpc_neg(z, prec, rnd),
+        pos=lambda z: libmp.mpc_pos(z, prec, rnd),
+        rsub=lambda n, z: libmp.mpc_sub((libmp.from_int(n), zero), z, prec, rnd),
+        mul_int=lambda n, z: libmp.mpc_mul_int(z, n, prec, rnd),
+        mul_real=lambda x, z: libmp.mpc_mul_mpf(z, libmp.from_float(x), prec, rnd),
+        fsum=fsum,
+        # sum(): equal to 0 + t1 + ... for terms already rounded to prec
+        sum=lambda terms: functools.reduce(add, terms, (zero, zero)),
+        abs_max=abs_max,
+        l1=lambda z: libmp.mpf_add(libmp.mpf_abs(z[0], prec, rnd),
+                                   libmp.mpf_abs(z[1], prec, rnd), prec, rnd),
+        abs_imag=lambda z: libmp.mpf_abs(z[1], prec, rnd),
+        eq_int=lambda z, n: z == (libmp.from_int(n), zero),
+        lt=libmp.mpf_lt, ge=libmp.mpf_ge,
+        pow2=lambda k: libmp.from_man_exp(1, k),
+        pi_i=(zero, libmp.mpf_pi(prec, rnd)),
+        show=lambda x: libmp.to_str(x, 5))
+
+
+_DOUBLE_TOL = -40     # log2 of the doubles' target; they reach about 2^-48
+_UNDAMPED_MAX = -32   # log2 of the residual from which no undamped step runs
+_FINAL_TESTS = 4      # residual tests at the full working precision
+_MAX_STEPS = 100      # damped Newton steps per stage
+
+
+def _as_pair(z):
+    """A caller's shape as a libmp (re, im) pair, without rounding."""
+    if hasattr(z, "_mpc_"):
+        return z._mpc_
+    if hasattr(z, "_mpf_"):
+        return z._mpf_, libmp.fzero
+    z = complex(z)
+    return libmp.from_float(z.real), libmp.from_float(z.imag)
+
+
+def _shape_logs(zs, ar):
     """Z = (log z, log(1 - z)), principal branches."""
-    return [ar.log(z) for z in zs] + [ar.log(1 - z) for z in zs]
+    return [ar.log(z) for z in zs] + [ar.log(ar.rsub(1, z)) for z in zs]
 
 
-def _system_value(system, Z, ar=mp):
+def _system_value(system, Z, ar):
     """F = U.Z - pi i d, one entry per equation, and max |F|."""
-    pi_i = ar.pi * 1j
-    F = [ar.fsum(c * w for c, w in zip(row, Z) if c) - pi_i * r
+    F = [ar.sub(ar.fsum(ar.mul_int(c, w) for c, w in zip(row, Z) if c),
+                ar.mul_int(r, ar.pi_i))
          for row, r in zip(system.rows, system.rhs)]
-    return F, max(map(abs, F), default=0)
+    return F, ar.abs_max(F)
 
 
-def _jacobian(system, zs):
+def _jacobian(system, zs, ar):
     """dF/d(log z): row[nu] - row[n + nu] z / (1 - z)."""
-    ratios = [z / (1 - z) for z in zs]
-    return [[a - b * r for a, b, r in zip(row, row[len(zs):], ratios)]
+    ratios = [ar.div(z, ar.rsub(1, z)) for z in zs]
+    return [[ar.rsub(a, ar.mul_int(b, r))
+             for a, b, r in zip(row, row[len(zs):], ratios)]
             for row in system.rows]
 
 
-def _solve(J, b):
+def _solve(J, b, ar):
     """x with J x = b: Gaussian elimination, pivoting on |Re| + |Im| (as
     BLAS i*amax does, with no square root)."""
     n = len(b)
     A = [list(row) + [v] for row, v in zip(J, b)]
     for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(A[r][c].real) + abs(A[r][c].imag))
-        if A[p][c] == 0:
+        p = c                         # the first largest, as max() picks
+        for r in range(c + 1, n):
+            if ar.lt(ar.l1(A[p][c]), ar.l1(A[r][c])):
+                p = r
+        if ar.eq_int(A[p][c], 0):
             raise JacobianSingular("singular Jacobian")
         A[c], A[p] = A[p], A[c]
-        for r in range(c + 1, n):
-            f = A[r][c] / A[c][c]
-            A[r] = [u - f * v for u, v in zip(A[r], A[c])]
+        for r in range(c + 1, n):     # columns <= c of row r are not read again
+            f = ar.div(A[r][c], A[c][c])
+            A[r][c + 1:] = [ar.sub(u, ar.mul(f, v))
+                            for u, v in zip(A[r][c + 1:], A[c][c + 1:])]
     x = [0] * n
     for r in reversed(range(n)):
-        x[r] = (A[r][n] - sum(A[r][k] * x[k] for k in range(r + 1, n))) / A[r][r]
+        dot = ar.sum(ar.mul(A[r][k], x[k]) for k in range(r + 1, n))
+        x[r] = ar.div(ar.sub(A[r][n], dot), A[r][r])
     return x
 
 
@@ -149,106 +229,114 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     t = system.triangulation
     if initial_shapes is None:
         initial_shapes = t.numeric_shapes(precision)
-    floor = mp.mpf(2) ** (-(min(precision, 128) // 8))
+    e = min(precision, 128) // 8
+    floor = mp.mpf(2) ** -e
     if not allow_flat and any(abs(mp.im(mp.mpc(z))) < floor
                               for z in initial_shapes):
         raise DegeneratedToFlat(
             "initial shapes on or near the real line (pass allow_flat)")
+    start = [_as_pair(z) for z in initial_shapes]
     try:
         zs, Z, residual, steps = _doubling_solve(
-            system, initial_shapes, precision, float(floor), allow_flat)
+            system, start, precision, -e, allow_flat)
     except (BlochError, ArithmeticError, ValueError):  # cmath: overflow, log 0
         zs = None
     if zs is None:
-        shapes, steps = initial_shapes, 0
+        ar = _libmp(precision + _GUARD)
+        shapes, steps = start, 0
         for stage in [128, precision] if precision > 128 else [precision]:
             shapes, k = _newton_stage(system, shapes, stage, allow_flat)
             steps += k
-        with mp.workprec(precision + _GUARD):
-            zs = [mp.mpc(z) for z in shapes]
-            Z = _shape_logs(zs)
-            residual = _system_value(system, Z)[1]
-        if not residual < mp.mpf(2) ** (-precision + _GUARD):
+        zs = [ar.pos(z) for z in shapes]
+        Z = _shape_logs(zs, ar)
+        residual = _system_value(system, Z, ar)[1]
+        if not ar.lt(residual, ar.pow2(-precision + _GUARD)):
             raise Diverged("Newton residual %s above tolerance"
-                           % mp.nstr(residual, 5))
+                           % ar.show(residual))
+    zs, Z = [mp.make_mpc(z) for z in zs], [mp.make_mpc(w) for w in Z]
     with mp.workprec(precision + _GUARD):
         lambdas = [mp.mpc(0) if f is None else _core_length(t, Z, j, f)
                    for j, f in enumerate(system.filling)]
     floor = mp.mpf(2) ** (-(precision // 8))
     flat = tuple(i for i, z in enumerate(zs) if abs(z.imag) < floor)
-    return SolveResult(shapes=zs, lambdas=lambdas, residual=residual,
-                       converged=True, steps=steps, system=system, flat=flat)
+    return SolveResult(shapes=zs, lambdas=lambdas,
+                       residual=mp.make_mpf(residual), converged=True,
+                       steps=steps, system=system, flat=flat)
 
 
 def _doubling_solve(system, shapes, precision, floor, allow_flat):
-    """Damped Newton in doubles; then, up the halving ladder w < wp =
-    precision + _GUARD, one undamped step at each level whose residual is not
-    below 2^(-w+_GUARD); at wp, up to _FINAL_TESTS residual tests with a step
-    after each failed one.  A residual of _UNDAMPED_MAX or more ends the
-    search (Diverged).  Returns (zs, Z, residual, steps).
+    """Damped Newton in doubles from the libmp pairs ``shapes``; then, up the
+    halving ladder w < wp = precision + _GUARD, one undamped step at each
+    level whose residual is not below 2^(-w+_GUARD); at wp, up to
+    _FINAL_TESTS residual tests with a step after each failed one.  A
+    residual of 2^_UNDAMPED_MAX or more ends the search (Diverged).
+    Returns (zs, Z, residual, steps) as libmp values at wp bits.
     """
-    zs = [complex(z) for z in shapes]
+    zs = [libmp.mpc_to_complex(z, rnd=libmp.round_nearest) for z in shapes]
     zs, steps = _damped(system, zs, _shape_logs(zs, _DOUBLE), _DOUBLE_TOL,
                         floor, allow_flat, _DOUBLE)
     # with no step taken, keep the caller's precision; doubles convert exactly
-    zs = [mp.mpc(z) for z in zs] if steps else shapes
+    zs = [_as_pair(z) for z in zs] if steps else shapes
     wp = precision + _GUARD
     ladder = [wp >> k for k in range(wp.bit_length(), 0, -1) if wp >> k > 53]
     for w in ladder + [wp] * _FINAL_TESTS:
-        with mp.workprec(w):
-            if w == wp:
-                zs = [mp.mpc(z) for z in zs]
-            Z = _shape_logs(zs)
-            F, res = _system_value(system, Z)
-            if w == wp and res < mp.mpf(2) ** (-precision + _GUARD):
-                return zs, Z, res, steps
-            if res < mp.mpf(2) ** (-w + _GUARD):
-                continue
-            if res >= _UNDAMPED_MAX:
-                break
-            delta = _solve(_jacobian(system, zs), [-v for v in F])
-            zs, steps = [mp.exp(v + d) for v, d in zip(Z, delta)], steps + 1
-    raise Diverged("residual %s in precision doubling" % mp.nstr(res, 5))
+        ar = _libmp(w)
+        if w == wp:
+            zs = [ar.pos(z) for z in zs]
+        Z = _shape_logs(zs, ar)
+        F, res = _system_value(system, Z, ar)
+        if w == wp and ar.lt(res, ar.pow2(-precision + _GUARD)):
+            return zs, Z, res, steps
+        if ar.lt(res, ar.pow2(-w + _GUARD)):
+            continue
+        if ar.ge(res, ar.pow2(_UNDAMPED_MAX)):
+            break
+        delta = _solve(_jacobian(system, zs, ar), [ar.neg(v) for v in F], ar)
+        zs, steps = [ar.exp(ar.add(v, d)) for v, d in zip(Z, delta)], steps + 1
+    raise Diverged("residual %s in precision doubling" % ar.show(res))
 
 
 def _newton_stage(system, shapes, precision, allow_flat):
-    """Damped Newton at precision + _GUARD bits: (shapes, steps)."""
-    with mp.workprec(precision + _GUARD):
-        zs = [mp.mpc(z) for z in shapes]
-        tol, floor = [mp.mpf(2) ** -e for e in (precision - _GUARD, precision // 8)]
-        return _damped(system, zs, _shape_logs(zs), tol, floor, allow_flat, mp)
+    """Damped Newton at precision + _GUARD bits from libmp pairs:
+    (shapes, steps)."""
+    ar = _libmp(precision + _GUARD)
+    zs = [ar.pos(z) for z in shapes]
+    return _damped(system, zs, _shape_logs(zs, ar), -(precision - _GUARD),
+                   -(precision // 8), allow_flat, ar)
 
 
 def _damped(system, zs, Z, tol, floor, allow_flat, ar):
-    """Damped Newton in ``ar`` (mpmath or _DOUBLE) to residual tol, in at
-    most _MAX_STEPS steps: (zs, steps).
+    """Damped Newton in ``ar`` to residual 2^tol, in at most _MAX_STEPS
+    steps: (zs, steps).
     A step is halved up to 40 times until the max residual falls; shapes at 0,
-    1 or (unless allow_flat) within floor of the real line are rejected."""
+    1 or (unless allow_flat) within 2^floor of the real line are rejected."""
+    tol, floor, pinned = ar.pow2(tol), ar.pow2(floor), ar.pow2(floor + 2)
     F, res = _system_value(system, Z, ar)
     for step in range(_MAX_STEPS):
-        if res < tol:
+        if ar.lt(res, tol):
             return zs, step
-        delta = _solve(_jacobian(system, zs), [-v for v in F])
+        delta = _solve(_jacobian(system, zs, ar), [ar.neg(v) for v in F], ar)
         for lam in [2.0 ** -k for k in range(40)]:
-            new_logs = [w + lam * d for w, d in zip(Z, delta)]
+            new_logs = [ar.add(w, ar.mul_real(lam, d)) for w, d in zip(Z, delta)]
             new_zs = [ar.exp(w) for w in new_logs]
-            if any(z == 1 or z == 0 for z in new_zs) or not allow_flat and \
-                    any(abs(z.imag) < floor for z in new_zs):
+            if any(ar.eq_int(z, 1) or ar.eq_int(z, 0) for z in new_zs) or \
+                    not allow_flat and \
+                    any(ar.lt(ar.abs_imag(z), floor) for z in new_zs):
                 continue
-            new_Z = new_logs + [ar.log(1 - z) for z in new_zs]
+            new_Z = new_logs + [ar.log(ar.rsub(1, z)) for z in new_zs]
             new_F, new_res = _system_value(system, new_Z, ar)
-            if new_res < res:
+            if ar.lt(new_res, res):
                 zs, Z, F, res = new_zs, new_Z, new_F, new_res
                 break
         else:
-            if not allow_flat and any(abs(z.imag) < 4 * floor for z in zs):
+            if not allow_flat and any(ar.lt(ar.abs_imag(z), pinned) for z in zs):
                 raise DegeneratedToFlat(
                     "shapes pinned at the flatness floor (pass allow_flat)")
             raise Diverged("no progress at step %d, residual %s"
-                           % (step, mp.nstr(res, 5)))
-    if res < tol:
+                           % (step, ar.show(res)))
+    if ar.lt(res, tol):
         return zs, _MAX_STEPS
-    raise Diverged("step budget exhausted, residual %s" % mp.nstr(res, 5))
+    raise Diverged("step budget exhausted, residual %s" % ar.show(res))
 
 
 def completion_curve(p, q):
@@ -272,8 +360,9 @@ def core_length_from_shapes(t, zs, j, pq, completion=None, precision=256):
     lambda_j = +-[(r mu + s lam).Z - pi i (r d_mu + s d_lam)] with
     p s - q r = 1; sign fixed so Re > 0, imaginary part reduced mod 2 pi.
     """
+    Z = _shape_logs([_as_pair(z) for z in zs], _libmp(precision + _GUARD))
     with mp.workprec(precision + _GUARD):
-        return _core_length(t, _shape_logs(zs), j, pq, completion)
+        return _core_length(t, [mp.make_mpc(w) for w in Z], j, pq, completion)
 
 
 def _core_length(t, Z, j, pq, completion=None):

@@ -315,6 +315,33 @@ def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     assert err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--precision", "10", "invariant", "x"],
+    ["bogus"],
+    ["--format", "nope", "invariant", "x"],
+    ["--denom-bound", "0", "cs", "x"],
+    ["--denom-bound", "-3", "cs", "x"],
+    ["relation", "--bound", "0", "a", "b"],
+    ["relation", "--bound", "-1", "a", "b"],
+], ids=["low_precision", "unknown_command", "bad_format", "denom_bound_zero",
+        "denom_bound_negative", "bound_zero", "bound_negative"])
+def test_usage_error_exit_2_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fill", "-h"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_invariant_volume_at_requested_precision(capsys):
     # the shapes are read at 512 bits, not at the 256-bit default
     code, out, _ = run(capsys, "--precision", "512", "--format", "records",

@@ -248,3 +248,30 @@ def test_solver_bits_pinned():
                 for s in [(-4, 1), (0, 1), (1, 1), (2, 1), (3, 1),
                           (1, 0), (-1, 0), (4, 1)]]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == SOLVER_BITS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-8, 8), min_size=4, max_size=4),
+       st.integers(-25, 25), st.sampled_from([76, 140, 280]))
+def test_libmp_arithmetic_matches_mpc_operators(parts, n, prec):
+    # each libmp entry must give the bits of the mpc operation it stands for,
+    # also on operands carrying more bits than the working precision
+    ar = surgery._libmp(prec)
+    with mp.workprec(prec + 40):
+        x = mp.exp(mp.mpc(parts[0], parts[1]) / 3)
+    with mp.workprec(prec):
+        y = mp.exp(mp.mpc(parts[2], parts[3]) / 7)
+        X, Y = x._mpc_, y._mpc_
+        pairs = [(ar.add(X, Y), x + y), (ar.sub(X, Y), x - y),
+                 (ar.mul(X, Y), x * y), (ar.div(X, Y), x / y),
+                 (ar.neg(X), -x), (ar.pos(X), mp.mpc(x)),
+                 (ar.log(X), mp.log(x)), (ar.exp(X), mp.exp(x)),
+                 (ar.rsub(n, X), n - x), (ar.mul_int(n, X), n * x),
+                 (ar.mul_real(0.25, X), 0.25 * x), (ar.pi_i, mp.pi * 1j),
+                 (ar.fsum([X, Y]), mp.fsum([x, y])),
+                 (ar.sum([Y, Y]), sum([y, y]))]
+        for got, want in pairs:
+            assert got == want._mpc_
+        assert ar.abs_max([X, Y]) == max(abs(x), abs(y))._mpf_
+        assert ar.l1(X) == (abs(x.real) + abs(x.imag))._mpf_
+        assert ar.abs_imag(X) == abs(x.imag)._mpf_

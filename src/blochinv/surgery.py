@@ -229,8 +229,8 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     t = system.triangulation
     if initial_shapes is None:
         initial_shapes = t.numeric_shapes(precision)
-    e = min(precision, 128) // 8
-    floor = mp.mpf(2) ** -e
+    floor_log2 = -(min(precision, 128) // 8)
+    floor = mp.mpf(2) ** floor_log2
     if not allow_flat and any(abs(mp.im(mp.mpc(z))) < floor
                               for z in initial_shapes):
         raise DegeneratedToFlat(
@@ -238,7 +238,7 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     start = [_as_pair(z) for z in initial_shapes]
     try:
         zs, Z, residual, steps = _doubling_solve(
-            system, start, precision, -e, allow_flat)
+            system, start, precision, floor_log2, allow_flat)
     except (BlochError, ArithmeticError, ValueError):  # cmath: overflow, log 0
         zs = None
     if zs is None:

@@ -4,47 +4,53 @@ Computes the pre-Bloch class of a triangulation, certifies Bloch-group
 membership, evaluates volume and Chern-Simons through the Rogers-dilogarithm
 flattening formula, deforms triangulations through hyperbolic Dehn filling,
 and evaluates Borel regulator vectors with integer-relation detection.
+
+Importing the package is cheap: each public name imports its defining
+module on first access (PEP 562), so a caller pays only for what it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .numfield import (NumberField, FieldElement, EmbeddingSet, field_make,
-                       embeddings)
-from .dilog import (li2, bloch_wigner, rogers, volume_of_prebloch,
-                    RhoRepresentative)
-from .prebloch import (PreBlochElement, Infinity, cross_ratio,
-                       six_fold_normalize, five_term, wedge, is_bloch,
-                       multiplicative_relations, WedgeElement,
-                       BlochCertificate, parse_element, serialize_element)
-from .triang import (Triangulation, GluingCombinatorics, parse_triangulation,
-                     serialize_triangulation, edge_equations, infer_d,
-                     bloch_invariant)
-from .surgery import (FillingSpec, FilledSystem, SolveResult, filled_system,
-                      newton_solve, core_length, solution_volume)
-from .chern_simons import (FlatteningSolution, CSResult, solve_flattening,
-                           cs_formula, rho_of_beta, eta_from_cs,
-                           rationalize_mod_pi2)
-from .borel import (RegulatorVector, RelationReport, borel_regulator,
-                    detect_relation, per_root_values, conjugate_family,
-                    rank_witness)
-from .scissors import (IdealPolyhedron, cone_decomposition, polyhedron_class,
-                       cycle_move, decomposition_class, parse_polyhedron)
+_EXPORTS = {
+    "numfield": ("NumberField", "FieldElement", "EmbeddingSet", "field_make",
+                 "embeddings"),
+    "dilog": ("li2", "bloch_wigner", "rogers", "volume_of_prebloch",
+              "RhoRepresentative"),
+    "prebloch": ("PreBlochElement", "Infinity", "cross_ratio",
+                 "six_fold_normalize", "five_term", "wedge", "is_bloch",
+                 "multiplicative_relations", "WedgeElement",
+                 "BlochCertificate", "parse_element", "serialize_element"),
+    "triang": ("Triangulation", "GluingCombinatorics", "parse_triangulation",
+               "serialize_triangulation", "edge_equations", "infer_d",
+               "bloch_invariant"),
+    "surgery": ("FillingSpec", "FilledSystem", "SolveResult", "filled_system",
+                "newton_solve", "core_length", "solution_volume"),
+    "chern_simons": ("FlatteningSolution", "CSResult", "solve_flattening",
+                     "cs_formula", "rho_of_beta", "eta_from_cs",
+                     "rationalize_mod_pi2"),
+    "borel": ("RegulatorVector", "RelationReport", "borel_regulator",
+              "detect_relation", "per_root_values", "conjugate_family",
+              "rank_witness"),
+    "scissors": ("IdealPolyhedron", "cone_decomposition", "polyhedron_class",
+                 "cycle_move", "decomposition_class", "parse_polyhedron"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "NumberField", "FieldElement", "EmbeddingSet", "field_make", "embeddings",
-    "li2", "bloch_wigner", "rogers",
-    "volume_of_prebloch", "RhoRepresentative", "PreBlochElement", "Infinity",
-    "cross_ratio", "six_fold_normalize", "five_term", "wedge", "is_bloch",
-    "multiplicative_relations", "WedgeElement", "BlochCertificate",
-    "parse_element", "serialize_element", "Triangulation",
-    "GluingCombinatorics", "parse_triangulation", "serialize_triangulation",
-    "edge_equations", "infer_d", "bloch_invariant", "FillingSpec",
-    "FilledSystem", "SolveResult", "filled_system", "newton_solve",
-    "core_length", "solution_volume", "FlatteningSolution", "CSResult",
-    "solve_flattening", "cs_formula", "rho_of_beta", "eta_from_cs",
-    "rationalize_mod_pi2", "RegulatorVector", "RelationReport",
-    "borel_regulator", "detect_relation", "per_root_values",
-    "conjugate_family", "rank_witness", "IdealPolyhedron",
-    "cone_decomposition", "polyhedron_class", "cycle_move",
-    "decomposition_class", "parse_polyhedron",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -31,17 +31,19 @@ from .numfield import embeddings
 from .prebloch import six_fold_normalize
 
 
-@dataclass
 class RegulatorVector:
-    field: object
-    values: list
+    """The regulator values of an element at its places; len() counts them."""
+    __slots__ = ("field", "values")
+
+    def __init__(self, field, values):
+        self.field = field
+        self.values = values
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     coefficients: tuple
     residual: object
     confidence: str  # "ExactInputVerified" | "NumericOnly"

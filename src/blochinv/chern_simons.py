@@ -13,8 +13,8 @@ CS is therefore exposed modulo pi^2 Q, with an optional user calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -25,14 +25,12 @@ from .lattice import solve_integer, solve_rational
 from .prebloch import _value_bits
 
 
-@dataclass
-class FlatteningSolution:
+class FlatteningSolution(NamedTuple):
     c: list                   # 2n Fractions
     integral: bool
 
 
-@dataclass
-class CSResult:
+class CSResult(NamedTuple):
     value: object             # vol + i CS representative (alpha = 0)
     vol: object
     cs_mod_rational: object   # Im(value): CS modulo pi^2 Q

@@ -14,23 +14,12 @@ import sys
 import mpmath as mp
 
 from . import __version__
-from .borel import (borel_regulator, detect_relation, per_root_values,
-                    rank_witness)
-from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
-                           solve_flattening)
-from .dilog import volume_of_prebloch
 from .errors import (BlochError, Diverged, DegeneratedToFlat,
                      JacobianSingular, NotCoprime, RootFindingFailed,
                      TriangulationSyntaxError)
-from .numfield import embeddings
-from .prebloch import (is_bloch, parse_element, serialize_element,
-                       six_fold_normalize)
-from .scissors import (cone_decomposition, decomposition_class,
-                       parse_polyhedron, polyhedron_class)
-from .surgery import FillingSpec, filled_system, newton_solve, solution_volume
-from .textformat import lines
-from .triang import (bloch_invariant, embedding_for_validation,
-                     parse_triangulation)
+
+# Each command imports the modules it runs, so that a process pays only for
+# its own command.
 
 SCHEMA = "blochinv.report/1"
 
@@ -76,12 +65,14 @@ def _read(path):
 
 
 def _is_triangulation(text):
+    from .textformat import lines
     # both formats may open with a field header; the next keyword decides
     first = next((key for _, key, _ in lines(text) if key != "field"), None)
     return first in ("tets", "cusps")
 
 
 def _load_element(path, precision):
+    from .prebloch import parse_element
     element, places = parse_element(_read(path), precision=precision)
     if element.is_zero() and element.field is None:
         raise TriangulationSyntaxError("no element data in %s" % path)
@@ -93,12 +84,18 @@ def _element_places(element, places, precision):
         return places
     if element.field is None:
         return None
+    from .numfield import embeddings
     return embeddings(element.field, precision).complex_pairs
 
 
 # ---------------------------------------------------------------------------
 
 def cmd_invariant(args, config):
+    from .dilog import volume_of_prebloch
+    from .numfield import embeddings
+    from .prebloch import is_bloch, serialize_element, six_fold_normalize
+    from .triang import (bloch_invariant, embedding_for_validation,
+                         parse_triangulation)
     rep = Report("invariant", config)
     text = _read(args.file)
     prec = config.precision
@@ -163,6 +160,9 @@ def _parse_fill_flags(fills, h):
 
 
 def cmd_fill(args, config):
+    from .surgery import (FillingSpec, filled_system, newton_solve,
+                          solution_volume)
+    from .triang import parse_triangulation
     rep = Report("fill", config)
     prec = config.precision
     t = parse_triangulation(_read(args.file), precision=prec)
@@ -184,6 +184,10 @@ def cmd_fill(args, config):
 
 
 def cmd_cs(args, config):
+    from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
+                               solve_flattening)
+    from .surgery import FillingSpec, filled_system, newton_solve
+    from .triang import embedding_for_validation, parse_triangulation
     rep = Report("cs", config)
     prec = config.precision
     t = parse_triangulation(_read(args.file), precision=prec)
@@ -217,8 +221,10 @@ def cmd_cs(args, config):
             try:
                 known = mp.mpf(args.calibrate_cs)
             except ValueError:
+                known = mp.nan
+            if not mp.isfinite(known):
                 raise TriangulationSyntaxError("bad --calibrate-cs value %r"
-                                               % args.calibrate_cs) from None
+                                               % args.calibrate_cs)
             alpha = (result.vol + mp.mpc(0, 1) * known) - result.value
             q = rationalize_mod_pi2(mp.im(alpha), config.denom_bound, prec)
             rep.add("alpha_fitted_over_pi2", str(q) if q is not None else None,
@@ -228,6 +234,7 @@ def cmd_cs(args, config):
 
 
 def cmd_borel(args, config):
+    from .borel import borel_regulator, per_root_values
     rep = Report("borel", config)
     prec = config.precision
     for path in args.files:
@@ -246,6 +253,7 @@ def cmd_borel(args, config):
 
 
 def cmd_relation(args, config):
+    from .borel import borel_regulator, detect_relation, rank_witness
     rep = Report("relation", config)
     prec = config.precision
     vectors = []
@@ -269,6 +277,9 @@ def cmd_relation(args, config):
 
 
 def cmd_scissors(args, config):
+    from .dilog import volume_of_prebloch
+    from .scissors import (cone_decomposition, decomposition_class,
+                           parse_polyhedron, polyhedron_class)
     rep = Report("scissors", config)
     prec = config.precision
     poly = parse_polyhedron(_read(args.file), precision=prec)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -304,25 +304,25 @@ def five_term(x, y, precision=256):
 # ---------------------------------------------------------------------------
 # multiplicative relations and the wedge map
 
-@dataclass
-class Relation:
+class Relation(NamedTuple):
     """Verified multiplicative relation prod elements[i]^exponents[i] = unity."""
     exponents: tuple
     unity: object  # FieldElement or Fraction, a root of unity
 
 
-@dataclass
 class WedgeElement:
-    basis: list
-    matrix: list          # antisymmetric integer matrix over the basis
-    relations: list = dfield(default_factory=list)
+    __slots__ = ("basis", "matrix", "relations")
+
+    def __init__(self, basis, matrix, relations=None):
+        self.basis = basis
+        self.matrix = matrix      # antisymmetric integer matrix over the basis
+        self.relations = [] if relations is None else relations
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.matrix)
 
 
-@dataclass
-class BlochCertificate:
+class BlochCertificate(NamedTuple):
     verdict: str                      # "CertifiedZero" | "LikelyNonzero"
     relations: list
     residual_basis: list

@@ -14,8 +14,8 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath import libmp
@@ -50,16 +50,14 @@ class FillingSpec:
         return self.fillings[j]
 
 
-@dataclass
-class FilledSystem:
+class FilledSystem(NamedTuple):
     triangulation: object
     rows: list       # integer coefficient rows over Z (length 2n each)
     rhs: list        # rhs in units of pi i (integers; 2 extra for filled cusps)
     filling: FillingSpec
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     shapes: list
     lambdas: list
     residual: object

@@ -1,10 +1,15 @@
-import json
-
+import importlib
 import importlib.resources
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
+import blochinv
 from blochinv import textformat
 from blochinv.cli import main
 from blochinv.dilog import bloch_wigner
@@ -92,7 +97,7 @@ def test_cs_figure_eight(capsys):
 def test_cs_evaluates_each_shape_once(monkeypatch, capsys):
     # vol, the CS representative and the rho representative share one
     # cs_formula evaluation: one li2 per shape of figure_eight.tri
-    from blochinv import chern_simons, cli, dilog
+    from blochinv import chern_simons, dilog
     calls = {"cs_formula": 0, "li2": 0}
 
     def counting(name, fn):
@@ -102,7 +107,6 @@ def test_cs_evaluates_each_shape_once(monkeypatch, capsys):
         return wrapper
 
     cs_formula = counting("cs_formula", chern_simons.cs_formula)
-    monkeypatch.setattr(cli, "cs_formula", cs_formula)
     monkeypatch.setattr(chern_simons, "cs_formula", cs_formula)
     monkeypatch.setattr(dilog, "li2", counting("li2", dilog.li2))
     code, out, _ = run(capsys, "--format", "records", "cs",
@@ -304,7 +308,10 @@ def test_malformed_line_exit_2(tmp_path, capsys, name, text, line):
     (["relation", fx("weeks_element.bloch"), fx("example2_beta1.bloch")],
      None),
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "abc"], None),
-], ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs"])
+    (["cs", fx("figure_eight.tri"), "--calibrate-cs", "nan"], None),
+    (["cs", fx("figure_eight.tri"), "--calibrate-cs", "inf"], None),
+], ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs",
+        "calibrate_cs_nan", "calibrate_cs_inf"])
 def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     if text is not None:
         (tmp_path / argv[1]).write_text(text)
@@ -351,3 +358,87 @@ def test_invariant_volume_at_requested_precision(capsys):
     with mp.workprec(600):
         ref = mp.fsum(bloch_wigner(z, 600) for z in t.numeric_shapes(512))
         assert abs(mp.mpf(json.loads(out)["volume"]) - ref) < mp.mpf(2) ** -500
+
+
+# --- what each process imports ----------------------------------------------
+
+# Runs cli.main on its arguments in a fresh process (or only imports the
+# package, for "import") and prints the blochinv submodules and the heavy
+# third-party modules then loaded, as the last line of its output.
+_FOOTPRINT_PROBE = """
+import sys
+argv = sys.argv[1:]
+if argv == ["import"]:
+    import blochinv
+else:
+    from blochinv import cli
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+print(" ".join(sorted(n[len("blochinv."):] for n in sys.modules
+                      if n.startswith("blochinv."))
+               + [n for n in ("mpmath", "dataclasses", "sympy")
+                  if n in sys.modules]))
+"""
+
+_FOOTPRINT = [
+    ("import", ["import"], set(), {"mpmath"}),
+    ("version", ["--version"], {"cli", "errors"}, None),
+    ("invariant_tri", ["invariant", fx("figure_eight.tri")], None,
+     {"surgery", "chern_simons", "borel", "scissors"}),
+    ("invariant_bloch", ["invariant", fx("weeks_element.bloch")], None,
+     {"surgery", "chern_simons", "borel", "scissors"}),
+    ("fill", ["fill", fx("figure_eight.tri"), "--fill", "5,1"], None,
+     {"borel", "scissors"}),
+    ("cs", ["cs", fx("figure_eight.tri")], None, {"borel", "scissors"}),
+    ("borel", ["borel", fx("weeks_element.bloch")], None,
+     {"triang", "surgery", "chern_simons", "scissors"}),
+    ("relation", ["relation", fx("example2_beta1.bloch"),
+                  fx("example2_beta2.bloch")], None,
+     {"triang", "surgery", "chern_simons", "scissors"}),
+    ("scissors", ["scissors", fx("octahedron.poly")], None,
+     {"triang", "surgery", "chern_simons", "borel"}),
+]
+
+
+@pytest.mark.parametrize("argv,only,absent",
+                         [case[1:] for case in _FOOTPRINT],
+                         ids=[case[0] for case in _FOOTPRINT])
+def test_command_module_footprint(argv, only, absent):
+    src = str(pathlib.Path(blochinv.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE] + argv,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert not loaded & {"dataclasses", "sympy"}
+    if only is not None:
+        assert loaded - {"mpmath"} == only
+    if absent is not None:
+        assert not loaded & absent
+
+
+def test_lazy_exports_are_the_defining_modules_names():
+    for module, names in blochinv._EXPORTS.items():
+        defining = importlib.import_module("blochinv." + module)
+        for name in names:
+            assert getattr(blochinv, name) is getattr(defining, name)
+    assert sorted(blochinv.__all__) == sorted(
+        name for names in blochinv._EXPORTS.values() for name in names)
+    assert set(blochinv.__all__) <= set(dir(blochinv))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from blochinv import *", namespace)
+    assert set(blochinv.__all__) <= set(namespace)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        blochinv.no_such_name
+    # a submodule is not an export: the import system falls back to it
+    with pytest.raises(AttributeError):
+        blochinv.__getattr__("numfield")
+    from blochinv import numfield
+    assert numfield is sys.modules["blochinv.numfield"]

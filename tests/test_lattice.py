@@ -1,16 +1,11 @@
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import blochinv
 from blochinv.lattice import (factorint, hnf_rows, integer_relations,
                               kernel_int, lll_reduce, snf_with_projection,
                               solve_integer, solve_integer_columns,
@@ -299,9 +294,3 @@ def test_factorint_large_inputs():
     assert factorint(2 ** 64) == {2: 64}
     assert factorint((2 ** 89 - 1) ** 2) == {2 ** 89 - 1: 2}
 
-
-def test_cli_import_leaves_out_sympy():
-    src = str(pathlib.Path(blochinv.__file__).resolve().parents[1])
-    code = "import blochinv.cli, sys; assert 'sympy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})

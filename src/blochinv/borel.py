@@ -33,10 +33,10 @@ from .prebloch import six_fold_normalize
 
 class RegulatorVector:
     """The regulator values of an element at its places; len() counts them."""
-    __slots__ = ("field", "values")
+    __slots__ = ("places", "values")
 
-    def __init__(self, field, values):
-        self.field = field
+    def __init__(self, places, values):
+        self.places = places
         self.values = values
 
     def __len__(self):
@@ -62,7 +62,7 @@ def borel_regulator(element, precision=256, places=None):
         places = embeddings(element.field, precision).complex_pairs
     vals = [volume_of_prebloch(element, embedding=r, precision=precision)
             for r in places]
-    return RegulatorVector(field=element.field, values=vals)
+    return RegulatorVector(places=places, values=vals)
 
 
 def detect_relation(vectors, coefficient_bound=64, precision=256,

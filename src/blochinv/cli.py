@@ -79,33 +79,21 @@ def _load_element(path, precision):
     return element, places
 
 
-def _element_places(element, places, precision):
-    if places is not None:
-        return places
-    if element.field is None:
-        return None
-    from .numfield import embeddings
-    return embeddings(element.field, precision).complex_pairs
-
-
 # ---------------------------------------------------------------------------
 
 def cmd_invariant(args, config):
     from .dilog import volume_of_prebloch
     from .numfield import embeddings
     from .prebloch import is_bloch, serialize_element, six_fold_normalize
-    from .triang import (bloch_invariant, embedding_for_validation,
-                         parse_triangulation)
+    from .triang import bloch_invariant, parse_triangulation
     rep = Report("invariant", config)
     text = _read(args.file)
     prec = config.precision
     if _is_triangulation(text):
         t = parse_triangulation(text, precision=prec)
-        emb = None
         if t.exact_shapes():
-            emb = embedding_for_validation(t, precision=prec)
             rep.add("field", list(t.field.min_poly))
-        t.validate(precision=prec, embedding=emb)
+        t.validate(precision=prec)
         rep.add("validated", True)
         element = bloch_invariant(t, precision=prec)
     else:
@@ -113,7 +101,6 @@ def cmd_invariant(args, config):
         element = six_fold_normalize(element)
         if element.field is not None:
             rep.add("field", list(element.field.min_poly))
-        emb = None
         if places:
             with mp.workprec(prec + 16):
                 vols = [volume_of_prebloch(element, embedding=r, precision=prec)
@@ -187,12 +174,11 @@ def cmd_cs(args, config):
     from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                solve_flattening)
     from .surgery import FillingSpec, filled_system, newton_solve
-    from .triang import embedding_for_validation, parse_triangulation
+    from .triang import parse_triangulation
     rep = Report("cs", config)
     prec = config.precision
     t = parse_triangulation(_read(args.file), precision=prec)
-    emb = embedding_for_validation(t, precision=prec) if t.exact_shapes() else None
-    t.validate(precision=prec, embedding=emb)
+    t.validate(precision=prec)
     flat = solve_flattening(t.U, t.d)
     rep.add("flattening", [str(q) for q in flat.c],
             text=" ".join(str(q) for q in flat.c))
@@ -204,7 +190,7 @@ def cmd_cs(args, config):
         shapes = res.shapes
         lambdas = res.lambdas
     else:
-        shapes = t.numeric_shapes(prec, embedding=emb)
+        shapes = t.numeric_shapes(prec)
         lambdas = [mp.mpc(0)] * t.h
     result = cs_formula(shapes, lambdas, flat, precision=prec)
     with mp.workprec(prec + 16):
@@ -225,6 +211,11 @@ def cmd_cs(args, config):
             if not mp.isfinite(known):
                 raise TriangulationSyntaxError("bad --calibrate-cs value %r"
                                                % args.calibrate_cs)
+            if abs(known) >= mp.mpf(2) ** (prec // 2):
+                # its residue mod pi^2 is lost at the working precision
+                raise TriangulationSyntaxError(
+                    "--calibrate-cs value %r is not below 2^%d"
+                    % (args.calibrate_cs, prec // 2))
             alpha = (result.vol + mp.mpc(0, 1) * known) - result.value
             q = rationalize_mod_pi2(mp.im(alpha), config.denom_bound, prec)
             rep.add("alpha_fitted_over_pi2", str(q) if q is not None else None,
@@ -239,10 +230,8 @@ def cmd_borel(args, config):
     prec = config.precision
     for path in args.files:
         element, places = _load_element(path, prec)
-        places = _element_places(element, places, prec)
         vec = borel_regulator(element, precision=prec, places=places)
-        rep.add("places_%s" % path,
-                [mp.nstr(r, 20) for r in places])
+        rep.add("places_%s" % path, [mp.nstr(r, 20) for r in vec.places])
         rep.add("regulator_%s" % path, [_fmt(v, prec) for v in vec.values],
                 text=" ".join(_fmt(v, prec) for v in vec.values))
         with mp.workprec(prec + 16):
@@ -260,7 +249,6 @@ def cmd_relation(args, config):
     elements = []
     for path in args.files:
         element, places = _load_element(path, prec)
-        places = _element_places(element, places, prec)
         vectors.append(borel_regulator(element, precision=prec, places=places))
         elements.append(element)
     report = detect_relation(vectors, coefficient_bound=args.bound,
@@ -351,7 +339,8 @@ def build_parser():
     p = sub.add_parser("cs", help="volume + Chern-Simons report")
     p.add_argument("file")
     p.add_argument("--calibrate-cs", default=None,
-                   help="known CS value fixing the constant alpha")
+                   help="known CS value fixing the constant alpha, "
+                        "below 2^(precision/2) in size")
     p.set_defaults(func=cmd_cs)
 
     p = sub.add_parser("borel", help="Borel regulator vectors")

@@ -14,7 +14,6 @@ only a one-sided verdict, since a missed relation can inflate the image.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -107,23 +106,20 @@ def _degenerate(g):
 class PreBlochElement:
     """Formal integer combination of cross-ratio classes [z]."""
 
-    def __init__(self, terms=None, field=None, drop_degenerate=False):
+    def __init__(self, terms=None, field=None):
         self.field = field
         self.terms = {}
         if terms:
             for gen, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                self._add_term(gen, coeff, drop_degenerate)
+                self._add_term(gen, coeff)
 
-    def _add_term(self, gen, coeff, drop_degenerate=False):
+    def _add_term(self, gen, coeff):
         coeff = int(coeff)
         if coeff == 0:
             return
         if isinstance(gen, int):
             gen = Fraction(gen)
         if _degenerate(gen):
-            if drop_degenerate:
-                warnings.warn("dropping degenerate generator %s" % (gen,))
-                return
             raise DegenerateShape("generator %s lies in {0, 1}" % (gen,))
         if isinstance(gen, FieldElement):
             if self.field is None:

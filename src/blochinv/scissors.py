@@ -159,18 +159,16 @@ def decomposition_class(poly, decomposition, precision=256):
     return PreBlochElement(terms)
 
 
-def polyhedron_class(poly, apex=None, precision=256):
+def polyhedron_class(poly, precision=256):
     """Class of the polyhedron in the pre-Bloch group.
 
     Cones from the lexicographically first vertex (finite vertices ordered
-    by (Re, Im); the point at infinity last) unless an apex is given.  The
-    result is apex-independent in the pre-Bloch group; the computable
-    separators (D2 at every embedding, the wedge image, rho) agree across
-    apex choices.
+    by (Re, Im); the point at infinity last).  The result is
+    apex-independent in the pre-Bloch group; the computable separators (D2
+    at every embedding, the wedge image, rho) agree across apex choices.
     """
-    if apex is None:
-        apex = min(range(len(poly.vertices)),
-                   key=lambda i: _vertex_key(poly.vertices[i]))
+    apex = min(range(len(poly.vertices)),
+               key=lambda i: _vertex_key(poly.vertices[i]))
     dec = cone_decomposition(poly, apex)
     return six_fold_normalize(decomposition_class(poly, dec, precision))
 

@@ -208,43 +208,51 @@ class Triangulation:
         return self.field is not None and \
             all(isinstance(z, FieldElement) for z in self.shapes)
 
-    def numeric_shapes(self, precision=256, embedding=None):
-        """Shape vector as complex numbers at the requested precision."""
-        with mp.workprec(precision + _GUARD):
-            out = []
-            for i, z in enumerate(self.shapes):
-                if isinstance(z, FieldElement):
-                    if embedding is None:
-                        raise ValueError("exact shapes need an embedding")
-                    out.append(z.evaluate(embedding))
-                elif self._shape_tokens and self._shape_tokens[i] is not None:
-                    out.append(textformat.complex_pair(self._shape_tokens[i],
-                                                       precision + _GUARD))
-                else:
-                    out.append(mp.mpc(z))
-            return out
+    def numeric_shapes(self, precision=256):
+        """Shape vector as complex numbers at the requested precision.
 
-    def log_parameters(self, precision=256, embedding=None):
-        """Z = (log z_i ; log(1-z_i)), principal branches."""
-        zs = self.numeric_shapes(precision, embedding)
-        with mp.workprec(precision + _GUARD):
-            for z in zs:
-                if z == 0 or z == 1:
-                    raise DegenerateShape("shape %s" % z)
-            return [mp.log(z) for z in zs] + [mp.log(1 - z) for z in zs]
+        Exact shapes are evaluated at the first root of the field, in the
+        all-roots order of its embeddings, where U.Z = pi i d holds for the
+        stored d; NotIntegral when no root does."""
+        if not self.exact_shapes():
+            with mp.workprec(precision + _GUARD):
+                return [mp.mpc(z) if tok is None
+                        else textformat.complex_pair(tok, precision + _GUARD)
+                        for z, tok in zip(self.shapes, self._shape_tokens
+                                          or [None] * self.n)]
+        last = None
+        for root in embeddings(self.field, precision).all_roots():
+            with mp.workprec(precision + _GUARD):
+                zs = [z.evaluate(root) for z in self.shapes]
+            try:
+                if _pi_i_multiples(self, zs, precision) == self.d:
+                    return zs
+            except (NotIntegral, DegenerateShape) as exc:
+                last = exc
+        raise NotIntegral("no embedding validates the stored d (%s)" % last)
 
-    def validate(self, precision=256, embedding=None):
+    def validate(self, precision=256):
         """Check U.Z = pi i d for the stored d; raises NotIntegral on failure."""
-        inferred = infer_d(self, precision=precision, embedding=embedding)
+        inferred = infer_d(self, precision=precision)
         if inferred != self.d:
             raise NotIntegral("stored d %s but shapes give %s" % (self.d, inferred))
         return True
 
 
-def infer_d(t, precision=256, embedding=None):
-    """d = round(U.Z / pi i); errors if any entry is off by > 2^(-precision/4)."""
-    Z = t.log_parameters(precision, embedding)
+def infer_d(t, precision=256):
+    """d = round(U.Z / pi i) at the shapes of numeric_shapes; errors if any
+    entry is off by > 2^(-precision/4)."""
+    return _pi_i_multiples(t, t.numeric_shapes(precision), precision)
+
+
+def _pi_i_multiples(t, zs, precision):
+    """round(U.Z / pi i) for the numeric shapes zs, Z = (log z_i ;
+    log(1-z_i)) with principal branches."""
     with mp.workprec(precision + _GUARD):
+        for z in zs:
+            if z == 0 or z == 1:
+                raise DegenerateShape("shape %s" % z)
+        Z = [mp.log(z) for z in zs] + [mp.log(1 - z) for z in zs]
         tol = mp.mpf(2) ** (-(precision // 4))
         out = []
         for row in t.U:
@@ -282,14 +290,14 @@ def bloch_invariant(t, precision=256):
 def parse_triangulation(text, precision=256):
     """Parse the line-oriented triangulation format (see the README); glue
     lines are checked against the urow lines by _checked_gluing."""
-    n = h = field = dvec = glue_line = None
+    n = h = field = dvec = glue_line = exact = None
     shapes = {}  # index -> (value, (re, im) tokens or None)
     urows = {}
     glue = {}
     fillings = {}
 
     def line(lineno, key, args):
-        nonlocal n, h, field, dvec, glue_line
+        nonlocal n, h, field, dvec, glue_line, exact
         if key == "tets":
             (n,) = map(int, args)
         elif key == "cusps":
@@ -298,7 +306,11 @@ def parse_triangulation(text, precision=256):
             field = textformat.read_field(args)
         elif key == "shape":
             idx, *rest = args
-            if rest[:1] == ["exact"]:
+            if exact is not None and exact != (rest[:1] == ["exact"]):
+                raise TriangulationSyntaxError(
+                    "shapes must be all exact or all numeric")
+            exact = rest[:1] == ["exact"]
+            if exact:
                 if field is None:
                     raise TriangulationSyntaxError(
                         "exact shape before field header")
@@ -404,21 +416,3 @@ def serialize_triangulation(t):
             lines.append("fill %d %d %d" % (j, fl[0], fl[1]))
     return "\n".join(lines) + "\n"
 
-
-def embedding_for_validation(t, precision=256):
-    """For exact shapes: the embedding at which the stored d validates.
-
-    Tries every root of the field's minimal polynomial and returns the first
-    match in deterministic order; raises NotIntegral when none works.
-    """
-    if not t.exact_shapes():
-        return None
-    es = embeddings(t.field, precision)
-    last = None
-    for root in es.all_roots():
-        try:
-            if infer_d(t, precision=precision, embedding=root) == t.d:
-                return root
-        except (NotIntegral, DegenerateShape) as exc:
-            last = exc
-    raise NotIntegral("no embedding validates the stored d (%s)" % last)

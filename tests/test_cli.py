@@ -1,13 +1,17 @@
+import contextlib
 import importlib
 import importlib.resources
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blochinv
 from blochinv import textformat
@@ -256,6 +260,41 @@ def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
     assert "bad exact shape" in err
 
 
+def test_fill_exact_shapes_matches_numeric(tmp_path, capsys):
+    # exact shapes start Newton at their validating root: the solve is the
+    # numeric fixture's, digit for digit
+    p = tmp_path / "exact.tri"
+    p.write_text(_exact_figure_eight(False))
+    code, out, _ = run(capsys, "--format", "records", "fill", str(p),
+                       "--fill", "5,1")
+    assert code == 0
+    exact = json.loads(out)
+    code, out, _ = run(capsys, "--format", "records", "fill",
+                       fx("figure_eight.tri"), "--fill", "5,1")
+    assert code == 0
+    assert exact["volume"] == json.loads(out)["volume"]
+    assert exact["steps"] == 9
+
+
+def test_cs_exact_shapes_filled_cusp(tmp_path, capsys):
+    p = tmp_path / "exact.tri"
+    p.write_text(_exact_figure_eight(False).replace("fill 0 complete",
+                                                    "fill 0 5 1"))
+    code, out, _ = run(capsys, "--precision", "128", "cs", str(p))
+    assert code == 0
+    assert "0.9813688288922320880914521897" in out
+
+
+@pytest.mark.parametrize("command", ["invariant", "fill", "cs"])
+def test_exact_shapes_no_validating_root_exit_2(tmp_path, capsys, command):
+    p = tmp_path / "exact.tri"
+    p.write_text(_exact_figure_eight(False).replace("dvec -1 1 1 -1",
+                                                    "dvec -1 1 1 0"))
+    code, _, err = run(capsys, command, str(p))
+    assert code == 2
+    assert err.startswith("invalid input: no embedding validates")
+
+
 _TRI = "tets 1\ncusps 0\nshape 0 0.5 0.8\nurow 0 0 0\ndvec 0\n"
 _FIG8 = importlib.resources.files("blochinv").joinpath(
     "fixtures/figure_eight.tri").read_text()
@@ -286,6 +325,8 @@ _MALFORMED = [
     ("cusp_count.tri", _FIG8.replace("cusps 1", "cusps 0")
      .replace("urow 2 0 1 -1 -1\nurow 3 -1 -2 -1 1\n", "")
      .replace("dvec -1 1 1 -1", "dvec -1 1"), 11),
+    ("mixed_shapes.tri", _exact_figure_eight(False).replace(
+        "shape 1 exact 0 1", _FIG8.splitlines()[6]), 8),
     ("vertex.poly", "vertex 0 0 0\nvertex 1 inf 0\n", 2),
     ("diag.poly", "vertex 0 inf\ndiag 0 1 2 3\n", 2),
 ]
@@ -310,8 +351,9 @@ def test_malformed_line_exit_2(tmp_path, capsys, name, text, line):
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "abc"], None),
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "nan"], None),
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "inf"], None),
+    (["cs", fx("figure_eight.tri"), "--calibrate-cs", "1e999"], None),
 ], ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs",
-        "calibrate_cs_nan", "calibrate_cs_inf"])
+        "calibrate_cs_nan", "calibrate_cs_inf", "calibrate_cs_huge"])
 def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     if text is not None:
         (tmp_path / argv[1]).write_text(text)
@@ -320,6 +362,39 @@ def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert err.startswith("invalid input:")
+
+
+_SHAPE_VALUES = st.one_of(
+    st.just(_FIG8.splitlines()[5].split(None, 2)[2]),
+    st.just("exact 0 1"),
+    st.builds("exact {} {}".format,
+              *[st.fractions(-3, 3, max_denominator=4)] * 2),
+    st.sampled_from(["0.5", "x y", "inf 0", "0.5 0.8 9", "exact",
+                     "exact 0 1/0", "exact 0 1 2", "exact a 1"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_SHAPE_VALUES, min_size=2, max_size=2), st.booleans())
+def test_shape_lines_fuzz_exit_codes(values, field):
+    # every shape line exact, numeric or malformed, with or without the
+    # field header: a clean exit through the documented codes
+    lines = _FIG8.splitlines()
+    lines[5:7] = ["shape %d %s" % shape for shape in enumerate(values)]
+    if field:
+        lines.insert(0, "field 2 1 -1 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.tri")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for command in ("invariant", "fill", "cs"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["--precision", "128", command, path])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("invalid input:")
 
 
 @pytest.mark.parametrize("argv", [

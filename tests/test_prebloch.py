@@ -71,13 +71,6 @@ def test_element_rejects_degenerate():
         PreBlochElement([(Fraction(1), 1)])
 
 
-def test_element_drops_degenerate_with_warning():
-    with pytest.warns(UserWarning):
-        e = PreBlochElement([(Fraction(1), 1), (Fraction(2), 1)],
-                            drop_degenerate=True)
-    assert len(e) == 1
-
-
 def test_six_fold_same_orbit_combines():
     z = mp.mpc("2", "1")
     e = PreBlochElement([(z, 1), (1 - 1 / z, 1)])

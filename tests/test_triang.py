@@ -77,9 +77,11 @@ def _triangulations(draw):
     h = draw(st.integers(0, 2))
     fld = draw(st.sampled_from([None, field_make([1, -1, 1]),
                                 field_make([1, -1, 0, 1])]))
+    # shapes are all exact or all numeric; numeric ones may mix kinds
+    exact = fld is not None and draw(st.booleans())
     shapes, tokens = [], []
     for _ in range(n):
-        kind = draw(st.sampled_from(["tokens", "value"] + ["exact"] * bool(fld)))
+        kind = "exact" if exact else draw(st.sampled_from(["tokens", "value"]))
         if kind == "exact":
             shapes.append(fld.element(draw(st.lists(
                 _RATIONALS, min_size=fld.degree, max_size=fld.degree))))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath import libmp
 
-from .dilog import _GUARD, bloch_wigner
+from .dilog import _GUARD, _record, bloch_wigner
 from .errors import (BlochError, Diverged, DegenerateShape, DegeneratedToFlat,
                      JacobianSingular, NotCoprime, NotFilled, RankDeficient)
 from .lattice import hnf_rows
@@ -173,6 +173,14 @@ def _shape_logs(zs, ar):
     return [ar.log(z) for z in zs] + [ar.log(ar.rsub(1, z)) for z in zs]
 
 
+def _recorded_logs(zs, precision):
+    """Z at wp = precision + _GUARD bits for libmp pairs zs rounded to wp:
+    the logs of their dilog shape records (the bits _shape_logs gives at
+    wp), which the volume and Chern-Simons sums read again."""
+    recs = [_record(z, precision) for z in zs]
+    return [r.log_z._mpc_ for r in recs] + [r.log_1mz._mpc_ for r in recs]
+
+
 def _system_value(system, Z, ar):
     """F = U.Z - pi i d, one entry per equation, and max |F|."""
     F = [ar.sub(ar.fsum(ar.mul_int(c, w) for c, w in zip(row, Z) if c),
@@ -246,7 +254,7 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
             shapes, k = _newton_stage(system, shapes, stage, allow_flat)
             steps += k
         zs = [ar.pos(z) for z in shapes]
-        Z = _shape_logs(zs, ar)
+        Z = _recorded_logs(zs, precision)
         residual = _system_value(system, Z, ar)[1]
         if not ar.lt(residual, ar.pow2(-precision + _GUARD)):
             raise Diverged("Newton residual %s above tolerance"
@@ -281,7 +289,9 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
         ar = _libmp(w)
         if w == wp:
             zs = [ar.pos(z) for z in zs]
-        Z = _shape_logs(zs, ar)
+            Z = _recorded_logs(zs, precision)
+        else:
+            Z = _shape_logs(zs, ar)
         F, res = _system_value(system, Z, ar)
         if w == wp and ar.lt(res, ar.pow2(-precision + _GUARD)):
             return zs, Z, res, steps
@@ -358,7 +368,8 @@ def core_length_from_shapes(t, zs, j, pq, completion=None, precision=256):
     lambda_j = +-[(r mu + s lam).Z - pi i (r d_mu + s d_lam)] with
     p s - q r = 1; sign fixed so Re > 0, imaginary part reduced mod 2 pi.
     """
-    Z = _shape_logs([_as_pair(z) for z in zs], _libmp(precision + _GUARD))
+    ar = _libmp(precision + _GUARD)
+    Z = _recorded_logs([ar.pos(_as_pair(z)) for z in zs], precision)
     with mp.workprec(precision + _GUARD):
         return _core_length(t, [mp.make_mpc(w) for w in Z], j, pq, completion)
 

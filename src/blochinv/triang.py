@@ -18,7 +18,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from . import textformat
-from .dilog import _GUARD
+from .dilog import _GUARD, _record
 from .errors import (DegenerateShape, DimensionMismatch, NotIntegral,
                      OpenFace, TriangulationSyntaxError)
 from .lattice import hnf_rows
@@ -182,6 +182,10 @@ class Triangulation:
         self.field = field
         self.fillings = list(fillings) if fillings else [None] * h
         self._shape_tokens = shape_tokens
+        exact = [isinstance(z, FieldElement) for z in self.shapes]
+        if any(exact) and (field is None or not all(exact)):
+            raise TriangulationSyntaxError(
+                "shapes must be all exact or all numeric")
         if len(self.shapes) != n:
             raise DimensionMismatch("expected %d shapes, got %d" % (n, len(self.shapes)))
         for i, row in enumerate(self.U):
@@ -205,31 +209,35 @@ class Triangulation:
         return self.U[i], self.U[i + 1], self.d[i], self.d[i + 1]
 
     def exact_shapes(self):
-        return self.field is not None and \
-            all(isinstance(z, FieldElement) for z in self.shapes)
+        return any(isinstance(z, FieldElement) for z in self.shapes)
 
     def numeric_shapes(self, precision=256):
         """Shape vector as complex numbers at the requested precision.
 
         Exact shapes are evaluated at the first root of the field, in the
         all-roots order of its embeddings, where U.Z = pi i d holds for the
-        stored d; NotIntegral when no root does."""
+        stored d; NotIntegral, naming each root and the d it gives (or why
+        it gives none), when no root does."""
         if not self.exact_shapes():
             with mp.workprec(precision + _GUARD):
                 return [mp.mpc(z) if tok is None
                         else textformat.complex_pair(tok, precision + _GUARD)
                         for z, tok in zip(self.shapes, self._shape_tokens
                                           or [None] * self.n)]
-        last = None
+        tried = []
         for root in embeddings(self.field, precision).all_roots():
             with mp.workprec(precision + _GUARD):
                 zs = [z.evaluate(root) for z in self.shapes]
             try:
-                if _pi_i_multiples(self, zs, precision) == self.d:
-                    return zs
+                d = _pi_i_multiples(self, zs, precision)
             except (NotIntegral, DegenerateShape) as exc:
-                last = exc
-        raise NotIntegral("no embedding validates the stored d (%s)" % last)
+                tried.append("root %s: %s" % (mp.nstr(root, 6), exc))
+                continue
+            if d == self.d:
+                return zs
+            tried.append("root %s gives %s" % (mp.nstr(root, 6), d))
+        raise NotIntegral("no embedding validates the stored d %s (%s)"
+                          % (self.d, "; ".join(tried)))
 
     def validate(self, precision=256):
         """Check U.Z = pi i d for the stored d; raises NotIntegral on failure."""
@@ -249,10 +257,13 @@ def _pi_i_multiples(t, zs, precision):
     """round(U.Z / pi i) for the numeric shapes zs, Z = (log z_i ;
     log(1-z_i)) with principal branches."""
     with mp.workprec(precision + _GUARD):
+        recs = []
         for z in zs:
+            z = mp.mpc(z)
             if z == 0 or z == 1:
                 raise DegenerateShape("shape %s" % z)
-        Z = [mp.log(z) for z in zs] + [mp.log(1 - z) for z in zs]
+            recs.append(_record(z._mpc_, precision))
+        Z = [r.log_z for r in recs] + [r.log_1mz for r in recs]
         tol = mp.mpf(2) ** (-(precision // 4))
         out = []
         for row in t.U:

@@ -200,24 +200,34 @@ def test_cs_formula_precision_doubling_agrees(fig8, slope, p):
 
 def test_volume_and_cs_share_one_li2_per_shape(fig8, monkeypatch):
     # solution_volume needs Im li2 and cs_formula li2 of the same shapes;
-    # the li2 memo evaluates each shape once
+    # each shape's record, left by the solver's last residual test, gives
+    # its logs to both sums and evaluates li2 once, and no sum takes a log
+    import mpmath
     from blochinv import dilog
+    dilog._record.cache_clear()
     res = newton_solve(filled_system(fig8, [(5, 1)]), precision=128)
     sol = solve_flattening(fig8.U, fig8.d)
     runs = []
-    kernel = dilog._li2_unit_disc
+    kernel = dilog._li2_kernel
 
-    def counting(z, wp):
-        runs.append(z)
-        return kernel(z, wp)
+    def counting(rec, wp):
+        runs.append(rec.z)
+        return kernel(rec, wp)
 
-    monkeypatch.setattr(dilog, "_li2_unit_disc", counting)
-    dilog._li2_kernel.cache_clear()
+    def no_log(*args, **kwargs):
+        raise AssertionError("a logarithm was taken")
+
+    monkeypatch.setattr(dilog, "_li2_kernel", counting)
+    for module, name in ((mpmath, "log"), (mpmath, "ln"), (mpmath, "log1p"),
+                         (mpmath.libmp, "mpc_log"), (mpmath.libmp, "mpf_log")):
+        monkeypatch.setattr(module, name, no_log)
+    misses = dilog._record.cache_info().misses
     vol = solution_volume(res, precision=128)
     cs = cs_formula(res.shapes, res.lambdas, sol, precision=128)
+    monkeypatch.undo()
     n = len(res.shapes)
     assert len(runs) == n
-    assert dilog._li2_kernel.cache_info()[:2] == (n, n)  # (hits, misses)
+    assert dilog._record.cache_info().misses == misses
     with mp.workprec(152):
         assert abs(cs.vol - vol) < mp.mpf(2) ** -120
 

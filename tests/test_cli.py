@@ -118,6 +118,91 @@ def test_cs_evaluates_each_shape_once(monkeypatch, capsys):
     assert code == 0 and "rho_representative" in out
     assert calls == {"cs_formula": 1, "li2": 2}
 
+# Printed digits of fill and cs on figure_eight.tri.  The shapes' logs may
+# move in their guard bits only: a move that reaches a printed digit fails.
+_FILL_VOLUMES = {
+    128: {
+        (5, 1): "0.981368828892232088091452189794427068",
+        (-7, 3): "1.80582721357314701633733993032357993",
+        (11, 6): "1.96780500563498879162111177018631318",
+    },
+    256: {
+        (5, 1): "0.981368828892232088091452189794427068238164321906312438"
+                 "642604199777420481646",
+        (-7, 3): "1.805827213573147016337339930323579932721857329543391762"
+                  "20547902253584904202",
+        (11, 6): "1.967805005634988791621111770186313180514612265580669015"
+                 "90434581319933465276",
+    },
+    512: {
+        (5, 1): "0.981368828892232088091452189794427068238164321906312438"
+                 "64260419977742048164621596200774346560862297092447715945"
+                 "093284766118998797412169716604388205450697",
+        (-7, 3): "1.805827213573147016337339930323579932721857329543391762"
+                  "20547902253584904202029387280424784948044147855844187804"
+                  "43174977422921881849701647194007426605599",
+        (11, 6): "1.967805005634988791621111770186313180514612265580669015"
+                 "90434581319933465276116650377646367017651499588999396254"
+                 "38910095714272157978147742896534369457287",
+    },
+}
+_CS_FIGURE_EIGHT = {
+    128: {
+        "vol":
+            "2.02988321281930725004240510854904057",
+        "cs_representative":
+            "-3.28986813369645287294483033329205038",
+        "rho_representative":
+            "(0.166666666666666666666666666666666667 + 0.102835084889"
+            "281817514234600702240894j)",
+    },
+    256: {
+        "vol":
+            "2.029883212819307250042405108549040571883378615060599584"
+            "03497821354142044338",
+        "cs_representative":
+            "-3.28986813369645287294483033329205037843789980241359687"
+            "547111645871962089276",
+        "rho_representative":
+            "(0.16666666666666666666666666666666666666666666666666666"
+            "6666666666665633492123 + 0.10283508488928181751423460070"
+            "2240894409820528339440946056916257157673211230j)",
+    },
+    512: {
+        "vol":
+            "2.029883212819307250042405108549040571883378615060599584"
+            "03497821354142044338499474516591515384455469453649468313"
+            "50723800635092384082022484199122880770299",
+        "cs_representative":
+            "-3.28986813369645287294483033329205037843789980241359687"
+            "54711164587196208927564716589465036991961741383938850318"
+            "099178564866011694611777016108058427738230",
+        "rho_representative":
+            "(0.16666666666666666666666666666666666666666666666666666"
+            "66666666666656334921228278531508700410332006419288775348"
+            "7203573428541669990606149340787135841707746 + 0.10283508"
+            "48892818175142346007022408944098205283394409460569162571"
+            "57673211229620943070336344745877102630328680056700944408"
+            "49787658468220788200550038390252j)",
+    },
+}
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512])
+def test_printed_digits_pinned(capsys, prec):
+    for slope, volume in _FILL_VOLUMES[prec].items():
+        code, out, _ = run(capsys, "--precision", str(prec), "--format",
+                           "records", "fill", fx("figure_eight.tri"),
+                           "--fill=%d,%d" % slope)
+        assert code == 0 and json.loads(out)["volume"] == volume, slope
+    code, out, _ = run(capsys, "--precision", str(prec), "--format",
+                       "records", "cs", fx("figure_eight.tri"))
+    doc = json.loads(out)
+    assert code == 0
+    assert {k: doc[k] for k in doc if k in _CS_FIGURE_EIGHT[prec]} == \
+        _CS_FIGURE_EIGHT[prec]
+
+
 def test_cs_example3_rational_probe(capsys):
     code, out, _ = run(capsys, "--precision", "192", "cs", fx("example3.tri"))
     assert code == 0
@@ -292,7 +377,10 @@ def test_exact_shapes_no_validating_root_exit_2(tmp_path, capsys, command):
                                                     "dvec -1 1 1 0"))
     code, _, err = run(capsys, command, str(p))
     assert code == 2
-    assert err.startswith("invalid input: no embedding validates")
+    assert err.startswith("invalid input: no embedding validates the stored "
+                          "d [-1, 1, 1, 0]")
+    # each root is named with the d it gives
+    assert "gives [-1, 1, 1, -1]" in err and "gives [1, -1, -1, 1]" in err
 
 
 _TRI = "tets 1\ncusps 0\nshape 0 0.5 0.8\nurow 0 0 0\ndvec 0\n"

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochinv.chern_simons import rho_of_beta
-from blochinv.dilog import (_GUARD, _LI2_MEMO_SIZE, RhoRepresentative,
-                            _bernoulli_table, _li2_kernel, bloch_wigner, li2,
-                            rational_reconstruct, rogers)
+from blochinv.dilog import (_GUARD, _MEMO_SIZE, RhoRepresentative,
+                            _bernoulli_table, _li2_kernel, _record,
+                            bloch_wigner, li2, rational_reconstruct, rogers)
 from blochinv.errors import DegenerateShape
 
 PREC = 256
@@ -318,11 +318,12 @@ def test_d2_six_fold_symmetry(x, y, p):
             assert abs(bloch_wigner(w, p) - sign * d) < tol
 
 
-# -- the li2 memo ----------------------------------------------------------
+# -- the shape-record memo -------------------------------------------------
 
 def _uncached(z, p):
+    """li2 of z from a fresh shape record, outside the memo."""
     with mp.workprec(p + _GUARD):
-        return _li2_kernel.__wrapped__(mp.mpc(z)._mpc_, p)
+        return _li2_kernel(_record.__wrapped__(mp.mpc(z)._mpc_, p), p + _GUARD)
 
 
 @st.composite
@@ -356,15 +357,15 @@ def _li2_points(draw):
 @given(_li2_points(), st.sampled_from([128, 256, 512]))
 def test_li2_memo_is_bit_identical_to_the_kernel(z, p):
     expect = _uncached(z, p)._mpc_
-    _li2_kernel.cache_clear()
+    _record.cache_clear()
     assert li2(z, p)._mpc_ == expect
     assert li2(z, p)._mpc_ == expect
-    assert _li2_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert _record.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_li2_memo_is_keyed_by_precision():
     z = mp.mpc("0.3", "0.4")
-    _li2_kernel.cache_clear()
+    _record.cache_clear()
     coarse = li2(z, 128)
     fine = li2(z, 256)
     assert fine._mpc_ == _uncached(z, 256)._mpc_
@@ -378,14 +379,29 @@ def test_li2_memo_is_keyed_by_the_rounded_input():
     with mp.workprec(152):
         z152 = mp.mpc(z)
     assert z._mpc_ != z152._mpc_
-    _li2_kernel.cache_clear()
+    _record.cache_clear()
     assert li2(z, 128)._mpc_ == li2(z152, 128)._mpc_ == _uncached(z, 128)._mpc_
-    assert _li2_kernel.cache_info()[:2] == (1, 1)
+    assert _record.cache_info()[:2] == (1, 1)
 
 
 def test_li2_memo_size_is_bounded():
-    _li2_kernel.cache_clear()
-    assert _li2_kernel.cache_info().maxsize == _LI2_MEMO_SIZE
-    for k in range(3 * _LI2_MEMO_SIZE):
+    _record.cache_clear()
+    assert _record.cache_info().maxsize == _MEMO_SIZE
+    for k in range(3 * _MEMO_SIZE):
         li2(mp.mpc(k, 1), 128)
-        assert _li2_kernel.cache_info().currsize <= _LI2_MEMO_SIZE
+        assert _record.cache_info().currsize <= _MEMO_SIZE
+
+
+@settings(max_examples=60, deadline=None)
+@given(_li2_points(), st.sampled_from([64, 128, 256]))
+def test_rogers_agrees_at_p_and_2p(z, p):
+    # every branch of li2, and the record's logs in the log z log(1-z) term
+    with mp.workprec(p + _GUARD):
+        if mp.mpc(z) in (0, 1):
+            with pytest.raises(DegenerateShape):
+                rogers(z, p)
+            return
+    with mp.workprec(2 * p + 32):
+        fine = rogers(z, 2 * p)
+        tol = mp.mpf(2) ** (-p + 8)
+        assert abs(rogers(z, p) - fine) < tol * max(1, abs(fine))

@@ -250,6 +250,34 @@ def test_solver_bits_pinned():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == SOLVER_BITS
 
 
+def test_solver_fills_the_shape_records():
+    # the accepted residual test takes its logs from the dilog records of the
+    # solved shapes: each record equals a fresh one bit for bit, with the
+    # bits of mp.log(z) and mp.log(1 - z) at the working precision, and its
+    # li2 and the core length from its logs are those of fresh evaluations
+    from blochinv import dilog
+    for prec in (128, 256, 512):
+        t = fig8_at(prec)
+        wp = prec + dilog._GUARD
+        for slope in SLOPES:
+            res = newton_solve(filled_system(t, [slope]), precision=prec)
+            info = dilog._record.cache_info()
+            recs = [dilog._record(z._mpc_, prec) for z in res.shapes]
+            assert dilog._record.cache_info().misses == info.misses
+            for z, rec in zip(res.shapes, recs):
+                fresh = dilog._record.__wrapped__(z._mpc_, prec)
+                with mp.workprec(wp):
+                    logs = (mp.log(z), mp.log(1 - z))
+                for a, b, c in zip((rec.z, rec.log_z, rec.log_1mz),
+                                   (fresh.z, fresh.log_z, fresh.log_1mz),
+                                   (z,) + logs):
+                    assert a._mpc_ == b._mpc_ == c._mpc_, (slope, prec)
+                assert dilog.li2(z, prec)._mpc_ == \
+                    dilog._li2_kernel(fresh, wp)._mpc_
+            assert core_length(res, 0, precision=prec)._mpc_ == \
+                res.lambdas[0]._mpc_
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-8, 8), min_size=4, max_size=4),
        st.integers(-25, 25), st.sampled_from([76, 140, 280]))

@@ -153,6 +153,19 @@ def _derived_rows(g):
                                 for row in rows]
 
 
+def test_constructor_rejects_mixed_shapes(fig8):
+    # the parser's rule holds for a Triangulation built directly: exact
+    # shapes need a field, and exact and numeric shapes do not mix
+    k = field_make([1, -1, 1])
+    w = k.element([0, 1])
+    for shapes, field in (([w, w], None), ([w, mp.mpc(0.5, 0.8)], k)):
+        with pytest.raises(TriangulationSyntaxError,
+                           match="shapes must be all exact or all numeric"):
+            Triangulation(fig8.n, fig8.h, shapes, fig8.U, fig8.d, field=field)
+    assert Triangulation(fig8.n, fig8.h, [w, w], fig8.U, fig8.d,
+                         field=k).exact_shapes()
+
+
 def test_cusp_holonomies_two_tetrahedron_gluings(fig8):
     # figure-eight and its Z/5 sibling, each under all vertex relabelings;
     # every one has one cusp, rank n + h = 3 and rows in pi i Z at the

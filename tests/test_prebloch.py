@@ -315,6 +315,50 @@ def test_is_bloch_pinned_certificates(poly, x, y, count, digest, lattice,
     assert [" ".join(map(str, b.coeffs)) for b in cert.residual_basis] == basis
 
 
+# SHA-256 of the certificates of _digest_elements(), recorded before the
+# coordinate vectors of multiplicative_relations moved from mpc objects to
+# raw libmp tuples
+CERTIFICATE_BITS = (
+    "cb88622e89d8a8f37fc6c0bfd0cdec59f59053ba9063725a7c9b749b596b7c16")
+
+
+def _digest_elements():
+    """About 200 seeded five-term elements over Q, Q(i) and x^3 - x + 1."""
+    rng = random.Random(16)
+    fields = [None, field_make([1, 0, 1]), WEEKS]
+    out = []
+    while len(out) < 201:
+        k = fields[len(out) % 3]
+        if k is None:
+            x, y = (Fraction(rng.randint(-30, 30), rng.randint(1, 8))
+                    for _ in range(2))
+        else:
+            x, y = (k.element([Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+                               for _ in range(k.degree)]) for _ in range(2))
+        try:
+            out.append(five_term(x, y))
+        except (DegenerateFiveTerm, DegenerateShape):
+            continue
+    return out
+
+
+def _exact_text(x):
+    if isinstance(x, FieldElement):
+        return " ".join(map(str, x.coeffs))
+    return str(x)
+
+
+def test_is_bloch_certificates_digest():
+    out = []
+    for e in _digest_elements():
+        cert = is_bloch(e, precision=256)
+        out.append((cert.verdict,
+                    [(r.exponents, _exact_text(r.unity))
+                     for r in cert.relations],
+                    [_exact_text(b) for b in cert.residual_basis]))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == CERTIFICATE_BITS
+
+
 def test_each_relation_verified_once(monkeypatch):
     # every returned relation is one exactly verified candidate, and no
     # verification is spent on anything else

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_neg, mpf_sub, round_nearest)
 
 from .errors import (DetectedReducible, DivisionByZero, FieldMismatch,
                      NonMonic, NotSquarefree, RootFindingFailed)
@@ -359,12 +360,38 @@ class FieldElement:
 
     # -- numerics -----------------------------------------------------------
     def evaluate(self, root):
-        """Horner evaluation of the coefficient vector at a numeric root."""
-        acc = mp.mpc(0)
-        for n in reversed(self.num):
-            p, q = self._reduced(n)
-            acc = acc * root + mp.mpf(p) / mp.mpf(q)
-        return acc
+        """Horner evaluation of the coefficient vector at a numeric root, at
+        the working precision: the bits of ``horner``."""
+        root = mp.convert(root)
+        pair = root._mpc_ if hasattr(root, "_mpc_") else (root._mpf_, fzero)
+        return mp.make_mpc(horner(self, [pair], mp.mp.prec)[0])
+
+
+def horner(element, roots, prec):
+    """The element's values at libmp (re, im) roots, as libmp pairs.
+
+    Each coefficient p/q in lowest terms is rounded once, as
+    from_int(p) / from_int(q); each Horner step rounds the product, as
+    mpc_mul does, and then the sum, both to nearest at prec bits.  These are
+    the bits of mpc Horner at working precision prec; at a root with a zero
+    imaginary part they are also those of mpc_mul_mpf, mpc times mpf.
+    """
+    rnd = round_nearest
+    coeffs = []
+    for n in reversed(element.num):
+        p, q = element._reduced(n)
+        c = from_int(p, prec, rnd)
+        coeffs.append(c if q == 1 else
+                      mpf_div(c, from_int(q, prec, rnd), prec, rnd))
+    out = []
+    for x, y in roots:
+        re, im = coeffs[0], fzero
+        for c in coeffs[1:]:
+            re, im = (mpf_add(mpf_sub(mpf_mul(re, x), mpf_mul(im, y),
+                                      prec, rnd), c, prec, rnd),
+                      mpf_add(mpf_mul(re, y), mpf_mul(im, x), prec, rnd))
+        out.append((re, im))
+    return out
 
 
 def _new(field, num, den):

@@ -13,11 +13,14 @@ only a one-sided verdict, since a missed relation can inflate the image.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import (fzero, mpc_abs, mpf_atan2, mpf_log, mpf_mul_int,
+                          mpf_sum, round_nearest)
 
 from . import textformat
 from .dilog import _GUARD
@@ -26,7 +29,7 @@ from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      TriangulationSyntaxError)
 from .lattice import (factorint, integer_relations, kernel_int,
                       snf_with_projection, solve_integer_columns)
-from .numfield import FieldElement, _polish, embeddings
+from .numfield import FieldElement, _polish, embeddings, horner
 
 
 class _InfinityType:
@@ -307,12 +310,25 @@ class Relation(NamedTuple):
 
 
 class WedgeElement:
-    __slots__ = ("basis", "matrix", "relations")
+    """An antisymmetric integer matrix over the free quotient of the group
+    generated by ``base`` modulo ``relations``; ``proj`` maps exponent
+    vectors over ``base`` onto that quotient.  The field elements of a
+    quotient basis are built when ``basis`` is first read."""
 
-    def __init__(self, basis, matrix, relations=None):
-        self.basis = basis
+    __slots__ = ("base", "proj", "matrix", "relations", "_basis")
+
+    def __init__(self, base, proj, matrix, relations=None):
+        self.base = base
+        self.proj = proj
         self.matrix = matrix      # antisymmetric integer matrix over the basis
         self.relations = [] if relations is None else relations
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = _quotient_basis(self.base, self.proj)
+        return self._basis
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.matrix)
@@ -320,18 +336,26 @@ class WedgeElement:
 
 class BlochCertificate(NamedTuple):
     verdict: str                      # "CertifiedZero" | "LikelyNonzero"
-    relations: list
-    residual_basis: list
+    wedge: WedgeElement
+
+    @property
+    def relations(self):
+        return self.wedge.relations
+
+    @property
+    def residual_basis(self):
+        return self.wedge.basis
 
     @property
     def certified_zero(self):
         return self.verdict == "CertifiedZero"
 
 
+@functools.lru_cache(maxsize=None)
 def _possible_unity_orders(degree):
     # orders m with euler_phi(m) <= degree
-    return [m for m in range(1, 6 * degree + 7)
-            if sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) <= degree]
+    return tuple(m for m in range(1, 6 * degree + 7)
+                 if sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) <= degree)
 
 
 def _is_root_of_unity(u):
@@ -413,26 +437,24 @@ def multiplicative_relations(elements, precision=256):
     if not val_kernel:
         return []
 
-    # full archimedean data: log|x| at every place, arg x at complex places
+    # full archimedean data: log|x| at every place, arg x at complex places;
+    # each search vector is the kernel row's combination of them, with the
+    # bits of mp.fsum of the products row[i] * coords[i][j] at wp
     es = embeddings(fld, precision)
     order_lcm = math.lcm(*_possible_unity_orders(fld.degree))
-    with mp.workprec(precision + 32):
-        def coord_vec(x):
-            out = []
-            for r in es.real_roots:
-                out.append(mp.log(abs(x.evaluate(r))))
-            for r in es.complex_pairs:
-                v = x.evaluate(r)
-                out.append(mp.log(abs(v)))
-                out.append(mp.arg(v))
-            return out
-
-        ncoord = es.r1 + 2 * es.r2
-        coords = [coord_vec(x) for x in elements]
+    wp = precision + 32
+    rnd = round_nearest
+    places = ([(r._mpf_, fzero) for r in es.real_roots]
+              + [z._mpc_ for z in es.complex_pairs])
+    ncoord = es.r1 + 2 * es.r2
+    coords = [_log_coordinates(x, places, es.r1, wp) for x in elements]
+    with mp.workprec(wp):
         search = []
         for row in val_kernel:
-            search.append([mp.fsum([row[i] * coords[i][j] for i in range(m)])
-                           for j in range(ncoord)])
+            terms = [(k, c) for k, c in zip(row, coords) if k]
+            search.append([mp.make_mpf(mpf_sum(
+                [mpf_mul_int(c[j], k, wp, rnd) for k, c in terms], wp, rnd))
+                for j in range(ncoord)])
         # one 2 pi / M ambiguity vector per argument coordinate
         arg_cols = [es.r1 + 2 * j + 1 for j in range(es.r2)]
         for col in arg_cols:
@@ -449,6 +471,19 @@ def multiplicative_relations(elements, precision=256):
             rel = _verify_relation(elements, e)
             if rel is not None:
                 out.append(rel)
+    return out
+
+
+def _log_coordinates(x, places, r1, wp):
+    """log|x| at each libmp place, then arg x at each place after the first
+    r1 (the real ones), as raw mpfs: the bits of mp.log(abs(v)) and mp.arg(v)
+    for v = x.evaluate(place) at working precision wp."""
+    rnd = round_nearest
+    out = []
+    for i, v in enumerate(horner(x, places, wp)):
+        out.append(mpf_log(mpc_abs(v, wp, rnd), wp, rnd))
+        if i >= r1:
+            out.append(mpf_atan2(v[1], v[0], wp, rnd))
     return out
 
 
@@ -487,7 +522,7 @@ def wedge(element, precision=256):
     if not element.is_exact():
         raise RequiresExactField("wedge needs exact generators")
     if element.is_zero():
-        return WedgeElement(basis=[], matrix=[])
+        return WedgeElement(base=[], proj=[], matrix=[])
     base, pairs = _dedup_generators(element)
     m = len(base)
     rels = multiplicative_relations(base, precision=precision)
@@ -501,8 +536,7 @@ def wedge(element, precision=256):
         for a in range(f):
             for b in range(f):
                 mat[a][b] += 2 * c * (u[a] * w[b] - u[b] * w[a])
-    basis = _quotient_basis(base, proj)
-    return WedgeElement(basis=basis, matrix=mat, relations=rels)
+    return WedgeElement(base=base, proj=proj, matrix=mat, relations=rels)
 
 
 def _quotient_basis(base, proj):
@@ -535,8 +569,7 @@ def is_bloch(element, precision=256):
         verdict = "CertifiedZero"
     else:
         verdict = "LikelyNonzero"
-    return BlochCertificate(verdict=verdict, relations=w.relations,
-                            residual_basis=w.basis)
+    return BlochCertificate(verdict=verdict, wedge=w)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ class SolveResult(NamedTuple):
     residual: object
     converged: bool
     steps: int
+    precision: int   # the bits solved for; core_length and solution_volume
+                     # evaluate at it unless told otherwise
     system: FilledSystem = None
     flat: tuple = ()     # indices of shapes at or below the flatness floor
 
@@ -267,7 +269,8 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     flat = tuple(i for i, z in enumerate(zs) if abs(z.imag) < floor)
     return SolveResult(shapes=zs, lambdas=lambdas,
                        residual=mp.make_mpf(residual), converged=True,
-                       steps=steps, system=system, flat=flat)
+                       steps=steps, precision=precision, system=system,
+                       flat=flat)
 
 
 def _doubling_solve(system, shapes, precision, floor, allow_flat):
@@ -394,8 +397,11 @@ def _core_length(t, Z, j, pq, completion=None):
     return mp.mpc(mp.re(v), im)
 
 
-def core_length(result, j, completion=None, precision=256):
-    """Core length at cusp j of a converged SolveResult."""
+def core_length(result, j, completion=None, precision=None):
+    """Core length at cusp j of a converged SolveResult, at the result's
+    precision unless another is given."""
+    if precision is None:
+        precision = result.precision
     system = result.system
     if system is None or system.filling[j] is None:
         raise NotFilled("cusp %d is unfilled" % j)
@@ -404,8 +410,11 @@ def core_length(result, j, completion=None, precision=256):
                                    precision=precision)
 
 
-def solution_volume(result, precision=256):
-    """Sum of D2 over the solved shapes (flat shapes contribute zero)."""
+def solution_volume(result, precision=None):
+    """Sum of D2 over the solved shapes (flat shapes contribute zero), at the
+    result's precision unless another is given."""
+    if precision is None:
+        precision = result.precision
     with mp.workprec(precision + _GUARD):
         total = mp.mpf(0)
         for z in result.shapes:

@@ -311,8 +311,14 @@ def parse_triangulation(text, precision=256):
         nonlocal n, h, field, dvec, glue_line, exact
         if key == "tets":
             (n,) = map(int, args)
+            if n < 1:
+                raise TriangulationSyntaxError(
+                    "tets must be at least 1, got %d" % n)
         elif key == "cusps":
             (h,) = map(int, args)
+            if h < 0:
+                raise TriangulationSyntaxError(
+                    "cusps must be at least 0, got %d" % h)
         elif key == "field":
             field = textformat.read_field(args)
         elif key == "shape":
@@ -355,9 +361,11 @@ def parse_triangulation(text, precision=256):
     textformat.read(text, line)
     if n is None or h is None:
         raise TriangulationSyntaxError("missing tets/cusps header")
-    if sorted(shapes) != list(range(n)):
+    # the counts first: a range is only built once it has as many members as
+    # the file has lines, however large the header
+    if len(shapes) != n or sorted(shapes) != list(range(n)):
         raise TriangulationSyntaxError("need one shape per tetrahedron")
-    if sorted(urows) != list(range(n + 2 * h)):
+    if len(urows) != n + 2 * h or sorted(urows) != list(range(n + 2 * h)):
         raise TriangulationSyntaxError("need %d urow lines" % (n + 2 * h))
     if dvec is None:
         raise TriangulationSyntaxError("missing dvec")

@@ -415,6 +415,8 @@ _MALFORMED = [
      .replace("dvec -1 1 1 -1", "dvec -1 1"), 11),
     ("mixed_shapes.tri", _exact_figure_eight(False).replace(
         "shape 1 exact 0 1", _FIG8.splitlines()[6]), 8),
+    ("negative_tets.tri", _TRI.replace("tets 1", "tets -1"), 1),
+    ("negative_cusps.tri", _TRI.replace("cusps 0", "cusps -2"), 2),
     ("vertex.poly", "vertex 0 0 0\nvertex 1 inf 0\n", 2),
     ("diag.poly", "vertex 0 inf\ndiag 0 1 2 3\n", 2),
 ]
@@ -431,6 +433,19 @@ def test_malformed_line_exit_2(tmp_path, capsys, name, text, line):
     assert err.startswith("invalid input: line %d:" % line)
 
 
+def test_header_counts_named(tmp_path, capsys):
+    p = tmp_path / "negative.tri"
+    p.write_text(_TRI.replace("tets 1", "tets -1"))
+    code, _, err = run(capsys, "invariant", str(p))
+    assert code == 2
+    assert err == "invalid input: line 1: tets must be at least 1, got -1\n"
+    p.write_text("tets 0\ncusps 0\ndvec\n")
+    code, _, err = run(capsys, "invariant", str(p))
+    assert code == 2
+    assert err == "invalid input: line 1: tets must be at least 1, got 0\n"
+
+
+
 @pytest.mark.parametrize("argv,text", [
     (["invariant", "mixed.bloch"],
      "field 2 -2 0 1\n1 * [1 1]\n1 * (0.5 0.5)\n"),
@@ -440,8 +455,17 @@ def test_malformed_line_exit_2(tmp_path, capsys, name, text, line):
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "nan"], None),
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "inf"], None),
     (["cs", fx("figure_eight.tri"), "--calibrate-cs", "1e999"], None),
-], ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs",
-        "calibrate_cs_nan", "calibrate_cs_inf", "calibrate_cs_huge"])
+] + [([command, "huge_%s.tri" % key],
+       _TRI.replace("%s %d" % (key, n), "%s %d" % (key, 10 ** 20)))
+      for command in ("invariant", "fill", "cs")
+      for key, n in (("tets", 1), ("cusps", 0))
+] + [([command, "empty.tri"], "tets 0\ncusps 0\ndvec\n")
+     for command in ("invariant", "fill", "cs")],
+    ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs",
+         "calibrate_cs_nan", "calibrate_cs_inf", "calibrate_cs_huge"]
+    + ["%s_huge_%s" % (command, key) for command in ("invariant", "fill", "cs")
+       for key in ("tets", "cusps")]
+    + ["%s_empty" % command for command in ("invariant", "fill", "cs")])
 def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     if text is not None:
         (tmp_path / argv[1]).write_text(text)

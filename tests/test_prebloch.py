@@ -377,6 +377,73 @@ def test_each_relation_verified_once(monkeypatch):
         assert [r.exponents for r in cert.relations] == calls
 
 
+def test_residual_basis_built_when_read(monkeypatch):
+    from blochinv import prebloch
+    build = prebloch._quotient_basis
+    calls = []
+
+    def counting_build(base, proj):
+        calls.append(len(base))
+        return build(base, proj)
+
+    monkeypatch.setattr(prebloch, "_quotient_basis", counting_build)
+    poly, x, y, *_, basis = _PINNED_CERTIFICATES[2]
+    cert = is_bloch(_pinned_element(poly, x, y), precision=256)
+    assert cert.verdict == "CertifiedZero" and cert.relations
+    assert calls == []
+    assert [" ".join(map(str, b.coeffs)) for b in cert.residual_basis] == basis
+    assert cert.residual_basis is cert.residual_basis
+    assert len(calls) == 1
+
+
+def _mpc_horner(a, root):
+    """Horner on mpc objects at the working precision: each coefficient p/q
+    in lowest terms as mpf(p) / mpf(q)."""
+    acc = mp.mpc(0)
+    for c in reversed(a.coeffs):
+        acc = acc * root + mp.mpf(c.numerator) / mp.mpf(c.denominator)
+    return acc
+
+
+# exact mpf parts wider than 512 bits, and both libmp zeros
+_PART = st.one_of(
+    st.sampled_from([mp.libmp.fzero, mp.libmp.fnzero]),
+    st.builds(mp.libmp.from_man_exp, st.integers(-2 ** 600, 2 ** 600),
+              st.integers(-620, 8)))
+_WIDE = st.builds(Fraction, st.integers(-2 ** 700, 2 ** 700),
+                  st.integers(1, 2 ** 700))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([field_make([0, 1]), field_make([1, 0, 1]), WEEKS,
+                        QUARTIC]),
+       st.sampled_from([128, 256, 512]), st.data())
+def test_libmp_coordinates_match_mpc(k, prec, data):
+    # numfield.horner and the coordinates taken from it have the bits of mpc
+    # Horner followed by mp.log(abs(v)) and mp.arg(v): at real places (given
+    # to mpc Horner as an mpf) and complex ones, zeros of either sign
+    # included, with coefficients wider than the precision
+    from blochinv.numfield import horner
+    from blochinv.prebloch import _log_coordinates
+    a = k.element(data.draw(st.lists(_WIDE, min_size=k.degree,
+                                     max_size=k.degree)))
+    reals = data.draw(st.lists(_PART, max_size=2))
+    pairs = data.draw(st.lists(st.tuples(_PART, _PART), max_size=3))
+    places = [(x, mp.libmp.fzero) for x in reals] + pairs
+    roots = [mp.make_mpf(x) for x in reals] + [mp.make_mpc(z) for z in pairs]
+    with mp.workprec(prec):
+        values = [_mpc_horner(a, r) for r in roots]
+        assert horner(a, places, prec) == [v._mpc_ for v in values]
+        assert [a.evaluate(r)._mpc_ for r in roots] == \
+            [v._mpc_ for v in values]
+        coords = []
+        for i, v in enumerate(values):
+            coords.append(mp.log(abs(v))._mpf_)
+            if i >= len(reals):
+                coords.append(mp.arg(v)._mpf_)
+    assert _log_coordinates(a, places, len(reals), prec) == coords
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([field_make([1, 0, 1]), WEEKS]), st.data())
 def test_relations_are_independent(k, data):

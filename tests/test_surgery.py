@@ -116,6 +116,18 @@ def test_core_length_unfilled_raises(fig8):
         core_length(res, 0)
 
 
+def test_result_precision_is_the_default():
+    # a 512-bit solve reports 512-bit core lengths and volume unasked
+    res = newton_solve(filled_system(fig8_at(512), [(5, 1)]), precision=512)
+    assert res.precision == 512
+    lam = core_length(res, 0)
+    assert lam._mpc_ == core_length(res, 0, precision=512)._mpc_
+    assert lam._mpc_ == res.lambdas[0]._mpc_
+    assert mp.re(lam)._mpf_[3] > 280
+    assert solution_volume(res)._mpf_ == \
+        solution_volume(res, precision=512)._mpf_
+
+
 def test_core_length_completion_shift(fig8):
     # replacing (r,s) by (r+p, s+q) shifts lambda by 2 pi i only (mod sign)
     prec = 160

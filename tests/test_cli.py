@@ -415,7 +415,6 @@ _MALFORMED = [
      .replace("dvec -1 1 1 -1", "dvec -1 1"), 11),
     ("mixed_shapes.tri", _exact_figure_eight(False).replace(
         "shape 1 exact 0 1", _FIG8.splitlines()[6]), 8),
-    ("negative_tets.tri", _TRI.replace("tets 1", "tets -1"), 1),
     ("negative_cusps.tri", _TRI.replace("cusps 0", "cusps -2"), 2),
     ("vertex.poly", "vertex 0 0 0\nvertex 1 inf 0\n", 2),
     ("diag.poly", "vertex 0 inf\ndiag 0 1 2 3\n", 2),
@@ -443,7 +442,6 @@ def test_header_counts_named(tmp_path, capsys):
     code, _, err = run(capsys, "invariant", str(p))
     assert code == 2
     assert err == "invalid input: line 1: tets must be at least 1, got 0\n"
-
 
 
 @pytest.mark.parametrize("argv,text", [

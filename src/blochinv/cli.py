@@ -178,7 +178,7 @@ def cmd_cs(args, config):
     rep = Report("cs", config)
     prec = config.precision
     t = parse_triangulation(_read(args.file), precision=prec)
-    t.validate(precision=prec)
+    shapes = t.validate(precision=prec)
     flat = solve_flattening(t.U, t.d)
     rep.add("flattening", [str(q) for q in flat.c],
             text=" ".join(str(q) for q in flat.c))
@@ -190,7 +190,6 @@ def cmd_cs(args, config):
         shapes = res.shapes
         lambdas = res.lambdas
     else:
-        shapes = t.numeric_shapes(prec)
         lambdas = [mp.mpc(0)] * t.h
     result = cs_formula(shapes, lambdas, flat, precision=prec)
     with mp.workprec(prec + 16):

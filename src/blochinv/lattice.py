@@ -13,6 +13,9 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (from_int, from_man_exp, mpf_lt, mpf_mul, mpf_nint,
+                          mpf_pos, mpf_shift, mpf_sqrt, mpf_sum, round_nearest,
+                          to_int)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -364,23 +367,30 @@ def integer_relations(vectors, precision, max_coeff=None):
     n = len(vectors)
     if n == 0:
         return []
-    with mp.workprec(precision + 32):
-        K = mp.mpf(2) ** (precision // 2)
-        rows = []
-        for i, v in enumerate(vectors):
-            tail = [int(mp.nint(K * mp.mpf(x))) for x in v]
-            rows.append([1 if j == i else 0 for j in range(n)] + tail)
-        red = lll_reduce(rows)
-        out = []
-        thresh = mp.mpf(2) ** (precision // 2 - precision // 4)
-        for row in red:
-            coeffs = row[:n]
-            tail = row[n:]
-            if not any(coeffs):
-                continue
-            tail_norm = mp.sqrt(mp.fsum([mp.mpf(t) ** 2 for t in tail]))
-            if tail_norm < thresh:
-                if max_coeff is None or max(abs(c) for c in coeffs) <= max_coeff:
-                    out.append(list(coeffs))
-        out.sort(key=lambda r: max(abs(c) for c in r))
-        return out
+    # raw libmp throughout, with the bits of the mpf expressions
+    # int(mp.nint(K * mp.mpf(x))) and mp.sqrt(mp.fsum([mp.mpf(t) ** 2 ...]))
+    # at working precision wp
+    wp = precision + 32
+    rnd = round_nearest
+    half = precision // 2
+    rows = []
+    for i, v in enumerate(vectors):
+        tail = [to_int(mpf_nint(mpf_shift(
+            mpf_pos(mp.mpf.mpf_convert_arg(x, wp, rnd), wp, rnd), half)))
+            for x in v]
+        rows.append([1 if j == i else 0 for j in range(n)] + tail)
+    red = lll_reduce(rows)
+    out = []
+    thresh = from_man_exp(1, half - precision // 4)
+    for row in red:
+        coeffs = row[:n]
+        if not any(coeffs):
+            continue
+        tail = [from_int(t, wp, rnd) for t in row[n:]]
+        tail_norm = mpf_sqrt(mpf_sum([mpf_mul(t, t, wp, rnd) for t in tail],
+                                     wp, rnd), wp, rnd)
+        if mpf_lt(tail_norm, thresh):
+            if max_coeff is None or max(abs(c) for c in coeffs) <= max_coeff:
+                out.append(list(coeffs))
+    out.sort(key=lambda r: max(abs(c) for c in r))
+    return out

@@ -291,12 +291,20 @@ class FieldElement:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
+        if not n:
+            return self.field.one()
+        # square up to the lowest set bit, which starts the product; stop
+        # squaring with the highest bit
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 

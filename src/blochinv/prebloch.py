@@ -488,26 +488,45 @@ def _log_coordinates(x, places, r1, wp):
 
 
 def _verify_relation(elements, exps):
-    num = elements[0].field.one()
-    den = elements[0].field.one()
-    for x, e in zip(elements, exps):
-        if e > 0:
-            num = num * x ** e
-        elif e < 0:
-            den = den * x ** (-e)
-    u = num / den
-    if _is_root_of_unity(u):
-        return Relation(tuple(int(e) for e in exps), u)
-    return None
+    """The relation prod x^e = u if u is a root of unity, else None.  With
+    the product split as num / den, u = +-1 is read off num == +-den, and
+    only another u costs a division."""
+    one = elements[0].field.one()
+    num = [x ** e for x, e in zip(elements, exps) if e > 0]
+    den = [x ** -e for x, e in zip(elements, exps) if e < 0]
+    num, den = (math.prod(p[1:], start=p[0]) if p else one
+                for p in (num, den))
+    if num == den:
+        u = one
+    elif num == -den:
+        u = -one
+    else:
+        u = num / den
+        if not _is_root_of_unity(u):
+            return None
+    return Relation(tuple(int(e) for e in exps), u)
 
 
 def _relations_over_q(elements):
-    """Exact relation lattice for rationals via prime factorization."""
+    """Exact relation lattice for rationals via prime factorization.  Each
+    kernel row e is checked on integers: prod |x|^e = 1 as top == bot, with
+    the sign of the unity from the odd exponents of negative x."""
     out = []
     for e in _valuation_kernel(elements):
-        u = math.prod(Fraction(x) ** ee for x, ee in zip(elements, e))
-        if u in (1, -1):
-            out.append(Relation(tuple(int(x) for x in e), u))
+        top = bot = 1
+        sign = 1
+        for x, k in zip(elements, e):
+            n, d = abs(x.numerator), x.denominator
+            if k > 0:
+                top *= n ** k
+                bot *= d ** k
+            elif k < 0:
+                top *= d ** -k
+                bot *= n ** -k
+            if x < 0 and k & 1:
+                sign = -sign
+        if top == bot:
+            out.append(Relation(tuple(int(k) for k in e), Fraction(sign)))
     return out
 
 

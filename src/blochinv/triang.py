@@ -240,11 +240,16 @@ class Triangulation:
                           % (self.d, "; ".join(tried)))
 
     def validate(self, precision=256):
-        """Check U.Z = pi i d for the stored d; raises NotIntegral on failure."""
-        inferred = infer_d(self, precision=precision)
-        if inferred != self.d:
-            raise NotIntegral("stored d %s but shapes give %s" % (self.d, inferred))
-        return True
+        """Check U.Z = pi i d for the stored d and return the validated
+        numeric_shapes(precision); raises NotIntegral on failure."""
+        zs = self.numeric_shapes(precision)
+        # numeric_shapes has checked exact shapes against the stored d
+        if not self.exact_shapes():
+            inferred = _pi_i_multiples(self, zs, precision)
+            if inferred != self.d:
+                raise NotIntegral("stored d %s but shapes give %s"
+                                  % (self.d, inferred))
+        return zs
 
 
 def infer_d(t, precision=256):

@@ -345,6 +345,27 @@ def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
     assert "bad exact shape" in err
 
 
+@pytest.mark.parametrize("command", ["invariant", "cs"])
+def test_one_shape_validation_per_command(tmp_path, monkeypatch, capsys,
+                                          command):
+    # the shapes Triangulation.validate returns are the ones the command
+    # evaluates: one root search per call
+    from blochinv.triang import Triangulation
+    numeric_shapes = Triangulation.numeric_shapes
+    calls = []
+
+    def counting(self, precision=256):
+        calls.append(precision)
+        return numeric_shapes(self, precision)
+
+    monkeypatch.setattr(Triangulation, "numeric_shapes", counting)
+    p = tmp_path / "exact.tri"
+    p.write_text(_exact_figure_eight(False))
+    code, _, _ = run(capsys, "--format", "records", command, str(p))
+    assert code == 0
+    assert calls == [256]
+
+
 def test_fill_exact_shapes_matches_numeric(tmp_path, capsys):
     # exact shapes start Newton at their validating root: the solve is the
     # numeric fixture's, digit for digit

@@ -294,3 +294,96 @@ def test_factorint_large_inputs():
     assert factorint(2 ** 64) == {2: 64}
     assert factorint((2 ** 89 - 1) ** 2) == {2 ** 89 - 1: 2}
 
+
+
+# integer_relations on raw libmp against the mpf expressions it replaces
+
+def _scaled_entries_mpf(v, prec):
+    with mp.workprec(prec + 32):
+        K = mp.mpf(2) ** (prec // 2)
+        return [int(mp.nint(K * mp.mpf(x))) for x in v]
+
+
+def _tail_is_short_mpf(tail, prec):
+    with mp.workprec(prec + 32):
+        thresh = mp.mpf(2) ** (prec // 2 - prec // 4)
+        return mp.sqrt(mp.fsum([mp.mpf(t) ** 2 for t in tail])) < thresh
+
+
+@st.composite
+def _search_entry(draw, prec):
+    """An entry as integer_relations receives it: an mpf at another
+    precision, an int, a 2 pi / M ambiguity entry, or an x whose
+    2^(prec/2) x is at or next to a half-integer tie, before or after
+    rounding to prec + 32 bits."""
+    from mpmath.libmp import from_man_exp
+    from blochinv.prebloch import _possible_unity_orders
+    half, wp = prec // 2, prec + 32
+    kind = draw(st.sampled_from(["mpf", "int", "ambiguity", "tie", "near"]))
+    if kind == "mpf":
+        bits = draw(st.integers(1, 2 * wp))
+        man = draw(st.integers(-(2 ** bits), 2 ** bits))
+        exp = -bits + draw(st.integers(-half - 4, 64))
+        return mp.make_mpf(from_man_exp(man, exp))
+    if kind == "int":
+        return draw(st.integers(-(2 ** (2 * wp)), 2 ** (2 * wp)))
+    if kind == "ambiguity":
+        order = math.lcm(*_possible_unity_orders(draw(st.integers(1, 4))))
+        with mp.workprec(wp):
+            return 2 * mp.pi / order
+    m = draw(st.integers(-(2 ** (wp - 2)), 2 ** (wp - 2)))
+    if kind == "tie":
+        return mp.make_mpf(from_man_exp(2 * m + 1, -half - 1))
+    # K x within a few ulps of a tie after x is rounded to wp bits
+    extra = draw(st.integers(1, 12))
+    man = ((2 * m + 1) << extra) + draw(st.integers(-3, 3))
+    return mp.make_mpf(from_man_exp(man, -half - 1 - extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([128, 256, 512]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(_search_entry(p), min_size=1,
+                                             max_size=6))))
+def test_integer_relations_entries_match_mpf(case):
+    from unittest import mock
+    from blochinv import lattice
+    prec, v = case
+    seen = []
+    with mock.patch.object(lattice, "lll_reduce",
+                           lambda rows: seen.extend(rows) or []):
+        integer_relations([v], prec)
+    assert seen == [[1] + _scaled_entries_mpf(v, prec)]
+
+
+@st.composite
+def _tail(draw, prec):
+    """An integer tail whose norm is at most a few units from the threshold
+    2^(prec/2 - prec/4), or one with entries wider than the working
+    precision."""
+    h, wp = prec // 2 - prec // 4, prec + 32
+    kind = draw(st.sampled_from(["one", "two", "wide"]))
+    if kind == "one":
+        tail = [2 ** h + draw(st.integers(-3, 3))]
+    elif kind == "two":
+        t0 = draw(st.integers(0, 2 ** h))
+        tail = [t0, math.isqrt(4 ** h - t0 * t0) + draw(st.integers(-1, 2))]
+    else:
+        tail = draw(st.lists(st.integers(-(2 ** (2 * wp)), 2 ** (2 * wp)),
+                             min_size=1, max_size=4))
+    tail += [0] * draw(st.integers(0, 2))
+    return [draw(st.sampled_from([1, -1])) * t for t in tail]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([128, 256, 512]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(_tail(p), min_size=1,
+                                             max_size=5))))
+def test_integer_relations_tail_test_matches_mpf(case):
+    from unittest import mock
+    from blochinv import lattice
+    prec, tails = case
+    rows = [[i + 1] + t for i, t in enumerate(tails)]
+    with mock.patch.object(lattice, "lll_reduce", lambda _: rows):
+        found = integer_relations([[0]], prec)
+    assert found == [[i + 1] for i, t in enumerate(tails)
+                     if _tail_is_short_mpf(t, prec)]

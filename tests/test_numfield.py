@@ -517,3 +517,37 @@ def test_mul_inverse_norm_make_no_fraction(monkeypatch):
     norm = a.norm()
     assert made == [(8776541, 38416)]  # the returned value only
     assert norm == Fraction(8776541, 38416)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_field_and_elements(1), st.integers(-5, 70))
+def test_pow_equals_repeated_product(ka, n):
+    k, a = ka
+    if n < 0 and a.is_zero():
+        return
+    base = a if n >= 0 else a.inverse()
+    product = k.one()
+    for _ in range(abs(n)):
+        product = product * base
+    assert a ** n == product
+
+
+def test_pow_multiplication_count(monkeypatch):
+    # square-and-multiply from the lowest set bit: bit_length - 1 squarings
+    # and one product per further set bit, so x ** 1 multiplies nothing
+    from blochinv.numfield import FieldElement
+    k = NumberField(WEEKS)
+    x = k.element([2, -1, Fraction(1, 3)])
+    mul = FieldElement.__mul__
+    count = [0]
+
+    def counting_mul(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    for n in range(71):
+        count[0] = 0
+        x ** n
+        expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        assert count[0] == expected, n

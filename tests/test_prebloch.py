@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from importlib.resources import files
@@ -634,3 +635,91 @@ def test_five_term_entries_at_argument_bits():
         x, y = mp.mpc(2, 1) / 3, mp.mpc(-2, 5) / 7
     v = volume_of_prebloch(five_term(x, y), precision=256)
     assert abs(v) < mp.mpf(2) ** -200
+
+
+def _counting_inverse(monkeypatch):
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("poly,unity_order", [([1, 0, 1], 4), ([1, 1, 1], 3)])
+def test_verify_relation_other_unity_divides(monkeypatch, poly, unity_order):
+    # i in Q(i) and a primitive cube root of unity in Q(sqrt -3): the unity is
+    # no +-1, so it is formed as num / den and tested as a root of unity
+    from blochinv.prebloch import _verify_relation
+    k = field_make(poly)
+    zeta, x = k.gen(), k.element([2, 1])
+    calls = _counting_inverse(monkeypatch)
+    rel = _verify_relation([zeta, x], (1, 0))
+    assert rel.exponents == (1, 0) and rel.unity == zeta
+    assert (rel.unity ** unity_order).is_one()
+    rel = _verify_relation([x, zeta * x], (-1, 1))
+    assert rel.unity == zeta
+    assert len(calls) == 2
+    assert _verify_relation([x, zeta], (1, 0)) is None
+
+
+def test_verify_relation_plus_minus_one_no_inverse(monkeypatch):
+    from blochinv.prebloch import _verify_relation
+    k = field_make([1, 0, 1])
+    a, b = k.element([2, 1]), k.element([2, -1])
+    calls = _counting_inverse(monkeypatch)
+    rel = _verify_relation([a, b, k.from_rational(5)], (1, 1, -1))
+    assert rel.unity == 1 and rel.unity.is_one()
+    rel = _verify_relation([a, -a], (2, -2))
+    assert rel.unity == 1
+    rel = _verify_relation([a, -a], (-1, 1))
+    assert rel.unity == -1 and rel.exponents == (-1, 1)
+    rel = _verify_relation([-k.one(), a], (3, 0))
+    assert rel.unity == -1
+    assert calls == []
+
+
+def _relations_over_q_reference(elements):
+    """The unity of each valuation-kernel row as a product of Fractions."""
+    from blochinv.prebloch import Relation, _valuation_kernel
+    out = []
+    for e in _valuation_kernel(elements):
+        u = math.prod(Fraction(x) ** k for x, k in zip(elements, e))
+        if u in (1, -1):
+            out.append(Relation(tuple(e), u))
+    return out
+
+
+def test_relations_over_q_unity_minus_one():
+    for elements, e in (([-2, Fraction(1, 2)], (1, 1)),
+                        ([-4, 2], (1, -2)),
+                        ([Fraction(-1, 3), 9, 5], (2, 1, 0))):
+        elements = [Fraction(x) for x in elements]
+        rels = multiplicative_relations(elements)
+        assert len(rels) == 1
+        rel = rels[0]
+        assert rel.exponents in (e, tuple(-k for k in e))
+        assert type(rel.unity) is Fraction
+        assert rel.unity == math.prod(x ** k for x, k in
+                                      zip(elements, rel.exponents))
+    assert multiplicative_relations([Fraction(-2), Fraction(4)])[0].unity == 1
+
+
+def test_relations_over_q_none():
+    assert multiplicative_relations([Fraction(2), Fraction(-3),
+                                     Fraction(5, 7)]) == []
+
+
+_NONZERO_Q = st.fractions(min_value=-40, max_value=40,
+                          max_denominator=12).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_NONZERO_Q, min_size=1, max_size=6))
+def test_relations_over_q_match_fraction_products(elements):
+    rels = multiplicative_relations(elements)
+    assert rels == _relations_over_q_reference(elements)
+    assert all(type(r.unity) is Fraction for r in rels)

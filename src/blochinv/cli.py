@@ -186,6 +186,7 @@ def cmd_cs(args, config):
     filling = FillingSpec(t.fillings)
     if any(f is not None for f in filling):
         res = newton_solve(filled_system(t, filling), precision=prec,
+                           initial_shapes=shapes,
                            allow_flat=config.allow_flat)
         shapes = res.shapes
         lambdas = res.lambdas

@@ -513,16 +513,10 @@ def _relations_over_q(elements):
     the sign of the unity from the odd exponents of negative x."""
     out = []
     for e in _valuation_kernel(elements):
-        top = bot = 1
-        sign = 1
+        top = bot = sign = 1
         for x, k in zip(elements, e):
-            n, d = abs(x.numerator), x.denominator
-            if k > 0:
-                top *= n ** k
-                bot *= d ** k
-            elif k < 0:
-                top *= d ** -k
-                bot *= n ** -k
+            n, d = abs(x.numerator) ** abs(k), x.denominator ** abs(k)
+            top, bot = (top * n, bot * d) if k > 0 else (top * d, bot * n)
             if x < 0 and k & 1:
                 sign = -sign
         if top == bot:

@@ -345,11 +345,12 @@ def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
     assert "bad exact shape" in err
 
 
-@pytest.mark.parametrize("command", ["invariant", "cs"])
+@pytest.mark.parametrize("command,fill", [("invariant", "complete"),
+                                          ("cs", "complete"), ("cs", "5 1")])
 def test_one_shape_validation_per_command(tmp_path, monkeypatch, capsys,
-                                          command):
+                                          command, fill):
     # the shapes Triangulation.validate returns are the ones the command
-    # evaluates: one root search per call
+    # evaluates, or the filled solve starts from: one root search per call
     from blochinv.triang import Triangulation
     numeric_shapes = Triangulation.numeric_shapes
     calls = []
@@ -360,7 +361,8 @@ def test_one_shape_validation_per_command(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(Triangulation, "numeric_shapes", counting)
     p = tmp_path / "exact.tri"
-    p.write_text(_exact_figure_eight(False))
+    p.write_text(_exact_figure_eight(False).replace("fill 0 complete",
+                                                    "fill 0 " + fill))
     code, _, _ = run(capsys, "--format", "records", command, str(p))
     assert code == 0
     assert calls == [256]

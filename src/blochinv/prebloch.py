@@ -492,10 +492,9 @@ def _verify_relation(elements, exps):
     the product split as num / den, u = +-1 is read off num == +-den, and
     only another u costs a division."""
     one = elements[0].field.one()
-    num = [x ** e for x, e in zip(elements, exps) if e > 0]
-    den = [x ** -e for x, e in zip(elements, exps) if e < 0]
-    num, den = (math.prod(p[1:], start=p[0]) if p else one
-                for p in (num, den))
+    sides = ([x ** e for x, e in zip(elements, exps) if e > 0],
+             [x ** -e for x, e in zip(elements, exps) if e < 0])
+    num, den = (math.prod(p[1:], start=p[0]) if p else one for p in sides)
     if num == den:
         u = one
     elif num == -den:

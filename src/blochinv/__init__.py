@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "numfield": ("NumberField", "FieldElement", "EmbeddingSet", "field_make",
                  "embeddings"),
-    "dilog": ("li2", "bloch_wigner", "rogers", "volume_of_prebloch",
-              "RhoRepresentative"),
+    "dilog": ("li2", "bloch_wigner", "rogers", "volume_of_prebloch"),
     "prebloch": ("PreBlochElement", "Infinity", "cross_ratio",
                  "six_fold_normalize", "five_term", "wedge", "is_bloch",
                  "multiplicative_relations", "WedgeElement",
@@ -28,11 +27,9 @@ _EXPORTS = {
     "surgery": ("FillingSpec", "FilledSystem", "SolveResult", "filled_system",
                 "newton_solve", "core_length", "solution_volume"),
     "chern_simons": ("FlatteningSolution", "CSResult", "solve_flattening",
-                     "cs_formula", "rho_of_beta", "eta_from_cs",
-                     "rationalize_mod_pi2"),
+                     "cs_formula", "rationalize_mod_pi2"),
     "borel": ("RegulatorVector", "RelationReport", "borel_regulator",
-              "detect_relation", "per_root_values", "conjugate_family",
-              "rank_witness"),
+              "detect_relation", "per_root_values", "rank_witness"),
     "scissors": ("IdealPolyhedron", "cone_decomposition", "polyhedron_class",
                  "cycle_move", "decomposition_class", "parse_polyhedron"),
 }

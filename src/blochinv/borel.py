@@ -9,16 +9,11 @@ NumericOnly confidence tag.
 
 Galois conjugates are realized without splitting-field arithmetic: a
 conjugate of an element is the same coefficient data evaluated at a
-different root of the minimal polynomial.  The subgroup generated by all
-conjugates is probed through the symmetric-group orbit of the per-root value
-vector (exact for fields with full symmetric Galois group, an upper bound
-otherwise), which reproduces the expected ranks: a conjugate family of d
-vectors with vanishing sum spans d - 1 dimensions at most.
+different root of the minimal polynomial.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -120,22 +115,6 @@ def per_root_values(element, precision=256):
     es = embeddings(element.field, precision)
     return [volume_of_prebloch(element, embedding=r, precision=precision)
             for r in es.all_roots()]
-
-
-def conjugate_family(element, precision=256):
-    """Vectors realizing the Galois conjugates of an element.
-
-    Conjugate k (evaluation at root k) maps to the vector indexed by
-    permutations pi of the roots with entry W[pi(k)], W being the per-root
-    value vector.  Spans of such vectors reproduce the regulator ranks of
-    conjugate families when the Galois closure has full symmetric group.
-    """
-    W = per_root_values(element, precision)
-    d = len(W)
-    if d > 6:
-        raise ValueError("degree %d conjugate family is too large" % d)
-    perms = list(itertools.permutations(range(d)))
-    return [[W[p[k]] for p in perms] for k in range(d)]
 
 
 def rank_witness(vectors, precision=256):

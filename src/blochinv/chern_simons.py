@@ -18,11 +18,9 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .dilog import (_GUARD, RhoRepresentative, _flattened_rogers,
-                    rational_reconstruct)
+from .dilog import _GUARD, _flattened_rogers, rational_reconstruct
 from .errors import Inconsistent
 from .lattice import solve_integer, solve_rational
-from .prebloch import _value_bits
 
 
 class FlatteningSolution(NamedTuple):
@@ -70,26 +68,10 @@ def cs_formula(shapes, lambdas, flattening, precision=256):
                         cs_mod_rational=mp.im(total))
 
 
-def rho_of_beta(shapes, flattening, precision=256, lambdas=None):
-    """(i / 2 pi^2) (vol + i CS) as a representative modulo Q."""
-    return rho_of_cs(cs_formula(shapes, lambdas or [], flattening, precision),
-                     precision)
-
-
 def rho_of_cs(res, precision=256):
-    """The rho representative (i / 2 pi^2) res.value of a CSResult."""
+    """(i / 2 pi^2) res.value of a CSResult, a representative modulo Q."""
     with mp.workprec(precision + _GUARD):
-        return RhoRepresentative(mp.mpc(0, 1) / (2 * mp.pi ** 2) * res.value,
-                                 precision)
-
-
-def eta_from_cs(cs_over_2pi2):
-    """(1/2 pi^2) CS = (3/2) eta modulo 1/2 (compact manifolds): reduce mod 1/2
-    into [0, 1/2), at the bits of the input plus 32."""
-    with mp.workprec(_value_bits(cs_over_2pi2) + 32):
-        x = mp.mpf(cs_over_2pi2)
-        half = mp.mpf(1) / 2
-        return x - half * mp.floor(x / half)
+        return mp.mpc(0, 1) / (2 * mp.pi ** 2) * res.value
 
 
 def rationalize_mod_pi2(x, max_denominator=120, precision=256):

@@ -38,9 +38,10 @@ def _fmt(x, precision):
 class Report:
     """Collects key/value findings; renders as text lines or one JSON doc."""
 
-    def __init__(self, command, config):
+    def __init__(self, command, args):
         self.data = {"schema": SCHEMA, "command": command,
-                     "precision": config.precision}
+                     "precision": args.precision}
+        self.format = args.format
         self.lines = []
 
     def add(self, key, value, text=None):
@@ -48,8 +49,8 @@ class Report:
         self.lines.append("%-22s %s" % (key + ":", text if text is not None
                                         else value))
 
-    def emit(self, config):
-        if config.format == "records":
+    def emit(self):
+        if self.format == "records":
             print(json.dumps(self.data, default=str, indent=2))
         else:
             for line in self.lines:
@@ -81,21 +82,20 @@ def _load_element(path, precision):
 
 # ---------------------------------------------------------------------------
 
-def cmd_invariant(args, config):
+def cmd_invariant(args):
     from .dilog import volume_of_prebloch
     from .numfield import embeddings
     from .prebloch import is_bloch, serialize_element, six_fold_normalize
     from .triang import bloch_invariant, parse_triangulation
-    rep = Report("invariant", config)
+    rep = Report("invariant", args)
     text = _read(args.file)
-    prec = config.precision
+    prec = args.precision
     if _is_triangulation(text):
         t = parse_triangulation(text, precision=prec)
         if t.exact_shapes():
             rep.add("field", list(t.field.min_poly))
-        t.validate(precision=prec)
-        rep.add("validated", True)
         element = bloch_invariant(t, precision=prec)
+        rep.add("validated", True)
     else:
         element, places = _load_element(args.file, prec)
         element = six_fold_normalize(element)
@@ -124,7 +124,7 @@ def cmd_invariant(args, config):
         with mp.workprec(prec + 16):
             v = volume_of_prebloch(element, precision=prec)
         rep.add("volume", _fmt(v, prec))
-    rep.emit(config)
+    rep.emit()
     return 0
 
 
@@ -146,17 +146,17 @@ def _parse_fill_flags(fills, h):
     return out
 
 
-def cmd_fill(args, config):
+def cmd_fill(args):
     from .surgery import (FillingSpec, filled_system, newton_solve,
                           solution_volume)
     from .triang import parse_triangulation
-    rep = Report("fill", config)
-    prec = config.precision
+    rep = Report("fill", args)
+    prec = args.precision
     t = parse_triangulation(_read(args.file), precision=prec)
     fillings = _parse_fill_flags(args.fill, t.h) or t.fillings
     filling = FillingSpec(fillings)
     system = filled_system(t, filling)
-    res = newton_solve(system, precision=prec, allow_flat=config.allow_flat)
+    res = newton_solve(system, precision=prec, allow_flat=args.allow_flat)
     rep.add("converged", res.converged)
     rep.add("steps", res.steps)
     rep.add("residual", mp.nstr(res.residual, 8))
@@ -166,17 +166,17 @@ def cmd_fill(args, config):
         rep.add("core_length_%d" % j, _fmt(lam, prec))
     with mp.workprec(prec + 16):
         rep.add("volume", _fmt(solution_volume(res, precision=prec), prec))
-    rep.emit(config)
+    rep.emit()
     return 0
 
 
-def cmd_cs(args, config):
+def cmd_cs(args):
     from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                solve_flattening)
     from .surgery import FillingSpec, filled_system, newton_solve
     from .triang import parse_triangulation
-    rep = Report("cs", config)
-    prec = config.precision
+    rep = Report("cs", args)
+    prec = args.precision
     t = parse_triangulation(_read(args.file), precision=prec)
     shapes = t.validate(precision=prec)
     flat = solve_flattening(t.U, t.d)
@@ -187,7 +187,7 @@ def cmd_cs(args, config):
     if any(f is not None for f in filling):
         res = newton_solve(filled_system(t, filling), precision=prec,
                            initial_shapes=shapes,
-                           allow_flat=config.allow_flat)
+                           allow_flat=args.allow_flat)
         shapes = res.shapes
         lambdas = res.lambdas
     else:
@@ -197,12 +197,12 @@ def cmd_cs(args, config):
         rep.add("vol", _fmt(result.vol, prec))
         rep.add("cs_representative", _fmt(result.cs_mod_rational, prec))
         probe = rationalize_mod_pi2(result.cs_mod_rational,
-                                    config.denom_bound, prec)
+                                    args.denom_bound, prec)
         rep.add("cs_over_pi2_rational", str(probe) if probe is not None
                 else None, text=probe if probe is not None else "NotFound")
-        rep.add("denominator_bound", config.denom_bound)
-        rho = rho_of_cs(result, precision=prec)
-        rep.add("rho_representative", _fmt(rho.value, prec))
+        rep.add("denominator_bound", args.denom_bound)
+        rep.add("rho_representative",
+                _fmt(rho_of_cs(result, precision=prec), prec))
         if args.calibrate_cs is not None:
             try:
                 known = mp.mpf(args.calibrate_cs)
@@ -217,17 +217,17 @@ def cmd_cs(args, config):
                     "--calibrate-cs value %r is not below 2^%d"
                     % (args.calibrate_cs, prec // 2))
             alpha = (result.vol + mp.mpc(0, 1) * known) - result.value
-            q = rationalize_mod_pi2(mp.im(alpha), config.denom_bound, prec)
+            q = rationalize_mod_pi2(mp.im(alpha), args.denom_bound, prec)
             rep.add("alpha_fitted_over_pi2", str(q) if q is not None else None,
                     text=q if q is not None else "NotFound")
-    rep.emit(config)
+    rep.emit()
     return 0
 
 
-def cmd_borel(args, config):
+def cmd_borel(args):
     from .borel import borel_regulator, per_root_values
-    rep = Report("borel", config)
-    prec = config.precision
+    rep = Report("borel", args)
+    prec = args.precision
     for path in args.files:
         element, places = _load_element(path, prec)
         vec = borel_regulator(element, precision=prec, places=places)
@@ -237,14 +237,14 @@ def cmd_borel(args, config):
         with mp.workprec(prec + 16):
             gal = per_root_values(element, precision=prec)
             rep.add("galois_sum_%s" % path, mp.nstr(mp.fsum(gal), 8))
-    rep.emit(config)
+    rep.emit()
     return 0
 
 
-def cmd_relation(args, config):
+def cmd_relation(args):
     from .borel import borel_regulator, detect_relation, rank_witness
-    rep = Report("relation", config)
-    prec = config.precision
+    rep = Report("relation", args)
+    prec = args.precision
     vectors = []
     elements = []
     for path in args.files:
@@ -260,16 +260,16 @@ def cmd_relation(args, config):
         rep.add("residual", mp.nstr(report.residual, 8))
         rep.add("confidence", report.confidence)
     rep.add("rank_witness", rank_witness(vectors, precision=prec))
-    rep.emit(config)
+    rep.emit()
     return 0
 
 
-def cmd_scissors(args, config):
+def cmd_scissors(args):
     from .dilog import volume_of_prebloch
     from .scissors import (cone_decomposition, decomposition_class,
                            parse_polyhedron, polyhedron_class)
-    rep = Report("scissors", config)
-    prec = config.precision
+    rep = Report("scissors", args)
+    prec = args.precision
     poly = parse_polyhedron(_read(args.file), precision=prec)
     element = polyhedron_class(poly, precision=prec)
     rep.add("vertices", len(poly.vertices))
@@ -285,7 +285,7 @@ def cmd_scissors(args, config):
         rep.add("apex_independence_spread", mp.nstr(spread, 8))
         ok = spread < mp.mpf(2) ** (-prec // 2)
         rep.add("apex_independent", bool(ok))
-    rep.emit(config)
+    rep.emit()
     return 0 if ok else 1
 
 
@@ -365,7 +365,7 @@ def main(argv=None):
     if args.precision < 64:
         ap.error("precision must be at least 64 bits")
     try:
-        return args.func(args, args)
+        return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 1

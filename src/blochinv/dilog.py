@@ -1,5 +1,5 @@
 """High-precision dilogarithm, Bloch-Wigner function, Rogers function, and
-the flattened regulator representative.
+the flattened Rogers term of the Chern-Simons formula.
 
 All branch choices are principal: li2 is cut along [1, oo) and takes the
 value mpmath.polylog takes there, Im Li2(x) = -pi log x for x > 1.
@@ -255,28 +255,6 @@ def bloch_wigner(z, precision=256):
 def rogers(z, precision=256):
     """Rogers dilogarithm R(z) = (1/2) log(z) log(1-z) + Li_2(z)."""
     return _flattened_rogers(z, 0, 0, precision)
-
-
-class RhoRepresentative:
-    """Complex representative of a value in C/Q, with the precision it was
-    computed at.
-
-    Two representatives agree when their difference is a rational number,
-    which ``rational_reconstruct`` finds with a caller-bounded denominator.
-    """
-
-    __slots__ = ("value", "precision")
-
-    def __init__(self, value, precision):
-        if isinstance(value, mp.mpf):
-            value = mp.make_mpc((value._mpf_, mp.mpf(0)._mpf_))
-        elif not isinstance(value, mp.mpc):
-            value = mp.mpc(value)
-        self.value = value
-        self.precision = precision
-
-    def __repr__(self):
-        return "RhoRepresentative(%s)" % mp.nstr(self.value, 30)
 
 
 def rational_reconstruct(x, max_denominator, tolerance):

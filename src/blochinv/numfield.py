@@ -480,8 +480,7 @@ class EmbeddingSet:
 
     real_roots are sorted ascending; complex_pairs holds one representative
     per conjugate pair with Im > 0, sorted by (real part, imaginary part),
-    and is the default evaluation list for regulator vectors; ``select``
-    conjugates / reorders it for a published convention.  Both are tuples,
+    and is the default evaluation list for regulator vectors.  Both are tuples,
     as one instance is shared by all callers at its field and precision.
     """
 
@@ -499,20 +498,6 @@ class EmbeddingSet:
         for z in self.complex_pairs:
             out.append(z)
             out.append(conj_exact(z))
-        return out
-
-    def select(self, order=None, conjugate=None):
-        """Complex places with an explicit permutation and conjugation choice.
-
-        order: permutation of range(r2); conjugate: booleans, True meaning the
-        lower half-plane representative is used.
-        """
-        order = list(order) if order is not None else list(range(self.r2))
-        conjugate = list(conjugate) if conjugate is not None else [False] * self.r2
-        out = []
-        for pos, j in enumerate(order):
-            z = self.complex_pairs[j]
-            out.append(conj_exact(z) if conjugate[pos] else z)
         return out
 
     def __repr__(self):

@@ -251,7 +251,10 @@ def parse_polyhedron(text, precision=256):
     def line(lineno, key, args):
         if key == "vertex":
             idx, *rest = args
-            verts[int(idx)] = Infinity if rest == ["inf"] else \
+            idx = int(idx)
+            if idx in verts:
+                raise TriangulationSyntaxError("repeated vertex %d" % idx)
+            verts[idx] = Infinity if rest == ["inf"] else \
                 textformat.complex_pair(rest, precision + 16)
         elif key == "face":
             faces.append([int(x) for x in args])

@@ -365,20 +365,13 @@ def _ext_gcd(a, b):
     return g, y, x - (a // b) * y
 
 
-def core_length_from_shapes(t, zs, j, pq, completion=None, precision=256):
-    """Complex length of the core geodesic added at cusp j by a (p, q) filling.
+def _core_length(t, Z, j, pq, completion=None):
+    """Complex length of the core geodesic added at cusp j by a (p, q)
+    filling, from the shape logs Z at the working precision.
 
     lambda_j = +-[(r mu + s lam).Z - pi i (r d_mu + s d_lam)] with
     p s - q r = 1; sign fixed so Re > 0, imaginary part reduced mod 2 pi.
     """
-    ar = _libmp(precision + _GUARD)
-    Z = _recorded_logs([ar.pos(_as_pair(z)) for z in zs], precision)
-    with mp.workprec(precision + _GUARD):
-        return _core_length(t, [mp.make_mpc(w) for w in Z], j, pq, completion)
-
-
-def _core_length(t, Z, j, pq, completion=None):
-    """core_length_from_shapes from the shape logs Z, at the working precision."""
     p, q = pq
     if completion is None:
         completion = completion_curve(p, q)
@@ -405,9 +398,13 @@ def core_length(result, j, completion=None, precision=None):
     system = result.system
     if system is None or system.filling[j] is None:
         raise NotFilled("cusp %d is unfilled" % j)
-    return core_length_from_shapes(system.triangulation, result.shapes, j,
-                                   system.filling[j], completion=completion,
-                                   precision=precision)
+    ar = _libmp(precision + _GUARD)
+    Z = _recorded_logs([ar.pos(_as_pair(z)) for z in result.shapes],
+                       precision)
+    with mp.workprec(precision + _GUARD):
+        return _core_length(system.triangulation,
+                            [mp.make_mpc(w) for w in Z], j,
+                            system.filling[j], completion)
 
 
 def solution_volume(result, precision=None):

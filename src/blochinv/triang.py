@@ -284,24 +284,27 @@ def _pi_i_multiples(t, zs, precision):
 
 
 def bloch_invariant(t, precision=256):
-    """The pre-Bloch class sum [z_j], six-fold normalized; numeric shapes
-    are read at ``precision`` bits."""
-    if t.n == 0:
-        return PreBlochElement()
+    """The pre-Bloch class sum [z_j] of the shapes ``t.validate(precision)``
+    returns, six-fold normalized; exact shapes stay exact.
+
+    beta(M) is defined only for a triangulation whose gluing equations
+    U.Z = pi i d hold, so this raises where validate does."""
+    zs = t.validate(precision)
     if t.exact_shapes():
-        terms = [(z, 1) for z in t.shapes]
-        e = PreBlochElement(terms, field=t.field)
+        e = PreBlochElement([(z, 1) for z in t.shapes], field=t.field)
     else:
-        zs = t.numeric_shapes(precision)
-        for z in zs:
-            if z == 0 or z == 1:
-                raise DegenerateShape("shape %s" % z)
         e = PreBlochElement([(z, 1) for z in zs])
     return six_fold_normalize(e)
 
 
 # ---------------------------------------------------------------------------
 # file format
+
+# the keywords that may appear once per file, each with the number of its
+# leading index arguments: a shape, urow, fill or glue line once per index
+_ONCE = {"tets": 0, "cusps": 0, "field": 0, "dvec": 0, "shape": 1, "urow": 1,
+         "fill": 1, "glue": 2}
+
 
 def parse_triangulation(text, precision=256):
     """Parse the line-oriented triangulation format (see the README); glue
@@ -311,9 +314,16 @@ def parse_triangulation(text, precision=256):
     urows = {}
     glue = {}
     fillings = {}
+    seen = {}  # (keyword, index...) of each line in _ONCE -> line number
 
     def line(lineno, key, args):
         nonlocal n, h, field, dvec, glue_line, exact
+        if key in _ONCE:
+            tag = (key,) + tuple(int(a) for a in args[:_ONCE[key]])
+            if tag in seen:
+                raise TriangulationSyntaxError(
+                    "repeated %s line" % " ".join(map(str, tag)))
+            seen[tag] = lineno
         if key == "tets":
             (n,) = map(int, args)
             if n < 1:
@@ -381,6 +391,11 @@ def parse_triangulation(text, precision=256):
         shape_tokens=[shapes[i][1] for i in range(n)])
     if glue:
         t.combinatorics = _checked_gluing(t, glue, glue_line)
+    for (key, *idx), lineno in seen.items():
+        if key == "fill" and not 0 <= idx[0] < h:
+            raise TriangulationSyntaxError(
+                "fill names cusp %d, but there are %d cusps" % (idx[0], h),
+                lineno)
     return t
 
 

@@ -16,7 +16,7 @@ from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2,
 from blochinv.dilog import bloch_wigner
 from blochinv.errors import DegenerateFiveTerm, DegenerateShape
 from blochinv.lattice import kernel_int
-from blochinv.numfield import embeddings, field_make
+from blochinv.numfield import conj_exact, embeddings, field_make
 from blochinv.prebloch import (PreBlochElement, five_term, is_bloch,
                                six_fold_normalize, wedge)
 from blochinv.scissors import (cone_decomposition, cycle_move,
@@ -61,7 +61,7 @@ def beta_elements():
 
 def published_places(precision=256):
     es = embeddings(QUARTIC, precision)
-    return es.select(order=[1, 0], conjugate=[True, True])
+    return [conj_exact(es.complex_pairs[1]), conj_exact(es.complex_pairs[0])]
 
 
 def test_criterion_1_weeks_volume():

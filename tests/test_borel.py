@@ -4,9 +4,9 @@ from fractions import Fraction
 import mpmath as mp
 from hypothesis import assume, given, settings, strategies as st
 
-from blochinv.borel import (borel_regulator, conjugate_family, detect_relation,
+from blochinv.borel import (borel_regulator, detect_relation,
                             per_root_values, rank_witness)
-from blochinv.numfield import embeddings, field_make
+from blochinv.numfield import conj_exact, embeddings, field_make
 from blochinv.prebloch import PreBlochElement
 
 PREC = 256
@@ -45,7 +45,7 @@ def beta2():
 def published_places(precision=PREC):
     es = embeddings(QUARTIC, precision)
     # conjugate both default representatives, order by descending real part
-    return es.select(order=[1, 0], conjugate=[True, True])
+    return [conj_exact(es.complex_pairs[1]), conj_exact(es.complex_pairs[0])]
 
 
 def test_regulator_beta1_matches_printed_pair():
@@ -190,39 +190,6 @@ def test_rank_witness_scaled_copy():
     with mp.workprec(160):
         doubled = [2 * x for x in v.values]
     assert rank_witness([v.values, doubled], precision=128) == 1
-
-
-def test_conjugate_family_rank_three():
-    fam = conjugate_family(beta1(), precision=192)
-    assert len(fam) == 4
-    with mp.workprec(208):
-        sums = [mp.fsum(col) for col in zip(*fam)]
-        # wait: the sum over conjugates of each permutation coordinate is
-        # sum_k W[pi(k)] = sum W = 0
-        total = [mp.fsum([fam[k][i] for k in range(4)])
-                 for i in range(len(fam[0]))]
-        for s in total:
-            assert abs(s) < mp.mpf(2) ** -140
-    assert rank_witness(fam, precision=192) == 3
-
-
-def test_conjugate_family_rank_weeks():
-    e = PreBlochElement([(WEEKS.gen(), 1)])
-    fam = conjugate_family(e, precision=192)
-    assert len(fam) == 3
-    assert rank_witness(fam, precision=192) == 2
-
-
-def test_two_families_rank_six_and_five():
-    prec = 192
-    fam1 = conjugate_family(beta1(), precision=prec)
-    fam2 = conjugate_family(beta2(), precision=prec)
-    assert rank_witness(fam1 + fam2, precision=prec) == 6
-    # manifold-realized conjugates: sigma_1(beta1) and conjugate, plus all
-    # four conjugates of beta2 (the last four sum to zero): rank 5
-    # roots order: [rep1(-0.547+1.121i), conj, rep2(0.547+0.586i), conj]
-    sub = [fam1[2], fam1[3], fam2[0], fam2[1], fam2[2], fam2[3]]
-    assert rank_witness(sub, precision=prec) == 5
 
 
 @st.composite

@@ -6,9 +6,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv.chern_simons import (cs_formula, eta_from_cs,
-                                   rationalize_mod_pi2, rho_of_beta,
-                                   solve_flattening)
+from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2,
+                                   rho_of_cs, solve_flattening)
 from blochinv.dilog import bloch_wigner
 from blochinv.errors import Inconsistent
 from blochinv.lattice import kernel_int
@@ -110,13 +109,13 @@ def test_rho_of_beta_volume_part(ex3):
     prec = PREC
     zs = ex3.numeric_shapes(prec)
     sol = solve_flattening(ex3.U, ex3.d)
-    r = rho_of_beta(zs, sol, precision=prec)
+    r = rho_of_cs(cs_formula(zs, [], sol, prec), prec)
     with mp.workprec(prec + 16):
         vol = sum(bloch_wigner(z, prec) for z in zs)
         # Im(2 pi^2 rho) = vol
-        assert abs(2 * mp.pi ** 2 * mp.im(r.value) - vol) < mp.mpf(2) ** (-prec + 24)
+        assert abs(2 * mp.pi ** 2 * mp.im(r) - vol) < mp.mpf(2) ** (-prec + 24)
         ref = mp.mpf("1.831931188354438030109207029864768221548298748563344268534")
-        assert abs(2 * mp.pi ** 2 * mp.im(r.value) - ref) < mp.mpf(10) ** -50
+        assert abs(2 * mp.pi ** 2 * mp.im(r) - ref) < mp.mpf(10) ** -50
 
 
 def test_ex3_cs_representative_is_rational(ex3):
@@ -148,18 +147,8 @@ def test_ex3_kernel_shift_quarter(ex3):
 
 def test_rho_totally_flat_real_mod_q():
     shapes = [mp.mpf("0.3")]
-    r = rho_of_beta(shapes, [Fraction(0)] * 2, precision=128)
-    assert abs(mp.im(r.value)) < mp.mpf(2) ** -100
-
-
-def test_eta_from_cs():
-    assert eta_from_cs(mp.mpf(0)) == 0
-    a = eta_from_cs(mp.mpf("0.31"))
-    b = eta_from_cs(mp.mpf("0.81"))
-    with mp.workprec(60):
-        assert abs(a - b) < 1e-15
-    # adding 1/2 changes nothing; values land in [0, 1/2)
-    assert 0 <= a < 0.5
+    r = rho_of_cs(cs_formula(shapes, [], [Fraction(0)] * 2, 128), 128)
+    assert abs(mp.im(r)) < mp.mpf(2) ** -100
 
 
 def test_rationalize_11_48():
@@ -230,11 +219,3 @@ def test_volume_and_cs_share_one_li2_per_shape(fig8, monkeypatch):
     assert dilog._record.cache_info().misses == misses
     with mp.workprec(152):
         assert abs(cs.vol - vol) < mp.mpf(2) ** -120
-
-
-def test_eta_from_cs_keeps_input_bits():
-    with mp.workprec(256):
-        x = mp.pi / 7 + 3
-    eta = eta_from_cs(x)
-    with mp.workprec(300):
-        assert abs(eta - (x - 3)) < mp.mpf(2) ** -250

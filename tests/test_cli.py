@@ -346,11 +346,14 @@ def test_invariant_exact_shape_zero_denominator_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,fill", [("invariant", "complete"),
-                                          ("cs", "complete"), ("cs", "5 1")])
+                                          ("cs", "complete"), ("cs", "5 1"),
+                                          ("invariant", "figure_eight.tri"),
+                                          ("invariant", "example3.tri")])
 def test_one_shape_validation_per_command(tmp_path, monkeypatch, capsys,
                                           command, fill):
     # the shapes Triangulation.validate returns are the ones the command
-    # evaluates, or the filled solve starts from: one root search per call
+    # evaluates, or the filled solve starts from: one root search per call.
+    # fill is the exact figure-eight's fill line, or a numeric fixture
     from blochinv.triang import Triangulation
     numeric_shapes = Triangulation.numeric_shapes
     calls = []
@@ -363,7 +366,8 @@ def test_one_shape_validation_per_command(tmp_path, monkeypatch, capsys,
     p = tmp_path / "exact.tri"
     p.write_text(_exact_figure_eight(False).replace("fill 0 complete",
                                                     "fill 0 " + fill))
-    code, _, _ = run(capsys, "--format", "records", command, str(p))
+    path = fx(fill) if fill.endswith(".tri") else str(p)
+    code, _, _ = run(capsys, "--format", "records", command, path)
     assert code == 0
     assert calls == [256]
 
@@ -441,6 +445,17 @@ _MALFORMED = [
     ("negative_cusps.tri", _TRI.replace("cusps 0", "cusps -2"), 2),
     ("vertex.poly", "vertex 0 0 0\nvertex 1 inf 0\n", 2),
     ("diag.poly", "vertex 0 inf\ndiag 0 1 2 3\n", 2),
+    # a keyword or index given twice, and a fill of a cusp that is not there
+    ("repeated_tets.tri", _TRI + "tets 1\n", 6),
+    ("repeated_cusps.tri", _TRI + "cusps 0\n", 6),
+    ("repeated_field.tri", "field 2 1 0 1\n" * 2 + _TRI, 2),
+    ("repeated_dvec.tri", _TRI + "dvec 0\n", 6),
+    ("repeated_shape.tri", _TRI + "shape 0 0.5 0.8\n", 6),
+    ("repeated_urow.tri", _TRI + "urow 0 0 0\n", 6),
+    ("repeated_fill.tri", _FIG8 + "fill 0 5 1\n", 22),
+    ("repeated_glue.tri", _FIG8 + "glue 0 0 1 0213\n", 22),
+    ("fill_range.tri", _FIG8 + "fill 3 5 1\n", 22),
+    ("repeated_vertex.poly", "vertex 0 inf\nvertex 1 0 0\nvertex 0 1 0\n", 3),
 ]
 
 

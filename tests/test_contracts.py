@@ -1,0 +1,126 @@
+"""Contracts that hold across the library: results do not depend on the
+ambient mpmath precision, and no module imports a name it never uses."""
+
+import ast
+import importlib.resources
+from pathlib import Path
+
+import mpmath as mp
+import pytest
+
+import blochinv
+from blochinv import dilog
+from blochinv.borel import RegulatorVector, borel_regulator, rank_witness
+from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
+                                   solve_flattening)
+from blochinv.dilog import bloch_wigner, li2, rogers, volume_of_prebloch
+from blochinv.numfield import NumberField
+from blochinv.prebloch import Infinity, PreBlochElement, cross_ratio
+from blochinv.surgery import (core_length, filled_system, newton_solve,
+                              solution_volume)
+from blochinv.triang import Triangulation, parse_triangulation
+
+P = 128
+Z = mp.mpc("0.3", "0.8")
+W = mp.mpc("-1.7", "0.2")
+WEEKS = NumberField([1, -1, 0, 1])
+FIG8 = parse_triangulation(importlib.resources.files("blochinv").joinpath(
+    "fixtures/figure_eight.tri").read_text(), precision=P)
+# the same triangulation with the exact shapes of Q(sqrt -3)
+EISENSTEIN = NumberField([1, -1, 1])
+EXACT_FIG8 = Triangulation(2, 1, [EISENSTEIN.gen()] * 2, FIG8.U, FIG8.d,
+                           field=EISENSTEIN)
+SYSTEM = filled_system(FIG8, [(5, 1)])
+SOLVED = newton_solve(SYSTEM, precision=P)
+FLAT = solve_flattening(FIG8.U, FIG8.d)
+SHAPES = FIG8.validate(P)
+CS = cs_formula(SHAPES, [0], FLAT, P)
+ELEMENT = PreBlochElement([(WEEKS.gen(), 2), (WEEKS.gen() + 1, -1)],
+                          field=WEEKS)
+VECTORS = [[mp.mpf(1) / 3, mp.mpf(2) / 7], [mp.mpf(2) / 3, mp.mpf(4) / 7],
+           [mp.mpf(1) / 5, mp.mpf(1)]]
+with mp.workprec(P + 64):
+    ELEVEN_48 = mp.pi ** 2 * 11 / 48
+
+CALLS = {
+    "li2": lambda: li2(Z, P),
+    "bloch_wigner": lambda: bloch_wigner(Z, P),
+    "rogers": lambda: rogers(W, P),
+    "cross_ratio": lambda: (cross_ratio(mp.mpc(0), mp.mpc(1), Z, W, P),
+                            cross_ratio(Infinity, mp.mpc(0), Z, W, P)),
+    "cs_formula": lambda: cs_formula(SHAPES, [0], FLAT, P),
+    "rho_of_cs": lambda: rho_of_cs(CS, P),
+    "rationalize_mod_pi2": lambda: rationalize_mod_pi2(ELEVEN_48, 120, P),
+    "newton_solve": lambda: newton_solve(SYSTEM, precision=P),
+    "core_length": lambda: core_length(SOLVED, 0),
+    "solution_volume": lambda: solution_volume(SOLVED),
+    "volume_of_prebloch": lambda: volume_of_prebloch(ELEMENT, precision=P),
+    "borel_regulator": lambda: borel_regulator(ELEMENT, P),
+    "rank_witness": lambda: rank_witness(VECTORS, P),
+    "validate": lambda: FIG8.validate(P),
+    "validate_exact": lambda: EXACT_FIG8.validate(P),
+}
+
+
+def _raw(x):
+    """The raw libmp bits of x, elementwise through tuples, lists and
+    regulator vectors; other objects as they are."""
+    if isinstance(x, RegulatorVector):
+        return _raw((x.places, x.values))
+    if isinstance(x, mp.mpf):
+        return x._mpf_
+    if isinstance(x, mp.mpc):
+        return x._mpc_
+    if isinstance(x, (list, tuple)):
+        return tuple(_raw(v) for v in x)
+    return x
+
+
+def _fresh():
+    """Forget every memoised value, so that each call computes afresh."""
+    dilog._record.cache_clear()
+    dilog._bernoulli_table.cache_clear()
+    for field in (WEEKS, EISENSTEIN):
+        field._embeddings.clear()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_results_ignore_ambient_precision(name):
+    # precision is an explicit argument, never ambient state
+    results = []
+    for ambient in (53, 1000):
+        _fresh()
+        with mp.workprec(ambient):
+            results.append(_raw(CALLS[name]()))
+    _fresh()
+    assert results[0] == results[1]
+
+
+def _unused_imports(path):
+    """The names a module imports and never references, except on lines
+    marked ``# noqa: F401``."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            span = lines[node.lineno - 1:node.end_lineno]
+            if any("# noqa: F401" in line for line in span):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    package = Path(blochinv.__file__).parent
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -6,10 +6,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv.chern_simons import rho_of_beta
-from blochinv.dilog import (_GUARD, _MEMO_SIZE, RhoRepresentative,
-                            _bernoulli_table, _li2_kernel, _record,
-                            bloch_wigner, li2, rational_reconstruct, rogers)
+from blochinv.chern_simons import cs_formula, rho_of_cs
+from blochinv.dilog import (_GUARD, _MEMO_SIZE, _bernoulli_table,
+                            _li2_kernel, _record, bloch_wigner, li2,
+                            rational_reconstruct, rogers)
 from blochinv.errors import DegenerateShape
 
 PREC = 256
@@ -171,16 +171,16 @@ def test_rogers_reflection():
 
 
 def test_rho_real_input():
-    r = rho_of_beta([mp.mpf("0.3")], [0, 0], precision=PREC)
-    assert abs(mp.im(r.value)) == 0
+    r = rho_of_cs(cs_formula([mp.mpf("0.3")], [], [0, 0], PREC), PREC)
+    assert abs(mp.im(r)) == 0
 
 
 def test_rho_imag_part_is_scaled_volume():
     with mp.workprec(PREC + 16):
         z = mp.exp(mp.mpc(0, mp.pi / 3))
-        r = rho_of_beta([z], [0, 0], precision=PREC)
+        r = rho_of_cs(cs_formula([z], [], [0, 0], PREC), PREC)
         d2 = bloch_wigner(z, PREC)
-        assert abs(mp.im(r.value) - d2 / (2 * mp.pi ** 2)) < mp.mpf(2) ** (-PREC + 16)
+        assert abs(mp.im(r) - d2 / (2 * mp.pi ** 2)) < mp.mpf(2) ** (-PREC + 16)
 
 
 def test_rho_flattening_shift_rational_at_root_of_unity():
@@ -190,32 +190,12 @@ def test_rho_flattening_shift_rational_at_root_of_unity():
     # with the 2 pi i periods.
     with mp.workprec(PREC + 16):
         z = mp.mpc(0, 1)
-        r0 = rho_of_beta([z], [0, 0], precision=PREC).value
-        r1 = rho_of_beta([z], [4, 0], precision=PREC).value
+        r0 = rho_of_cs(cs_formula([z], [], [0, 0], PREC), PREC)
+        r1 = rho_of_cs(cs_formula([z], [], [4, 0], PREC), PREC)
         # c' log(1-z) term: 4 * (i pi/2) log(1-i) / (2 pi^2)
         diff = r1 - r0
         expect = -(mp.mpc(0, 1) * mp.pi / 2) * 4 * mp.log(1 - z) / (2 * mp.pi ** 2)
         assert abs(diff - expect) < mp.mpf(2) ** (-PREC + 16)
-
-
-def _eq_mod_q(a, b, max_denominator, tolerance):
-    """The rational difference a - b of two RhoRepresentatives, or None."""
-    with mp.workprec(min(a.precision, b.precision) + _GUARD):
-        diff = a.value - b.value
-        if abs(mp.im(diff)) > tolerance:
-            return None
-        return rational_reconstruct(mp.re(diff), max_denominator, tolerance)
-
-
-def test_rho_eq_mod_q():
-    with mp.workprec(PREC + 16):
-        r1 = RhoRepresentative(mp.mpf(1) / 4 + mp.mpc(0, 1) / 2, PREC)
-        r2 = RhoRepresentative(mp.mpf(1) / 4 - mp.mpf(2) / 3 + mp.mpc(0, 1) / 2, PREC)
-        q = _eq_mod_q(r1, r2, max_denominator=100, tolerance=mp.mpf(1e-30))
-        assert q == Fraction(2, 3)
-        r3 = RhoRepresentative(r1.value + mp.mpf("1e-7"), PREC)
-        assert _eq_mod_q(r1, r3, max_denominator=10,
-                         tolerance=mp.mpf(1e-30)) is None
 
 
 def test_rational_reconstruct():

@@ -102,9 +102,8 @@ def cmd_invariant(args):
         if element.field is not None:
             rep.add("field", list(element.field.min_poly))
         if places:
-            with mp.workprec(prec + 16):
-                vols = [volume_of_prebloch(element, embedding=r, precision=prec)
-                        for r in places]
+            vols = [volume_of_prebloch(element, embedding=r, precision=prec)
+                    for r in places]
             for j, v in enumerate(vols):
                 rep.add("volume_place_%d" % j, _fmt(v, prec))
     rep.add("terms", len(element))
@@ -114,15 +113,13 @@ def cmd_invariant(args):
         cert = is_bloch(element, precision=prec)
         rep.add("bloch_certificate", cert.verdict)
         es = embeddings(element.field, prec)
-        with mp.workprec(prec + 16):
-            for j, root in enumerate(es.complex_pairs):
-                v = volume_of_prebloch(element, embedding=root, precision=prec)
-                rep.add("volume_embedding_%d" % j, _fmt(v, prec),
-                        text="%s (at root %s)" % (_fmt(v, prec),
-                                                  mp.nstr(root, 12)))
+        for j, root in enumerate(es.complex_pairs):
+            v = volume_of_prebloch(element, embedding=root, precision=prec)
+            rep.add("volume_embedding_%d" % j, _fmt(v, prec),
+                    text="%s (at root %s)" % (_fmt(v, prec),
+                                              mp.nstr(root, 12)))
     elif not element.is_exact():
-        with mp.workprec(prec + 16):
-            v = volume_of_prebloch(element, precision=prec)
+        v = volume_of_prebloch(element, precision=prec)
         rep.add("volume", _fmt(v, prec))
     rep.emit()
     return 0
@@ -164,8 +161,7 @@ def cmd_fill(args):
         rep.add("shape_%d" % i, _fmt(z, prec))
     for j, lam in enumerate(res.lambdas):
         rep.add("core_length_%d" % j, _fmt(lam, prec))
-    with mp.workprec(prec + 16):
-        rep.add("volume", _fmt(solution_volume(res, precision=prec), prec))
+    rep.add("volume", _fmt(solution_volume(res, precision=prec), prec))
     rep.emit()
     return 0
 
@@ -193,17 +189,16 @@ def cmd_cs(args):
     else:
         lambdas = [mp.mpc(0)] * t.h
     result = cs_formula(shapes, lambdas, flat, precision=prec)
-    with mp.workprec(prec + 16):
-        rep.add("vol", _fmt(result.vol, prec))
-        rep.add("cs_representative", _fmt(result.cs_mod_rational, prec))
-        probe = rationalize_mod_pi2(result.cs_mod_rational,
-                                    args.denom_bound, prec)
-        rep.add("cs_over_pi2_rational", str(probe) if probe is not None
-                else None, text=probe if probe is not None else "NotFound")
-        rep.add("denominator_bound", args.denom_bound)
-        rep.add("rho_representative",
-                _fmt(rho_of_cs(result, precision=prec), prec))
-        if args.calibrate_cs is not None:
+    rep.add("vol", _fmt(result.vol, prec))
+    rep.add("cs_representative", _fmt(result.cs_mod_rational, prec))
+    probe = rationalize_mod_pi2(result.cs_mod_rational, args.denom_bound, prec)
+    rep.add("cs_over_pi2_rational", str(probe) if probe is not None
+            else None, text=probe if probe is not None else "NotFound")
+    rep.add("denominator_bound", args.denom_bound)
+    rep.add("rho_representative",
+            _fmt(rho_of_cs(result, precision=prec), prec))
+    if args.calibrate_cs is not None:
+        with mp.workprec(prec + 16):
             try:
                 known = mp.mpf(args.calibrate_cs)
             except ValueError:

@@ -311,29 +311,19 @@ def solve_rational(mat, rhs):
 
 
 def solve_integer(mat, rhs):
-    """One integer solution of mat @ x = rhs, or None when none exists."""
-    return solve_integer_columns(mat, [rhs])[0]
+    """One integer solution of mat @ x = rhs, or None when none exists.
 
-
-def solve_integer_columns(mat, rhs_list):
-    """solve_integer(mat, rhs) for every rhs in rhs_list, from one Hermite
-    form of mat."""
+    Back-substitution through one column Hermite form of mat.
+    """
     A = [[int(a) for a in row] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
-    # Column HNF via the transpose: U @ mat^T = H, so mat @ U^T = H^T, whose
-    # columns (= rows of H) are in echelon form with pivots moving down.
-    H, U = hnf_rows([[A[i][j] for i in range(m)] for j in range(n)])
-    return [_hnf_solve(A, H, U, rhs) for rhs in rhs_list]
-
-
-def _hnf_solve(A, H, U, rhs):
-    """Integer x with A @ x = rhs by back-substitution through the column
-    HNF (H, U) of A, or None."""
-    m, n = len(A), len(H)
     b = [int(r) for r in rhs]
     if any(a != r for a, r in zip(b, rhs)):
         return None  # a non-integral right-hand side
+    # Column HNF via the transpose: U @ mat^T = H, so mat @ U^T = H^T, whose
+    # columns (= rows of H) are in echelon form with pivots moving down.
+    H, U = hnf_rows([[A[i][j] for i in range(m)] for j in range(n)])
     rem = b
     y = [0] * n
     for j in range(n):

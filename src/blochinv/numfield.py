@@ -195,7 +195,7 @@ class FieldElement:
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if len(poly_trim(coeffs)) > field.degree:
-            coeffs = _reduce_mod(coeffs, field.min_poly)
+            coeffs = poly_divmod(coeffs, field.min_poly)[1]
         coeffs = coeffs[:field.degree]
         coeffs += [Fraction(0)] * (field.degree - len(coeffs))
         # the lcm of reduced denominators leaves gcd(den, *num) == 1
@@ -456,20 +456,6 @@ def _bareiss(m):
         s = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
         y[i] = s // row[i]
     return sign * det, [sign * v for v in y]
-
-
-def _reduce_mod(coeffs, min_poly):
-    coeffs = [Fraction(c) for c in coeffs]
-    f = [Fraction(c) for c in min_poly]
-    deg = len(f) - 1
-    while len(poly_trim(coeffs)) > deg:
-        coeffs = poly_trim(coeffs)
-        shift = len(coeffs) - 1 - deg
-        c = coeffs[-1]
-        for i, b in enumerate(f):
-            coeffs[shift + i] -= c * b
-        coeffs = coeffs[:-1]
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

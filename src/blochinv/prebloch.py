@@ -28,7 +28,7 @@ from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      RequiresExactField, RootFindingFailed,
                      TriangulationSyntaxError)
 from .lattice import (factorint, integer_relations, kernel_int,
-                      snf_with_projection, solve_integer_columns)
+                      snf_with_projection)
 from .numfield import FieldElement, _polish, embeddings, horner
 
 
@@ -309,26 +309,11 @@ class Relation(NamedTuple):
     unity: object  # FieldElement or Fraction, a root of unity
 
 
-class WedgeElement:
-    """An antisymmetric integer matrix over the free quotient of the group
-    generated by ``base`` modulo ``relations``; ``proj`` maps exponent
-    vectors over ``base`` onto that quotient.  The field elements of a
-    quotient basis are built when ``basis`` is first read."""
-
-    __slots__ = ("base", "proj", "matrix", "relations", "_basis")
-
-    def __init__(self, base, proj, matrix, relations=None):
-        self.base = base
-        self.proj = proj
-        self.matrix = matrix      # antisymmetric integer matrix over the basis
-        self.relations = [] if relations is None else relations
-        self._basis = None
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = _quotient_basis(self.base, self.proj)
-        return self._basis
+class WedgeElement(NamedTuple):
+    """An antisymmetric integer matrix over a basis of the free quotient of
+    the group generated by an element's z and 1-z modulo ``relations``."""
+    matrix: list
+    relations: list
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.matrix)
@@ -341,14 +326,6 @@ class BlochCertificate(NamedTuple):
     @property
     def relations(self):
         return self.wedge.relations
-
-    @property
-    def residual_basis(self):
-        return self.wedge.basis
-
-    @property
-    def certified_zero(self):
-        return self.verdict == "CertifiedZero"
 
 
 @functools.lru_cache(maxsize=None)
@@ -534,7 +511,7 @@ def wedge(element, precision=256):
     if not element.is_exact():
         raise RequiresExactField("wedge needs exact generators")
     if element.is_zero():
-        return WedgeElement(base=[], proj=[], matrix=[])
+        return WedgeElement(matrix=[], relations=[])
     base, pairs = _dedup_generators(element)
     m = len(base)
     rels = multiplicative_relations(base, precision=precision)
@@ -548,25 +525,7 @@ def wedge(element, precision=256):
         for a in range(f):
             for b in range(f):
                 mat[a][b] += 2 * c * (u[a] * w[b] - u[b] * w[a])
-    return WedgeElement(base=base, proj=proj, matrix=mat, relations=rels)
-
-
-def _quotient_basis(base, proj):
-    """Field elements whose classes form a basis of the free quotient.
-
-    proj rows are part of a unimodular matrix, so an exact integer right
-    inverse exists; we solve for its columns from one Hermite form of proj
-    and realize each column as a monomial in the base elements.
-    """
-    f = len(proj)
-    if f == 0:
-        return []
-    cols = solve_integer_columns(
-        proj, [[1 if b == a else 0 for b in range(f)] for a in range(f)])
-    if None in cols:
-        return list(base)  # fall back: report raw elements
-    return [math.prod((x ** e for x, e in zip(base, col)),
-                      start=_one_like(base[0])) for col in cols]
+    return WedgeElement(matrix=mat, relations=rels)
 
 
 def is_bloch(element, precision=256):
@@ -616,6 +575,8 @@ def parse_element(text, precision=256):
     def line(lineno, key, args):
         nonlocal fld
         if key == "field":
+            if fld is not None:
+                raise TriangulationSyntaxError("repeated field line")
             fld = textformat.read_field(args)
         elif key == "place":
             # a Newton starting point, read in double precision

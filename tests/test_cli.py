@@ -456,6 +456,7 @@ _MALFORMED = [
     ("repeated_glue.tri", _FIG8 + "glue 0 0 1 0213\n", 22),
     ("fill_range.tri", _FIG8 + "fill 3 5 1\n", 22),
     ("repeated_vertex.poly", "vertex 0 inf\nvertex 1 0 0\nvertex 0 1 0\n", 3),
+    ("repeated_field.bloch", "field 2 1 0 1\nfield 2 -2 0 1\n1 * [1 1]\n", 2),
 ]
 
 

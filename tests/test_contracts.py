@@ -9,23 +9,36 @@ import mpmath as mp
 import pytest
 
 import blochinv
-from blochinv import dilog
-from blochinv.borel import RegulatorVector, borel_regulator, rank_witness
+from blochinv import dilog, textformat
+from blochinv.borel import (RegulatorVector, borel_regulator, detect_relation,
+                            per_root_values, rank_witness)
 from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                    solve_flattening)
 from blochinv.dilog import bloch_wigner, li2, rogers, volume_of_prebloch
-from blochinv.numfield import NumberField
-from blochinv.prebloch import Infinity, PreBlochElement, cross_ratio
+from blochinv.numfield import FieldElement, NumberField, embeddings
+from blochinv.prebloch import (BlochCertificate, Infinity, PreBlochElement,
+                               cross_ratio, five_term, is_bloch,
+                               multiplicative_relations, parse_element,
+                               six_fold_normalize)
+from blochinv.scissors import parse_polyhedron, polyhedron_class
 from blochinv.surgery import (core_length, filled_system, newton_solve,
                               solution_volume)
-from blochinv.triang import Triangulation, parse_triangulation
+from blochinv.triang import (Triangulation, bloch_invariant,
+                             parse_triangulation)
 
 P = 128
 Z = mp.mpc("0.3", "0.8")
 W = mp.mpc("-1.7", "0.2")
 WEEKS = NumberField([1, -1, 0, 1])
-FIG8 = parse_triangulation(importlib.resources.files("blochinv").joinpath(
-    "fixtures/figure_eight.tri").read_text(), precision=P)
+THETA = WEEKS.gen()
+
+
+def _fixture(name):
+    return importlib.resources.files("blochinv").joinpath(
+        "fixtures/" + name).read_text()
+
+
+FIG8 = parse_triangulation(_fixture("figure_eight.tri"), precision=P)
 # the same triangulation with the exact shapes of Q(sqrt -3)
 EISENSTEIN = NumberField([1, -1, 1])
 EXACT_FIG8 = Triangulation(2, 1, [EISENSTEIN.gen()] * 2, FIG8.U, FIG8.d,
@@ -37,8 +50,12 @@ SHAPES = FIG8.validate(P)
 CS = cs_formula(SHAPES, [0], FLAT, P)
 ELEMENT = PreBlochElement([(WEEKS.gen(), 2), (WEEKS.gen() + 1, -1)],
                           field=WEEKS)
+NUMERIC = PreBlochElement([(Z, 1), (W, -2), (1 / Z, 3)])
 VECTORS = [[mp.mpf(1) / 3, mp.mpf(2) / 7], [mp.mpf(2) / 3, mp.mpf(4) / 7],
            [mp.mpf(1) / 5, mp.mpf(1)]]
+BETA1_TEXT = _fixture("example2_beta1.bloch")
+BETA1, _ = parse_element(BETA1_TEXT, precision=P)
+OCTAHEDRON = parse_polyhedron(_fixture("octahedron.poly"), precision=P)
 with mp.workprec(P + 64):
     ELEVEN_48 = mp.pi ** 2 * 11 / 48
 
@@ -59,14 +76,38 @@ CALLS = {
     "rank_witness": lambda: rank_witness(VECTORS, P),
     "validate": lambda: FIG8.validate(P),
     "validate_exact": lambda: EXACT_FIG8.validate(P),
+    "is_bloch": lambda: (is_bloch(five_term(THETA, THETA + 1), P),
+                         is_bloch(BETA1, P)),
+    "multiplicative_relations": lambda: multiplicative_relations(
+        [THETA, THETA + 1, 1 - THETA, THETA ** 2], P),
+    "embeddings": lambda: [(es.real_roots, es.complex_pairs) for es in
+                           (embeddings(WEEKS, P), embeddings(EISENSTEIN, P))],
+    "five_term": lambda: five_term(Z, W, P),
+    "six_fold_normalize": lambda: (six_fold_normalize(NUMERIC),
+                                   six_fold_normalize(ELEMENT)),
+    "parse_element": lambda: (parse_element(BETA1_TEXT, P),
+                              parse_element("1 * (0.3 0.8)\n", P)),
+    "per_root_values": lambda: per_root_values(ELEMENT, P),
+    "detect_relation": lambda: detect_relation(VECTORS, precision=P),
+    "polyhedron_class": lambda: polyhedron_class(OCTAHEDRON, P),
+    "bloch_invariant": lambda: (bloch_invariant(FIG8, P),
+                                bloch_invariant(EXACT_FIG8, P)),
 }
 
 
 def _raw(x):
-    """The raw libmp bits of x, elementwise through tuples, lists and
-    regulator vectors; other objects as they are."""
+    """The raw libmp bits of x, elementwise through tuples, lists, regulator
+    vectors, certificates and pre-Bloch elements; other objects as they
+    are."""
     if isinstance(x, RegulatorVector):
         return _raw((x.places, x.values))
+    if isinstance(x, BlochCertificate):
+        return (x.verdict, x.wedge.matrix,
+                [(r.exponents, r.unity.coeffs if isinstance(
+                    r.unity, FieldElement) else r.unity)
+                 for r in x.relations])
+    if isinstance(x, PreBlochElement):
+        return (x.field, _raw(list(x.terms.items())))
     if isinstance(x, mp.mpf):
         return x._mpf_
     if isinstance(x, mp.mpc):
@@ -80,6 +121,7 @@ def _fresh():
     """Forget every memoised value, so that each call computes afresh."""
     dilog._record.cache_clear()
     dilog._bernoulli_table.cache_clear()
+    textformat._field.cache_clear()
     for field in (WEEKS, EISENSTEIN):
         field._embeddings.clear()
 
@@ -118,9 +160,40 @@ def _unused_imports(path):
                   if name not in used)
 
 
+def _private_definitions(tree):
+    """Module-level functions, classes and assignments named ``_x``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _loaded_names(tree):
+    """Every name a module reads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
 def test_no_unused_imports():
+    # also: every private module-level helper is read somewhere in the
+    # package, so none outlives its last caller
     package = Path(blochinv.__file__).parent
     unused = {path.name: _unused_imports(path)
               for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    dead = {name: [d for d in _private_definitions(tree) if d not in loaded]
+            for name, tree in trees.items()}
+    assert {name: found for name, found in dead.items() if found} == {}

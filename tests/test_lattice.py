@@ -8,9 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from blochinv.lattice import (factorint, hnf_rows, integer_relations,
                               kernel_int, lll_reduce, snf_with_projection,
-                              solve_integer, solve_integer_columns,
-                              solve_rational)
-from blochinv.prebloch import _quotient_basis
+                              solve_integer, solve_rational)
 
 
 def rank_int(mat):
@@ -237,20 +235,16 @@ def test_solve_integer_columns_matches_solve_integer(seed):
     proj = _unimodular_rows(rng, f, n)
     rhs_list = [[int(a == b) for b in range(f)] for a in range(f)]
     rhs_list += [[rng.randint(-9, 9) for _ in range(f)] for _ in range(3)]
-    # a scaled row has no integer preimage of an odd entry
+    # a unimodular proj maps onto Z^f; a scaled row has no integer preimage
+    # of an odd entry
     scaled = [[2 * a for a in proj[0]]] + proj[1:]
     for mat in (proj, scaled):
-        sols = solve_integer_columns(mat, rhs_list)
-        assert sols == [solve_integer(mat, rhs) for rhs in rhs_list]
-    assert None not in solve_integer_columns(proj, rhs_list)
-    assert solve_integer_columns(scaled, rhs_list)[0] is None
-    # the right inverse realized in the base elements, or the raw elements
-    base = [Fraction(p) for p in (2, 3, 5, 7, 11, 13)[:n]]
-    cols = [solve_integer(proj, e) for e in rhs_list[:f]]
-    assert _quotient_basis(base, proj) == [
-        math.prod((b ** e for b, e in zip(base, col)), start=Fraction(1))
-        for col in cols]
-    assert _quotient_basis(base, scaled) == base
+        for rhs in rhs_list:
+            x = solve_integer(mat, rhs)
+            assert x is None or [sum(a * b for a, b in zip(row, x))
+                                 for row in mat] == rhs
+    assert None not in [solve_integer(proj, rhs) for rhs in rhs_list]
+    assert solve_integer(scaled, rhs_list[0]) is None
 
 
 def test_integer_relations_numeric():

@@ -193,7 +193,7 @@ def test_wedge_theta_zero():
 
 def test_is_bloch_weeks_element():
     cert = is_bloch(PreBlochElement([(WEEKS.gen(), 1)]), precision=192)
-    assert cert.certified_zero
+    assert cert.verdict == "CertifiedZero"
 
 
 def test_is_bloch_rational_prime():
@@ -210,7 +210,7 @@ def test_is_bloch_beta1():
     g3 = (one - tau ** 2 + tau ** 3) * Fraction(1, 2)
     beta1 = PreBlochElement([(g1, 2), (g2, 1), (g3, 1)])
     cert = is_bloch(beta1, precision=256)
-    assert cert.certified_zero
+    assert cert.verdict == "CertifiedZero"
 
 
 def test_is_bloch_beta2():
@@ -220,7 +220,7 @@ def test_is_bloch_beta2():
     b2 = tau + tau ** 2 + tau ** 3
     beta2 = PreBlochElement([(b1, 2), (b2, 2)])
     cert = is_bloch(beta2, precision=256)
-    assert cert.certified_zero
+    assert cert.verdict == "CertifiedZero"
 
 
 def test_wedge_five_term_certified_zero_rational():
@@ -258,31 +258,20 @@ def test_wedge_five_term_certified_zero_gaussian():
 
 # Certificates of seeded five-term elements at 256 bits: the verdict, the
 # number of relations, a digest of every relation's exponents and unity
-# coefficients, a digest of the Hermite form of the relation exponents (the
-# relation lattice, as recorded when the certificate also listed short
-# combinations of the verified relations), and the residual basis, as
-# recorded from the Fraction-coefficient field arithmetic.  Exact arithmetic
-# must reproduce them bit for bit.
+# coefficients, and a digest of the Hermite form of the relation exponents
+# (the relation lattice, as recorded when the certificate also listed short
+# combinations of the verified relations), as recorded from the
+# Fraction-coefficient field arithmetic.  Exact arithmetic must reproduce
+# them bit for bit.
 _PINNED_CERTIFICATES = [
     ([1, 0, 1], ["-4", "-2"], ["1", "6"], 5, "9702b333d1d24b5e",
-     "47c70db0aa8be9ca",
-     ["9/5 11/10", "71/60 -3/10", "-11/60 3/10", "-1/3 5/6", "4/3 -5/6"]),
+     "47c70db0aa8be9ca"),
     ([1, 0, 1], ["-3/2", "-1/4"], ["4", "3"], 5, "d57be637a31acc02",
-     "47c70db0aa8be9ca",
-     ["145/37 56/37", "141/74 -89/222", "-67/74 89/222", "-11/24 3/8",
-      "35/24 -3/8"]),
+     "47c70db0aa8be9ca"),
     ([1, -1, 0, 1], ["-1", "-5/4", "1/2"], ["-5", "-5", "-6"], 5,
-     "853df826dcb21392", "47c70db0aa8be9ca",
-     ["-307/317 -1792/317 52/317",
-      "121992/96685 32702/96685 -27601/96685",
-      "-25307/96685 -32702/96685 27601/96685",
-      "259/1220 1/305 -91/610", "961/1220 -1/305 91/610"]),
+     "853df826dcb21392", "47c70db0aa8be9ca"),
     ([1, -1, 0, 1], ["1", "5/3", "6"], ["1", "6", "-3"], 5,
-     "0cb3a15f63c67810", "47c70db0aa8be9ca",
-     ["4564/9385 -1611/9385 8538/9385",
-      "206534/197085 35494/197085 591/65695",
-      "-9449/197085 -35494/197085 -591/65695",
-      "-1/21 82/63 41/63", "22/21 -82/63 -41/63"]),
+     "0cb3a15f63c67810", "47c70db0aa8be9ca"),
 ]
 
 
@@ -298,11 +287,10 @@ def _lattice_rows(relations):
     return [row for row in H if any(row)]
 
 
-@pytest.mark.parametrize("poly,x,y,count,digest,lattice,basis",
+@pytest.mark.parametrize("poly,x,y,count,digest,lattice",
                          _PINNED_CERTIFICATES,
                          ids=["gauss_a", "gauss_b", "cubic_a", "cubic_b"])
-def test_is_bloch_pinned_certificates(poly, x, y, count, digest, lattice,
-                                      basis):
+def test_is_bloch_pinned_certificates(poly, x, y, count, digest, lattice):
     cert = is_bloch(_pinned_element(poly, x, y), precision=256)
     assert cert.verdict == "CertifiedZero"
     text = ";".join("%s:%s" % (",".join(map(str, r.exponents)),
@@ -313,14 +301,16 @@ def test_is_bloch_pinned_certificates(poly, x, y, count, digest, lattice,
     hnf = ";".join(",".join(map(str, row))
                    for row in _lattice_rows(cert.relations))
     assert hashlib.sha256(hnf.encode()).hexdigest()[:16] == lattice
-    assert [" ".join(map(str, b.coeffs)) for b in cert.residual_basis] == basis
 
 
-# SHA-256 of the certificates of _digest_elements(), recorded before the
-# coordinate vectors of multiplicative_relations moved from mpc objects to
-# raw libmp tuples
+# SHA-256 of the verdicts and relations of the certificates of
+# _digest_elements().  The earlier pin, which also hashed each certificate's
+# residual basis, was recorded before the coordinate vectors of
+# multiplicative_relations moved from mpc objects to raw libmp tuples.  This
+# pin was computed from the same 201 elements by the last code that had the
+# residual basis, which still matched the earlier pin.
 CERTIFICATE_BITS = (
-    "cb88622e89d8a8f37fc6c0bfd0cdec59f59053ba9063725a7c9b749b596b7c16")
+    "d4babe4618d5dc8311c07cc2c09a39e74fdd539c263b78cba441dbd842c2f2f0")
 
 
 def _digest_elements():
@@ -355,8 +345,7 @@ def test_is_bloch_certificates_digest():
         cert = is_bloch(e, precision=256)
         out.append((cert.verdict,
                     [(r.exponents, _exact_text(r.unity))
-                     for r in cert.relations],
-                    [_exact_text(b) for b in cert.residual_basis]))
+                     for r in cert.relations]))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == CERTIFICATE_BITS
 
 
@@ -376,25 +365,6 @@ def test_each_relation_verified_once(monkeypatch):
         calls.clear()
         cert = is_bloch(_pinned_element(poly, x, y), precision=256)
         assert [r.exponents for r in cert.relations] == calls
-
-
-def test_residual_basis_built_when_read(monkeypatch):
-    from blochinv import prebloch
-    build = prebloch._quotient_basis
-    calls = []
-
-    def counting_build(base, proj):
-        calls.append(len(base))
-        return build(base, proj)
-
-    monkeypatch.setattr(prebloch, "_quotient_basis", counting_build)
-    poly, x, y, *_, basis = _PINNED_CERTIFICATES[2]
-    cert = is_bloch(_pinned_element(poly, x, y), precision=256)
-    assert cert.verdict == "CertifiedZero" and cert.relations
-    assert calls == []
-    assert [" ".join(map(str, b.coeffs)) for b in cert.residual_basis] == basis
-    assert cert.residual_basis is cert.residual_basis
-    assert len(calls) == 1
 
 
 def _mpc_horner(a, root):
@@ -595,7 +565,7 @@ def test_certificate_relations_are_sound():
         ((QUARTIC.one() - QUARTIC.gen() ** 2 + QUARTIC.gen() ** 3)
          * Fraction(1, 2), 1)])
     cert = is_bloch(b1, precision=256)
-    assert cert.certified_zero and cert.relations
+    assert cert.verdict == "CertifiedZero" and cert.relations
     from blochinv.prebloch import _dedup_generators, _is_root_of_unity
     base, _ = _dedup_generators(b1)
     for rel in cert.relations:

@@ -15,7 +15,7 @@ from blochinv.borel import (RegulatorVector, borel_regulator, detect_relation,
 from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                    solve_flattening)
 from blochinv.dilog import bloch_wigner, li2, rogers, volume_of_prebloch
-from blochinv.numfield import FieldElement, NumberField, embeddings
+from blochinv.numfield import NumberField, embeddings
 from blochinv.prebloch import (BlochCertificate, Infinity, PreBlochElement,
                                cross_ratio, five_term, is_bloch,
                                multiplicative_relations, parse_element,
@@ -103,8 +103,7 @@ def _raw(x):
         return _raw((x.places, x.values))
     if isinstance(x, BlochCertificate):
         return (x.verdict, x.wedge.matrix,
-                [(r.exponents, r.unity.coeffs if isinstance(
-                    r.unity, FieldElement) else r.unity)
+                [(r.exponents, getattr(r.unity, "coeffs", r.unity))
                  for r in x.relations])
     if isinstance(x, PreBlochElement):
         return (x.field, _raw(list(x.terms.items())))

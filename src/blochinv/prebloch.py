@@ -364,13 +364,22 @@ def _dedup_generators(element):
 
 def _valuation_kernel(values):
     """Integer kernel of the prime-exponent vectors of nonzero rationals (or
-    norms): the identity when no prime occurs."""
+    norms): the identity when no prime occurs.  Each distinct numerator and
+    denominator is factored once."""
+    factored = {1: {}}
+
+    def factor(n):
+        fac = factored.get(n)
+        if fac is None:
+            fac = factored[n] = factorint(n)
+        return fac
+
     primes = set()
     facs = []
     for q in values:
         q = Fraction(q)
-        fn = factorint(abs(q.numerator))
-        fd = factorint(q.denominator)
+        fn = factor(abs(q.numerator))
+        fd = factor(q.denominator)
         fac = {p: fn.get(p, 0) - fd.get(p, 0) for p in set(fn) | set(fd)}
         facs.append(fac)
         primes |= set(fac)
@@ -388,10 +397,11 @@ _MAX_EXPONENT = 64
 def multiplicative_relations(elements, precision=256):
     """Verified multiplicative relations among nonzero exact elements.
 
-    Candidates come from lattice reduction on the full archimedean complex-log
+    Candidates come from lattice reduction on the archimedean complex-log
     vectors (modulus and argument at every place, with 2 pi / M ambiguity
-    vectors for the possible torsion orders M), restricted to the exact
-    kernel of the norm-valuation matrix; each candidate is then verified by
+    vectors for the possible torsion orders M; the modulus, which is zero on
+    the kernel, is left out in a field with one place), restricted to the
+    exact kernel of the norm-valuation matrix; each candidate is verified by
     exact multiplication and kept if it passes.  At sufficient precision the
     numeric kernel equals the true relation lattice: a product whose
     embeddings all lie on the M-grid of the unit circle is a root of unity.
@@ -414,17 +424,27 @@ def multiplicative_relations(elements, precision=256):
     if not val_kernel:
         return []
 
-    # full archimedean data: log|x| at every place, arg x at complex places;
-    # each search vector is the kernel row's combination of them, with the
-    # bits of mp.fsum of the products row[i] * coords[i][j] at wp
+    # archimedean data: log|x| at every place, arg x at complex places; each
+    # search vector is the kernel row's combination of them, with the bits
+    # of mp.fsum of the products row[i] * coords[i][j] at wp
     es = embeddings(fld, precision)
     order_lcm = math.lcm(*_possible_unity_orders(fld.degree))
     wp = precision + 32
     rnd = round_nearest
     places = ([(r._mpf_, fzero) for r in es.real_roots]
               + [z._mpc_ for z in es.complex_pairs])
-    ncoord = es.r1 + 2 * es.r2
-    coords = [_log_coordinates(x, places, es.r1, wp) for x in elements]
+    if es.r1 + es.r2 == 1:
+        # one place (Q, or an imaginary quadratic field): a kernel row's
+        # product y has |N(y)| = 1, so log|y| = log|N(y)| / degree is 0 and
+        # its column of integer tails would be zero, which moves no LLL
+        # step.  Only arg x at a complex place is left.
+        coords = [[mpf_atan2(v[1], v[0], wp, rnd)
+                   for v in horner(x, places[es.r1:], wp)] for x in elements]
+        arg_cols = list(range(es.r2))
+    else:
+        coords = [_log_coordinates(x, places, es.r1, wp) for x in elements]
+        arg_cols = [es.r1 + 2 * j + 1 for j in range(es.r2)]
+    ncoord = len(coords[0])
     with mp.workprec(wp):
         search = []
         for row in val_kernel:
@@ -433,19 +453,20 @@ def multiplicative_relations(elements, precision=256):
                 [mpf_mul_int(c[j], k, wp, rnd) for k, c in terms], wp, rnd))
                 for j in range(ncoord)])
         # one 2 pi / M ambiguity vector per argument coordinate
-        arg_cols = [es.r1 + 2 * j + 1 for j in range(es.r2)]
         for col in arg_cols:
             aux = [mp.mpf(0)] * ncoord
             aux[col] = 2 * mp.pi / order_lcm
             search.append(aux)
         combos = integer_relations(search, precision, max_coeff=None)
-    nk = len(val_kernel)
     out = []
     for combo in combos:
-        e = tuple(sum(combo[i] * val_kernel[i][j] for i in range(nk))
-                  for j in range(m))
+        # the exponents: the kernel rows the combination uses, added up
+        e = [0] * m
+        for c, row in zip(combo, val_kernel):
+            if c:
+                e = [a + c * b for a, b in zip(e, row)]
         if any(e) and max(map(abs, e)) <= _MAX_EXPONENT:
-            rel = _verify_relation(elements, e)
+            rel = _verify_relation(elements, tuple(e))
             if rel is not None:
                 out.append(rel)
     return out
@@ -571,17 +592,22 @@ def parse_element(text, precision=256):
     element = PreBlochElement()
     fld = None
     raw_places = []
+    generators = False
 
     def line(lineno, key, args):
-        nonlocal fld
+        nonlocal fld, generators
         if key == "field":
             if fld is not None:
                 raise TriangulationSyntaxError("repeated field line")
+            if generators:
+                # a term read before the header is not in its field
+                raise TriangulationSyntaxError("field line after a generator")
             fld = textformat.read_field(args)
         elif key == "place":
             # a Newton starting point, read in double precision
             raw_places.append((lineno, textformat.complex_pair(args, 53)))
         else:
+            generators = True
             coeff, star, rest = " ".join([key] + args).partition(" * ")
             if not star:
                 raise TriangulationSyntaxError("unrecognized line")

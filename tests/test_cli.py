@@ -457,6 +457,7 @@ _MALFORMED = [
     ("fill_range.tri", _FIG8 + "fill 3 5 1\n", 22),
     ("repeated_vertex.poly", "vertex 0 inf\nvertex 1 0 0\nvertex 0 1 0\n", 3),
     ("repeated_field.bloch", "field 2 1 0 1\nfield 2 -2 0 1\n1 * [1 1]\n", 2),
+    ("late_field.bloch", "2 * [1/2]\nfield 2 1 0 1\n1 * [0 1]\n", 2),
 ]
 
 
@@ -544,6 +545,67 @@ def test_shape_lines_fuzz_exit_codes(values, field):
             assert "Traceback" not in err.getvalue()
             if code == 2:
                 assert err.getvalue().startswith("invalid input:")
+
+
+# the lines of the bundled .bloch files, and a few rational, quadratic and
+# numeric ones
+_BLOCH_LINES = sorted({
+    line for name in ("weeks_element.bloch", "example2_beta1.bloch",
+                      "example2_beta2.bloch")
+    for line in pathlib.Path(fx(name)).read_text().splitlines()
+    if line and not line.startswith("#")} | {
+    "field 2 1 0 1", "field 1 -3 1", "2 * [1/2]", "-1 * [3]", "1 * [0 1]",
+    "1 * [2 -1/3]", "1 * (0.5 0.8)", "-2 * (2 1)"})
+
+
+def _bloch_degree(line):
+    """The field degree a `.bloch` line needs: the degree a `field` line
+    declares, the coefficient count of an exact term, else None."""
+    if line.startswith("field"):
+        return int(line.split()[1])
+    if line.endswith("]"):
+        return len(line[line.index("[") + 1:-1].split())
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([None] + [line for line in _BLOCH_LINES
+                                 if line.startswith("field")]),
+       st.data())
+def test_invariant_element_parses_back(header, data):
+    # whenever invariant accepts a .bloch file, the element it prints is a
+    # file that parses back to the same terms.  The body lines suit the
+    # header (degree 1 without one); one stray line may go anywhere.
+    from blochinv.prebloch import (parse_element, serialize_element,
+                                   six_fold_normalize)
+    degree = _bloch_degree(header) if header else 1
+    suits = [line for line in _BLOCH_LINES
+             if _bloch_degree(line) == degree and not line.startswith("field")
+             or line.endswith(")")
+             or header and line.startswith("place")]
+    lines = ([header] if header else []) + data.draw(
+        st.lists(st.sampled_from(suits), min_size=1, max_size=4))
+    for line in data.draw(st.lists(st.sampled_from(_BLOCH_LINES),
+                                   max_size=1)):
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.bloch")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--precision", "128", "--format", "records",
+                         "invariant", path])
+    assert code in (0, 1, 2)
+    if code != 0:
+        return
+    printed = json.loads(out.getvalue())["element"]
+    back, _ = parse_element("\n".join(printed) + "\n", precision=128)
+    assert serialize_element(back).splitlines() == printed
+    element = six_fold_normalize(parse_element(text, precision=128)[0])
+    if element.is_exact():
+        assert back.terms == element.terms
 
 
 @pytest.mark.parametrize("argv", [

@@ -349,6 +349,98 @@ def test_is_bloch_certificates_digest():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == CERTIFICATE_BITS
 
 
+# Certificates in fields with one archimedean place (Q(sqrt-3), Q(sqrt-7), a
+# degree-1 field, Q(i) at 128 and 512 bits) and in the real quadratic
+# control field Q(sqrt 2): the verdict and a digest of the relations and the
+# wedge matrix, recorded before multiplicative_relations dropped the log|x|
+# coordinate of one-place fields.  A pair of coefficient strings is the
+# five-term element of (x, y); a dict maps coefficient strings to the
+# multiplicities of an element's terms.
+_ONE_PLACE_PINS = [
+    ([1, 1, 1], 256, ("2 1", "-1 3"), "CertifiedZero", "67443bce204513c2"),
+    ([1, 1, 1], 256, ("1/2 -3", "4 1"), "CertifiedZero", "28e9c054b7c60968"),
+    ([1, 1, 1], 256, ("5 -2", "-3 -7/2"), "CertifiedZero", "d38955755c0187ca"),
+    ([1, 1, 1], 256, {"2 1": 1}, "CertifiedZero", "994bb13c11ccb0db"),
+    ([1, 1, 1], 256, {"1 1": 1}, "CertifiedZero", "ca1f4b74e1d60abc"),
+    ([1, 1, 1], 256, {"3 -1": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
+    ([1, 1, 1], 256, {"0 1": 1, "0 3": 2},
+     "LikelyNonzero", "61db24b0ba6713dc"),
+    ([2, -1, 1], 256, ("1 1", "-2 1"), "CertifiedZero", "7054abba886e9201"),
+    ([2, -1, 1], 256, ("3/2 -1", "1 2"), "CertifiedZero", "d2de31af31f4d29f"),
+    ([2, -1, 1], 256, {"0 1": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
+    ([2, -1, 1], 256, {"-2 1": 1, "2 0": 2},
+     "LikelyNonzero", "6ab11bc7290541c9"),
+    ([-3, 1], 256, ("5/2", "-4"), "CertifiedZero", "718e391f3edc88d5"),
+    ([-3, 1], 256, ("7", "3/4"), "CertifiedZero", "91098667f2400773"),
+    ([-3, 1], 256, {"3": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
+    ([-3, 1], 256, {"-4": 1, "-1": 2}, "LikelyNonzero", "39e41591e1df56b5"),
+    ([1, 0, 1], 128, ("-4 -2", "1 6"), "CertifiedZero", "89b7428281b517c4"),
+    ([1, 0, 1], 512, ("-4 -2", "1 6"), "CertifiedZero", "89b7428281b517c4"),
+    ([1, 0, 1], 128, ("-3/2 -1/4", "4 3"),
+     "CertifiedZero", "406803721cb7861b"),
+    ([1, 0, 1], 512, ("-3/2 -1/4", "4 3"),
+     "CertifiedZero", "406803721cb7861b"),
+    ([1, 0, 1], 128, {"2 1": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
+    ([1, 0, 1], 128, {"4 4": 1, "1 -1": -1},
+     "LikelyNonzero", "72f4d17b13b7f20e"),
+    ([1, 0, 1], 512, {"4 4": 1, "1 -1": -1},
+     "LikelyNonzero", "72f4d17b13b7f20e"),
+    ([-2, 0, 1], 256, ("1 1", "3 -1"), "CertifiedZero", "3e7e72ab7bfb958c"),
+    ([-2, 0, 1], 256, {"1 1": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
+    ([-2, 0, 1], 256, {"4 -2": 1, "2 -1": -1},
+     "LikelyNonzero", "e4ac4c533291de95"),
+]
+
+
+def _spec_element(k, spec):
+    def gen(text):
+        return k.element([Fraction(a) for a in text.split()])
+    if isinstance(spec, tuple):
+        return five_term(*map(gen, spec))
+    return PreBlochElement([(gen(g), c) for g, c in spec.items()])
+
+
+def _certificate_digest(cert):
+    text = repr((cert.verdict,
+                 [(r.exponents, _exact_text(r.unity)) for r in cert.relations],
+                 cert.wedge.matrix))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("poly,prec,spec,verdict,digest", _ONE_PLACE_PINS)
+def test_is_bloch_one_place_pins(poly, prec, spec, verdict, digest):
+    cert = is_bloch(_spec_element(field_make(poly), spec), precision=prec)
+    assert (cert.verdict, _certificate_digest(cert)) == (verdict, digest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(-12, 12, max_denominator=6).filter(bool),
+                min_size=1, max_size=6))
+def test_degree_one_relations_match_rationals(qs):
+    # a degree-1 field has one real place, so no archimedean coordinate is
+    # left and LLL runs on identity rows: the relation lattice is the one
+    # prime factorization gives the same rationals
+    from blochinv.prebloch import _relations_over_q
+    k = field_make([-3, 1])
+    rels = multiplicative_relations([k.from_rational(q) for q in qs])
+    assert _lattice_rows(rels) == _lattice_rows(_relations_over_q(qs))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([field_make([1, 0, 1]), field_make([1, 1, 1]), WEEKS]),
+       st.data())
+def test_is_bloch_same_at_p_and_2p(k, data):
+    coeffs = st.lists(st.fractions(-8, 8, max_denominator=3),
+                      min_size=k.degree, max_size=k.degree).map(k.element)
+    try:
+        e = five_term(data.draw(coeffs), data.draw(coeffs))
+    except (DegenerateFiveTerm, DegenerateShape):
+        assume(False)
+    a, b = (is_bloch(e, precision=p) for p in (256, 512))
+    assert a.verdict == b.verdict
+    assert _lattice_rows(a.relations) == _lattice_rows(b.relations)
+
+
 def test_each_relation_verified_once(monkeypatch):
     # every returned relation is one exactly verified candidate, and no
     # verification is spent on anything else

@@ -336,8 +336,6 @@ def _possible_unity_orders(degree):
 
 
 def _is_root_of_unity(u):
-    if isinstance(u, Fraction) or u.is_rational():
-        return u in (1, -1)
     return u.norm() in (1, -1) and any(
         (u ** m).is_one() for m in _possible_unity_orders(u.field.degree))
 
@@ -383,9 +381,6 @@ def _valuation_kernel(values):
         fac = {p: fn.get(p, 0) - fd.get(p, 0) for p in set(fn) | set(fd)}
         facs.append(fac)
         primes |= set(fac)
-    if not primes:
-        return [[1 if j == i else 0 for j in range(len(values))]
-                for i in range(len(values))]
     primes = sorted(primes)
     return kernel_int([[fac.get(p, 0) for p in primes] for fac in facs])
 
@@ -397,24 +392,31 @@ _MAX_EXPONENT = 64
 def multiplicative_relations(elements, precision=256):
     """Verified multiplicative relations among nonzero exact elements.
 
-    Candidates come from lattice reduction on the archimedean complex-log
-    vectors (modulus and argument at every place, with 2 pi / M ambiguity
-    vectors for the possible torsion orders M; the modulus, which is zero on
-    the kernel, is left out in a field with one place), restricted to the
-    exact kernel of the norm-valuation matrix; each candidate is verified by
-    exact multiplication and kept if it passes.  At sufficient precision the
+    Over Q (Fractions, or a field of degree 1) they come from prime
+    factorization.  In a field of higher degree, candidates come from
+    lattice reduction on the archimedean log vectors (log|x| at every place
+    but the first, which the others fix since each kernel product has norm
+    +-1, and arg x at complex places, with 2 pi / M ambiguity vectors for
+    the possible torsion orders M), restricted to the exact kernel of the
+    norm-valuation matrix; each candidate is verified by exact
+    multiplication and kept if it passes.  At sufficient precision the
     numeric kernel equals the true relation lattice: a product whose
     embeddings all lie on the M-grid of the unit circle is a root of unity.
-    The candidates are part of an LLL-reduced basis, so the verified ones are
-    independent, and their lattice holds every integer combination of them.
+    The candidates are part of an LLL-reduced basis, so the verified ones
+    are independent, and their lattice holds every integer combination of
+    them.
     """
-    if not elements:
-        return []
     elements = [Fraction(x) if isinstance(x, (int, Fraction)) else x
                 for x in elements]
-    if all(isinstance(x, Fraction) for x in elements):
-        return _relations_over_q(elements)
-    fld = next(x.field for x in elements if isinstance(x, FieldElement))
+    if any(x == 0 for x in elements):
+        raise DegenerateShape("multiplicative relations need nonzero elements")
+    fld = next((x.field for x in elements if isinstance(x, FieldElement)),
+               None)
+    if fld is None or fld.degree == 1:
+        rels = _relations_over_q([x if isinstance(x, Fraction)
+                                  else x.as_rational() for x in elements])
+        return rels if fld is None else [
+            r._replace(unity=fld.from_rational(r.unity)) for r in rels]
     elements = [fld.from_rational(x) if isinstance(x, Fraction) else x
                 for x in elements]
     m = len(elements)
@@ -424,26 +426,16 @@ def multiplicative_relations(elements, precision=256):
     if not val_kernel:
         return []
 
-    # archimedean data: log|x| at every place, arg x at complex places; each
-    # search vector is the kernel row's combination of them, with the bits
-    # of mp.fsum of the products row[i] * coords[i][j] at wp
+    # archimedean data from _log_coordinates; each search vector is the
+    # kernel row's combination of them, with the bits of mp.fsum of the
+    # products row[i] * coords[i][j] at wp
     es = embeddings(fld, precision)
     order_lcm = math.lcm(*_possible_unity_orders(fld.degree))
     wp = precision + 32
     rnd = round_nearest
     places = ([(r._mpf_, fzero) for r in es.real_roots]
               + [z._mpc_ for z in es.complex_pairs])
-    if es.r1 + es.r2 == 1:
-        # one place (Q, or an imaginary quadratic field): a kernel row's
-        # product y has |N(y)| = 1, so log|y| = log|N(y)| / degree is 0 and
-        # its column of integer tails would be zero, which moves no LLL
-        # step.  Only arg x at a complex place is left.
-        coords = [[mpf_atan2(v[1], v[0], wp, rnd)
-                   for v in horner(x, places[es.r1:], wp)] for x in elements]
-        arg_cols = list(range(es.r2))
-    else:
-        coords = [_log_coordinates(x, places, es.r1, wp) for x in elements]
-        arg_cols = [es.r1 + 2 * j + 1 for j in range(es.r2)]
+    coords = [_log_coordinates(x, places, es.r1, wp) for x in elements]
     ncoord = len(coords[0])
     with mp.workprec(wp):
         search = []
@@ -453,7 +445,7 @@ def multiplicative_relations(elements, precision=256):
                 [mpf_mul_int(c[j], k, wp, rnd) for k, c in terms], wp, rnd))
                 for j in range(ncoord)])
         # one 2 pi / M ambiguity vector per argument coordinate
-        for col in arg_cols:
+        for col in range(ncoord - es.r2, ncoord):
             aux = [mp.mpf(0)] * ncoord
             aux[col] = 2 * mp.pi / order_lcm
             search.append(aux)
@@ -473,16 +465,14 @@ def multiplicative_relations(elements, precision=256):
 
 
 def _log_coordinates(x, places, r1, wp):
-    """log|x| at each libmp place, then arg x at each place after the first
-    r1 (the real ones), as raw mpfs: the bits of mp.log(abs(v)) and mp.arg(v)
-    for v = x.evaluate(place) at working precision wp."""
+    """log|x| at each libmp place but the first, then arg x at each place
+    after the first r1 (the real ones), as raw mpfs: the bits of
+    mp.log(abs(v)) and mp.arg(v) for v = x.evaluate(place) at working
+    precision wp.  The first place's log is never computed."""
     rnd = round_nearest
-    out = []
-    for i, v in enumerate(horner(x, places, wp)):
-        out.append(mpf_log(mpc_abs(v, wp, rnd), wp, rnd))
-        if i >= r1:
-            out.append(mpf_atan2(v[1], v[0], wp, rnd))
-    return out
+    values = horner(x, places, wp)
+    return ([mpf_log(mpc_abs(v, wp, rnd), wp, rnd) for v in values[1:]]
+            + [mpf_atan2(v[1], v[0], wp, rnd) for v in values[r1:]])
 
 
 def _verify_relation(elements, exps):

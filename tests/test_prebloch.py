@@ -6,7 +6,8 @@ from importlib.resources import files
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import (assume, example, given, settings,
+                        strategies as st)
 
 from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
@@ -416,14 +417,58 @@ def test_is_bloch_one_place_pins(poly, prec, spec, verdict, digest):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(-12, 12, max_denominator=6).filter(bool),
                 min_size=1, max_size=6))
+# exponent 65 exceeds the LLL path's _MAX_EXPONENT; factorization finds it
+@example([Fraction(2), Fraction(2 ** 65)])
 def test_degree_one_relations_match_rationals(qs):
-    # a degree-1 field has one real place, so no archimedean coordinate is
-    # left and LLL runs on identity rows: the relation lattice is the one
-    # prime factorization gives the same rationals
-    from blochinv.prebloch import _relations_over_q
+    # a degree-1 field takes the prime-factorization path: the relations
+    # are those of the same rationals, with unities in the field
     k = field_make([-3, 1])
     rels = multiplicative_relations([k.from_rational(q) for q in qs])
-    assert _lattice_rows(rels) == _lattice_rows(_relations_over_q(qs))
+    assert rels == [r._replace(unity=k.from_rational(r.unity))
+                    for r in multiplicative_relations(qs)]
+    assert all(r.unity.field is k for r in rels)
+
+
+@pytest.mark.parametrize("elements", [
+    [Fraction(0)], [Fraction(2), 0], [WEEKS.gen(), WEEKS.zero()],
+    [field_make([-3, 1]).zero()]])
+def test_relations_reject_zero(elements):
+    with pytest.raises(DegenerateShape):
+        multiplicative_relations(elements)
+
+
+@pytest.mark.parametrize("poly,logs", [
+    ([1, -1, 0, 1], 1), ([1, 0, 0, 0, 1], 1), ([-2, 0, 1], 1),
+    ([1, 0, 1], 0)])
+def test_one_log_left_out_per_element(monkeypatch, poly, logs):
+    # the search takes log|x| at r1 + r2 - 1 places: every product on the
+    # norm-valuation kernel has |N| = 1, which fixes the first place's log
+    from blochinv import prebloch
+    calls = []
+
+    def counting_log(*args):
+        calls.append(args)
+        return mpf_log(*args)
+
+    mpf_log = prebloch.mpf_log
+    monkeypatch.setattr(prebloch, "mpf_log", counting_log)
+    g = field_make(poly).gen()
+    elements = [g, g ** 3, g + 1]
+    assert multiplicative_relations(elements)
+    assert len(calls) == logs * len(elements)
+
+
+def test_degree_one_needs_no_embeddings(monkeypatch):
+    from blochinv import prebloch
+
+    def no_embeddings(*args):
+        raise AssertionError("embeddings of a degree-1 field")
+
+    monkeypatch.setattr(prebloch, "embeddings", no_embeddings)
+    k = field_make([-3, 1])
+    rels = multiplicative_relations([k.from_rational(2), k.from_rational(4)])
+    assert [r.exponents for r in rels] in ([(2, -1)], [(-2, 1)])
+    assert rels[0].unity == k.one()
 
 
 @settings(max_examples=20, deadline=None)
@@ -483,9 +528,10 @@ _WIDE = st.builds(Fraction, st.integers(-2 ** 700, 2 ** 700),
        st.sampled_from([128, 256, 512]), st.data())
 def test_libmp_coordinates_match_mpc(k, prec, data):
     # numfield.horner and the coordinates taken from it have the bits of mpc
-    # Horner followed by mp.log(abs(v)) and mp.arg(v): at real places (given
-    # to mpc Horner as an mpf) and complex ones, zeros of either sign
-    # included, with coefficients wider than the precision
+    # Horner followed by mp.log(abs(v)) at every place but the first and
+    # mp.arg(v) at complex ones: at real places (given to mpc Horner as an
+    # mpf) and complex ones, zeros of either sign included, with
+    # coefficients wider than the precision
     from blochinv.numfield import horner
     from blochinv.prebloch import _log_coordinates
     a = k.element(data.draw(st.lists(_WIDE, min_size=k.degree,
@@ -499,11 +545,8 @@ def test_libmp_coordinates_match_mpc(k, prec, data):
         assert horner(a, places, prec) == [v._mpc_ for v in values]
         assert [a.evaluate(r)._mpc_ for r in roots] == \
             [v._mpc_ for v in values]
-        coords = []
-        for i, v in enumerate(values):
-            coords.append(mp.log(abs(v))._mpf_)
-            if i >= len(reals):
-                coords.append(mp.arg(v)._mpf_)
+        coords = ([mp.log(abs(v))._mpf_ for v in values[1:]]
+                  + [mp.arg(v)._mpf_ for v in values[len(reals):]])
     assert _log_coordinates(a, places, len(reals), prec) == coords
 
 

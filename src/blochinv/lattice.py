@@ -1,9 +1,11 @@
-"""Exact integer number theory: factorization, LLL reduction, Hermite and
-Smith normal forms, rational solving, and numeric integer-relation search.
+"""Exact integer number theory: factorization, LLL reduction, the Hermite
+normal form with the integer and valuation kernels and the exact solvers
+built on it, and numeric integer-relation search.
 
 Everything here is small-matrix work (dimensions in the tens at most) on
-Python ints.  LLL keeps its Gram-Schmidt data as integer Gram determinants,
-not Fractions; rational arithmetic remains only in the exact solvers.
+Python ints.  LLL keeps its Gram-Schmidt data as integer Gram determinants;
+``hnf_rows`` is the one exact elimination, and rational arithmetic remains
+only in the back-substitution of ``solve_rational``.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def lll_reduce(basis):
 
 
 # ---------------------------------------------------------------------------
-# Hermite / Smith forms
+# Hermite form
 
 def hnf_rows(mat):
     """Row-style Hermite normal form of an integer matrix (row space basis).
@@ -203,71 +205,49 @@ def kernel_int(mat):
     return [U[i] for i, row in enumerate(H) if not any(row)]
 
 
-def snf_with_projection(rel_rows, m):
-    """Diagonalize the sublattice R of Z^m spanned by ``rel_rows``.
+# numbers of at most this many bits are factored into primes; Pollard rho
+# takes up to 2^(bits/4) steps
+_FACTOR_BITS = 64
 
-    Returns (diag, proj):  Z^m / R  =  (+)_i Z/diag[i]  (+)  Z^f  and ``proj``
-    is an f x m integer matrix computing the free-part coordinates of a
-    vector.  diag holds the nontrivial elementary divisors up to ordering
-    (the divisibility chain is not normalized).
+
+def valuation_kernel(values):
+    """Integer kernel {e : prod q_i^e_i = +-1} of nonzero rationals, as rows.
+
+    The exponents are taken over a coprime base of the numerators and
+    denominators: the primes of each one of at most _FACTOR_BITS bits, and
+    the larger ones, unfactored, refined against them and each other by
+    gcds.  The kernel is that of the prime-exponent vectors.
     """
-    if not rel_rows:
-        return [], [[1 if j == i else 0 for j in range(m)] for i in range(m)]
-    k = len(rel_rows)
-    # relations as columns of the m x k matrix B; row ops tracked in P
-    B = [[int(rel_rows[j][i]) for j in range(k)] for i in range(m)]
-    P = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    qs = [Fraction(q) for q in values]
+    base = set()
+    pending = []
+    for n in {n for q in qs for n in (abs(q.numerator), q.denominator)}:
+        if n.bit_length() <= _FACTOR_BITS:
+            base.update(factorint(n))
+        else:
+            pending.append(n)
+    while pending:
+        a = pending.pop()
+        b = next((b for b in base if math.gcd(a, b) > 1), None)
+        if b is None:
+            base.add(a)
+        else:
+            g = math.gcd(a, b)
+            base.remove(b)
+            pending += [c for c in (g, a // g, b // g) if c > 1]
+    base = sorted(base)
+    return kernel_int([[_valuation(q.numerator, p)
+                        - _valuation(q.denominator, p) for p in base]
+                       for q in qs])
 
-    def row_swap(i, j):
-        B[i], B[j] = B[j], B[i]
-        P[i], P[j] = P[j], P[i]
 
-    def row_sub(i, j, q):
-        B[i] = [a - q * b for a, b in zip(B[i], B[j])]
-        P[i] = [a - q * b for a, b in zip(P[i], P[j])]
-
-    r = 0
-    while r < m and r < k:
-        piv = None
-        best = None
-        for i in range(r, m):
-            for j in range(r, k):
-                if B[i][j] != 0 and (best is None or abs(B[i][j]) < best):
-                    best = abs(B[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        row_swap(r, i0)
-        if j0 != r:
-            for row in B:
-                row[r], row[j0] = row[j0], row[r]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(r + 1, m):
-                while B[i][r] != 0:
-                    q = B[i][r] // B[r][r]
-                    row_sub(i, r, q)
-                    if B[i][r] != 0:
-                        row_swap(r, i)
-                        dirty = True
-            for j in range(r + 1, k):
-                while B[r][j] != 0:
-                    q = B[r][j] // B[r][r]
-                    for row in B:
-                        row[j] -= q * row[r]
-                    if B[r][j] != 0:
-                        for row in B:
-                            row[r], row[j] = row[j], row[r]
-                        dirty = True
-        if B[r][r] < 0:
-            B[r] = [-a for a in B[r]]
-            P[r] = [-a for a in P[r]]
-        r += 1
-    diag = [B[i][i] for i in range(r)]
-    proj = [P[i] for i in range(r, m)]
-    return [d for d in diag if d not in (0, 1)] or [], proj
+def _valuation(n, p):
+    """The exponent of p > 1 in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -276,37 +256,19 @@ def snf_with_projection(rel_rows, m):
 def solve_rational(mat, rhs):
     """One exact solution of mat @ x = rhs over Q, or None if inconsistent.
 
-    mat: list of integer/Fraction rows; rhs: vector.  Free variables are 0.
+    mat: integer rows; rhs: integer vector.  Back-substitution over Fractions
+    through the row Hermite form of [mat | rhs]; non-pivot variables are 0.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        A[r] = [a / A[r][c] for a in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
+    n = len(mat[0]) if mat else 0
+    H, _ = hnf_rows([list(row) + [b] for row, b in zip(mat, rhs)])
+    rows = [row for row in H if any(row)]
+    pivots = [next(c for c, a in enumerate(row) if a) for row in rows]
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in the rhs column: 0 = nonzero
     x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = A[i][n]
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        x[c] = Fraction(row[n] - sum(a * x[j] for j, a in
+                                     enumerate(row[c + 1:n], c + 1)), row[c])
     return x
 
 

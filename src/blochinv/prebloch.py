@@ -27,8 +27,7 @@ from .dilog import _GUARD
 from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                      RequiresExactField, RootFindingFailed,
                      TriangulationSyntaxError)
-from .lattice import (factorint, integer_relations, kernel_int,
-                      snf_with_projection)
+from .lattice import integer_relations, kernel_int, valuation_kernel
 from .numfield import FieldElement, _polish, embeddings, horner
 
 
@@ -310,8 +309,10 @@ class Relation(NamedTuple):
 
 
 class WedgeElement(NamedTuple):
-    """An antisymmetric integer matrix over a basis of the free quotient of
-    the group generated by an element's z and 1-z modulo ``relations``."""
+    """An antisymmetric integer matrix over the free quotient of the group
+    generated by an element's z and 1-z modulo ``relations``, in the basis of
+    ``lattice.kernel_int`` of the relations; another basis gives A M A^T, A
+    unimodular.  The quotient's torsion is not computed."""
     matrix: list
     relations: list
 
@@ -360,31 +361,6 @@ def _dedup_generators(element):
     return base, pairs
 
 
-def _valuation_kernel(values):
-    """Integer kernel of the prime-exponent vectors of nonzero rationals (or
-    norms): the identity when no prime occurs.  Each distinct numerator and
-    denominator is factored once."""
-    factored = {1: {}}
-
-    def factor(n):
-        fac = factored.get(n)
-        if fac is None:
-            fac = factored[n] = factorint(n)
-        return fac
-
-    primes = set()
-    facs = []
-    for q in values:
-        q = Fraction(q)
-        fn = factor(abs(q.numerator))
-        fd = factor(q.denominator)
-        fac = {p: fn.get(p, 0) - fd.get(p, 0) for p in set(fn) | set(fd)}
-        facs.append(fac)
-        primes |= set(fac)
-    primes = sorted(primes)
-    return kernel_int([[fac.get(p, 0) for p in primes] for fac in facs])
-
-
 # relation candidates with a larger exponent are dropped unverified
 _MAX_EXPONENT = 64
 
@@ -392,8 +368,8 @@ _MAX_EXPONENT = 64
 def multiplicative_relations(elements, precision=256):
     """Verified multiplicative relations among nonzero exact elements.
 
-    Over Q (Fractions, or a field of degree 1) they come from prime
-    factorization.  In a field of higher degree, candidates come from
+    Over Q (Fractions, or a field of degree 1) they come from exact prime
+    valuations.  In a field of higher degree, candidates come from
     lattice reduction on the archimedean log vectors (log|x| at every place
     but the first, which the others fix since each kernel product has norm
     +-1, and arg x at complex places, with 2 pi / M ambiguity vectors for
@@ -422,7 +398,7 @@ def multiplicative_relations(elements, precision=256):
     m = len(elements)
 
     # exact pruning: valuations of rational norms
-    val_kernel = _valuation_kernel([x.norm() for x in elements])
+    val_kernel = valuation_kernel([x.norm() for x in elements])
     if not val_kernel:
         return []
 
@@ -499,7 +475,7 @@ def _relations_over_q(elements):
     kernel row e is checked on integers: prod |x|^e = 1 as top == bot, with
     the sign of the unity from the odd exponents of negative x."""
     out = []
-    for e in _valuation_kernel(elements):
+    for e in valuation_kernel(elements):
         top = bot = sign = 1
         for x, k in zip(elements, e):
             n, d = abs(x.numerator) ** abs(k), x.denominator ** abs(k)
@@ -526,8 +502,9 @@ def wedge(element, precision=256):
     base, pairs = _dedup_generators(element)
     m = len(base)
     rels = multiplicative_relations(base, precision=precision)
-    rel_rows = [list(r.exponents) for r in rels]
-    diag, proj = snf_with_projection(rel_rows, m)
+    # the functionals that kill every relation: they map Z^m onto Z^f, with
+    # the saturated relation lattice as kernel
+    proj = kernel_int([[r.exponents[i] for r in rels] for i in range(m)])
     f = len(proj)
     mat = [[0] * f for _ in range(f)]
     for i, j, c in pairs:

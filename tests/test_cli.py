@@ -11,7 +11,7 @@ import tempfile
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import blochinv
 from blochinv import textformat
@@ -606,6 +606,84 @@ def test_invariant_element_parses_back(header, data):
     element = six_fold_normalize(parse_element(text, precision=128)[0])
     if element.is_exact():
         assert back.terms == element.terms
+
+
+# The bundled fixtures each command reads; relation reads an edited
+# example2 file beside the other, unedited one.
+_COMMAND_FIXTURES = {
+    "invariant": ("figure_eight.tri", "example3.tri", "weeks_element.bloch",
+                  "example2_beta1.bloch", "example2_beta2.bloch"),
+    "fill": ("figure_eight.tri",),
+    "cs": ("figure_eight.tri", "example3.tri"),
+    "borel": ("weeks_element.bloch", "example2_beta1.bloch",
+              "example2_beta2.bloch"),
+    "relation": ("example2_beta1.bloch", "example2_beta2.bloch"),
+    "scissors": ("octahedron.poly", "square_pyramid.poly", "tetrahedron.poly",
+                 "flat_quadrilateral.poly"),
+}
+_FIXTURE_LINES = {
+    name: [line for line in pathlib.Path(fx(name)).read_text().splitlines()
+           if line and not line.startswith("#")]
+    for name in sorted(set().union(*_COMMAND_FIXTURES.values()))}
+_TOKENS = ["0", "1", "-1", "2", "-3", "99", "1/2", "1/0", "0.5", "1e999",
+           "nan", "inf", "x", "exact", "complete", "5,1"]
+
+
+@st.composite
+def _edited_fixture(draw):
+    """(command, fixture name, text): a fixture of the command after one to
+    three line edits: delete, duplicate, cut, replace a token, or splice in
+    a line of any fixture."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FIXTURES)))
+    name = draw(st.sampled_from(_COMMAND_FIXTURES[command]))
+    lines = list(_FIXTURE_LINES[name])
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete", "duplicate", "cut", "token",
+                                     "splice"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "splice":
+            other = draw(st.sampled_from(sorted(_FIXTURE_LINES)))
+            lines.insert(i, draw(st.sampled_from(_FIXTURE_LINES[other])))
+        elif not lines:
+            continue
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(_TOKENS))
+            lines[i] = " ".join(tokens)
+    return command, name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edited_fixture())
+# a norm of about 10000 bits: its valuations come without factoring it
+@example(("invariant", "weeks_element.bloch",
+          "field 3 1 -1 0 1\n1 * [0 1e999 0]\n"))
+def test_edited_fixtures_exit_codes(case):
+    # every command on every edited fixture ends through the documented
+    # exit codes, without a traceback, and an exit 2 says why
+    command, name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        files = [path]
+        if command == "relation":
+            files.append(fx(next(other for other in _COMMAND_FIXTURES[command]
+                                 if other != name)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--precision", "64", command] + files)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("invalid input:")
 
 
 @pytest.mark.parametrize("argv", [

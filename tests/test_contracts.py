@@ -1,5 +1,6 @@
 """Contracts that hold across the library: results do not depend on the
-ambient mpmath precision, and no module imports a name it never uses."""
+ambient mpmath precision, no module imports a name it never uses, and no
+module defines a helper that nothing reads."""
 
 import ast
 import importlib.resources
@@ -196,3 +197,12 @@ def test_no_unused_imports():
     dead = {name: [d for d in _private_definitions(tree) if d not in loaded]
             for name, tree in trees.items()}
     assert {name: found for name, found in dead.items() if found} == {}
+    # the modules that export nothing serve the package: each of their
+    # public functions and classes is read in it
+    internal = ("lattice", "textformat", "errors")
+    assert not set(internal) & set(blochinv._EXPORTS)
+    unread = {name: [node.name for node in trees[name + ".py"].body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and node.name not in loaded]
+              for name in internal}
+    assert {name: found for name, found in unread.items() if found} == {}

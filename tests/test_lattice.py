@@ -1,14 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from blochinv.lattice import (factorint, hnf_rows, integer_relations,
-                              kernel_int, lll_reduce, snf_with_projection,
-                              solve_integer, solve_rational)
+                              kernel_int, lll_reduce, solve_integer,
+                              solve_rational, valuation_kernel)
 
 
 def rank_int(mat):
@@ -164,33 +165,95 @@ def test_kernel_int():
         assert all(sum(row[i] * A[i][j] for i in range(3)) == 0 for j in range(2))
 
 
-def test_snf_projection_free_rank():
-    # relations (2,0,0) and (0,3,3): quotient Z^3/R = Z/2 + Z/3 + Z
-    diag, proj = snf_with_projection([[2, 0, 0], [0, 3, 3]], 3)
-    assert sorted(diag) == [2, 3]
-    assert len(proj) == 1
-    # proj must kill the relations
-    for rel in ([2, 0, 0], [0, 3, 3]):
-        assert sum(proj[0][i] * rel[i] for i in range(3)) % 1 == 0
-    # the free coordinate of (0,1,-1) spans the free part:
-    # check projection is surjective onto Z (gcd of proj entries is 1)
-    from math import gcd
-    g = 0
-    for x in proj[0]:
-        g = gcd(g, x)
-    assert g == 1
+def _det(mat):
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    A = [list(row) for row in mat]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if A[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            A[k], A[piv], sign = A[piv], A[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1] if n else 1
 
 
-def test_snf_projection_annihilates_relations():
-    rng = random.Random(1)
-    for _ in range(20):
-        m = rng.randint(2, 5)
-        k = rng.randint(1, m)
-        rels = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
-        diag, proj = snf_with_projection(rels, m)
-        for rel in rels:
-            for p in proj:
-                assert sum(p[i] * rel[i] for i in range(m)) == 0
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-6, 6), min_size=m, max_size=m), max_size=m + 1)
+    .map(lambda rels: (m, rels))))
+@example((3, [[2, 0, 0], [0, 3, 3]]))
+@example((4, [[1, 2, 0, -1], [2, 4, 0, -2], [0, 0, 0, 0]]))
+def test_wedge_projection(case):
+    # the wedge's free quotient: the integer kernel of the relations taken
+    # as columns.  Its rows kill every relation, number m - rank, and their
+    # f x f minors have gcd 1, so x -> proj x maps Z^m onto Z^f
+    m, rels = case
+    proj = kernel_int([[r[i] for r in rels] for i in range(m)])
+    for p in proj:
+        assert all(sum(a * b for a, b in zip(p, r)) == 0 for r in rels)
+    f = len(proj)
+    assert f == m - rank_int(rels)
+    minors = [_det([[row[c] for c in cols] for row in proj])
+              for cols in itertools.combinations(range(m), f)]
+    assert math.gcd(*minors) == 1
+
+
+# small primes and Mersenne primes above 2^64, whose products Pollard rho
+# would take about 2^(bits/4) steps to split
+_PRIMES = (2, 3, 7, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.lists(
+    st.integers(-2, 2), min_size=len(_PRIMES), max_size=len(_PRIMES))),
+    min_size=1, max_size=5))
+def test_valuation_kernel_without_factoring_large_parts(rows):
+    # numbers beyond 64 bits enter a coprime base by gcd refinement, not by
+    # factoring; the kernel is the one of their true prime exponents
+    values = [(-1) ** neg * math.prod(Fraction(p) ** e
+                                      for p, e in zip(_PRIMES, exps))
+              for neg, exps in rows]
+
+    def lattice(basis):
+        return [row for row in hnf_rows(basis)[0] if any(row)]
+
+    assert lattice(valuation_kernel(values)) == lattice(
+        kernel_int([exps for _, exps in rows]))
+
+
+def _gauss_jordan(mat, rhs):
+    """Reference: Fraction Gauss-Jordan elimination, free variables 0."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
+         for i, row in enumerate(mat)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [a / A[r][c] for a in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(A[i][n] != 0 for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = A[i][n]
+    return x
 
 
 def test_solve_rational():
@@ -198,6 +261,51 @@ def test_solve_rational():
     x = solve_rational(A, [5, 1])
     assert x == [Fraction(2), Fraction(1)]
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+
+
+@st.composite
+def _systems(draw):
+    """An integer system (mat, rhs, kind): full rank, rank deficient (rows
+    combined from fewer rows, rhs in the column span), or inconsistent (a
+    deficient system with a combined row whose rhs is off by a nonzero
+    amount)."""
+    kind = draw(st.sampled_from(["full", "deficient", "inconsistent"]))
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-5, 5)
+    k = n if kind == "full" else draw(st.integers(0, n - 1))
+    base = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    if kind == "full":
+        assume(rank_int(base) == n)
+        mat = base
+    else:
+        mix = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                            min_size=1, max_size=5))
+        mat = [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)]
+               for cs in mix]
+    x0 = draw(st.lists(entries, min_size=n, max_size=n))
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in mat]
+    if kind == "inconsistent":
+        cs = draw(st.lists(entries, min_size=len(mat), max_size=len(mat)))
+        mat = mat + [[sum(c * row[j] for c, row in zip(cs, mat))
+                      for j in range(n)]]
+        rhs = rhs + [sum(c * b for c, b in zip(cs, rhs))
+                     + draw(entries.filter(bool))]
+    return mat, rhs, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_solve_rational_matches_gauss_jordan(system):
+    # the Hermite back-substitution returns the very Fractions of the
+    # Gauss-Jordan reference: the pivot columns and the solution with the
+    # free variables at 0 do not depend on the echelon form
+    mat, rhs, kind = system
+    x = solve_rational(mat, rhs)
+    assert x == _gauss_jordan(mat, rhs)
+    assert (x is None) == (kind == "inconsistent")
+    if x is not None:
+        assert [sum(a * b for a, b in zip(row, x)) for row in mat] == rhs
 
 
 def test_solve_integer():

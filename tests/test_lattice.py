@@ -182,6 +182,43 @@ def _det(mat):
     return sign * A[-1][-1] if n else 1
 
 
+def _projection(rels, m):
+    """The wedge's projection: the integer kernel of the relations as columns."""
+    return kernel_int([[r[i] for r in rels] for i in range(m)])
+
+
+def test_snf_projection_free_rank():
+    # relations (2,0,0) and (0,3,3): quotient Z^3/R = Z/2 + Z/3 + Z
+    rels = [[2, 0, 0], [0, 3, 3]]
+    proj = _projection(rels, 3)
+    assert len(proj) == 1
+    for rel in rels:
+        assert sum(proj[0][i] * rel[i] for i in range(3)) == 0
+    # onto Z: the entries of the one row have gcd 1
+    assert math.gcd(*proj[0]) == 1
+    # the kernel of proj is the saturation of R, and R has index
+    # 2 * 3 = 6 in it: the ratio of the gcds of their 2 x 2 minors
+    sat = kernel_int([[x] for x in proj[0]])
+    assert all(sum(a * b for a, b in zip(proj[0], x)) == 0 for x in sat)
+
+    def minors(rows):
+        return math.gcd(*(_det([[row[c] for c in cols] for row in rows])
+                          for cols in itertools.combinations(range(3), 2)))
+
+    assert len(sat) == 2 and minors(rels) == 6 * minors(sat)
+
+
+def test_snf_projection_annihilates_relations():
+    rng = random.Random(1)
+    for _ in range(20):
+        m = rng.randint(2, 5)
+        k = rng.randint(1, m)
+        rels = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+        for rel in rels:
+            for p in _projection(rels, m):
+                assert sum(p[i] * rel[i] for i in range(m)) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda m: st.lists(
     st.lists(st.integers(-6, 6), min_size=m, max_size=m), max_size=m + 1)
@@ -193,7 +230,7 @@ def test_wedge_projection(case):
     # as columns.  Its rows kill every relation, number m - rank, and their
     # f x f minors have gcd 1, so x -> proj x maps Z^m onto Z^f
     m, rels = case
-    proj = kernel_int([[r[i] for r in rels] for i in range(m)])
+    proj = _projection(rels, m)
     for p in proj:
         assert all(sum(a * b for a, b in zip(p, r)) == 0 for r in rels)
     f = len(proj)

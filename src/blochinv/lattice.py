@@ -1,6 +1,6 @@
-"""Exact integer number theory: factorization, LLL reduction, the Hermite
-normal form with the integer and valuation kernels and the exact solvers
-built on it, and numeric integer-relation search.
+"""Exact integer number theory: LLL reduction, the Hermite normal form with
+the integer and valuation kernels and the exact solvers built on it, and
+numeric integer-relation search.
 
 Everything here is small-matrix work (dimensions in the tens at most) on
 Python ints.  LLL keeps its Gram-Schmidt data as integer Gram determinants;
@@ -10,77 +10,14 @@ only in the back-substitution of ``solve_rational``.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (from_int, from_man_exp, mpf_lt, mpf_mul, mpf_nint,
                           mpf_pos, mpf_shift, mpf_sqrt, mpf_sum, round_nearest,
                           to_int)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-# ---------------------------------------------------------------------------
-# factorization
-
-def factorint(n):
-    """Prime factorization {p: e} of a positive integer, primes ascending.
-
-    Trial division up to 41, then Pollard rho (Cohen, GTM 138, 8.5) until
-    Miller-Rabin accepts every part.  The test is exact below 3.3e24; above
-    it a composite misread as prime only coarsens the callers' valuation
-    pruning, and never admits an unverified relation.
-    """
-    if n < 1:
-        raise ValueError("factorint needs a positive integer, got %d" % n)
-    factors = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            d = _rho_divisor(m)
-            pending += [d, m // d]
-    return dict(sorted(factors.items()))
-
-
-def _is_prime(n):
-    """Strong probable-prime test of an odd n free of primes up to 41: exact
-    for bases 2, 3 below 1373653 and the first 13 primes below 3.3e24."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
-    d = (n - 1) >> s
-    for a in _SMALL_PRIMES[:2] if n < 1373653 else _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
-            return False
-    return True
-
-
-def _rho_divisor(n):
-    """A proper divisor of an odd composite n free of primes up to 41; rho
-    needs sqrt(p) steps, so powers p^k with p > 2^20 are split by a root."""
-    for k in range(2, n.bit_length() // 20 + 1):
-        with mp.workprec(n.bit_length() + 16):
-            r = int(mp.nint(mp.root(n, k)))
-        if r ** k == n:
-            return r
-    for c in itertools.count(1):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = ((y * y + c) ** 2 + c) % n
-            d = math.gcd(x - y, n)
-        if d != n:
-            return d
-
 
 # ---------------------------------------------------------------------------
 # LLL
@@ -159,9 +96,9 @@ def hnf_rows(mat):
     """Row-style Hermite normal form of an integer matrix (row space basis).
 
     Returns (H, U) with U unimodular and U @ mat == H; zero rows of H are
-    kept at the bottom.
+    kept at the bottom.  A non-integral entry raises TypeError.
     """
-    A = [list(map(int, row)) for row in mat]
+    A = [list(map(operator.index, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -205,27 +142,19 @@ def kernel_int(mat):
     return [U[i] for i, row in enumerate(H) if not any(row)]
 
 
-# numbers of at most this many bits are factored into primes; Pollard rho
-# takes up to 2^(bits/4) steps
-_FACTOR_BITS = 64
-
-
 def valuation_kernel(values):
     """Integer kernel {e : prod q_i^e_i = +-1} of nonzero rationals, as rows.
 
     The exponents are taken over a coprime base of the numerators and
-    denominators: the primes of each one of at most _FACTOR_BITS bits, and
-    the larger ones, unfactored, refined against them and each other by
-    gcds.  The kernel is that of the prime-exponent vectors.
+    denominators, refined from them by gcds (Bach, Driscoll and Shallit,
+    J. Algorithms 15, 1993): each of them is a product of powers of the
+    base, whose members have disjoint prime supports, so the kernel is that
+    of the prime-exponent vectors.
     """
     qs = [Fraction(q) for q in values]
     base = set()
-    pending = []
-    for n in {n for q in qs for n in (abs(q.numerator), q.denominator)}:
-        if n.bit_length() <= _FACTOR_BITS:
-            base.update(factorint(n))
-        else:
-            pending.append(n)
+    pending = list({n for q in qs for n in (abs(q.numerator), q.denominator)
+                    if n > 1})
     while pending:
         a = pending.pop()
         b = next((b for b in base if math.gcd(a, b) > 1), None)
@@ -256,8 +185,9 @@ def _valuation(n, p):
 def solve_rational(mat, rhs):
     """One exact solution of mat @ x = rhs over Q, or None if inconsistent.
 
-    mat: integer rows; rhs: integer vector.  Back-substitution over Fractions
-    through the row Hermite form of [mat | rhs]; non-pivot variables are 0.
+    mat: integer rows; rhs: integer vector (else TypeError).
+    Back-substitution over Fractions through the row Hermite form of
+    [mat | rhs]; non-pivot variables are 0.
     """
     n = len(mat[0]) if mat else 0
     H, _ = hnf_rows([list(row) + [b] for row, b in zip(mat, rhs)])
@@ -275,9 +205,10 @@ def solve_rational(mat, rhs):
 def solve_integer(mat, rhs):
     """One integer solution of mat @ x = rhs, or None when none exists.
 
-    Back-substitution through one column Hermite form of mat.
+    Back-substitution through one column Hermite form of mat, whose entries
+    must be integers (else TypeError); a non-integral rhs has no solution.
     """
-    A = [[int(a) for a in row] for row in mat]
+    A = [list(map(operator.index, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     b = [int(r) for r in rhs]

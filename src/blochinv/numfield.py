@@ -1,12 +1,13 @@
 """Exact number field arithmetic and complex embeddings.
 
 A number field is Q[x]/(f) for a monic integer polynomial f, assumed
-irreducible (only cheap reducibility witnesses are rejected); an exact Sturm
-count gives its number r1 of real places.  Elements are coefficient vectors
-reduced mod f, held as integer numerators over one common denominator in
-lowest terms; norm and inverse come from one fraction-free (Bareiss)
-elimination on the integer multiplication matrix.  Embeddings are the roots
-of f, Newton-polished once per field and caller-specified binary precision.
+irreducible (only cheap reducibility witnesses are rejected); exact Sturm
+counts give its number r1 of real places and find any integer root.
+Elements are coefficient vectors reduced mod f, held as integer numerators
+over one common denominator in lowest terms; norm and inverse come from one
+fraction-free (Bareiss) elimination on the integer multiplication matrix.
+Embeddings are the roots of f, Newton-polished once per field and
+caller-specified binary precision.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul,
 
 from .errors import (DetectedReducible, DivisionByZero, FieldMismatch,
                      NonMonic, NotSquarefree, RootFindingFailed)
-from .lattice import factorint
 
 
 def conj_exact(z):
@@ -67,33 +67,41 @@ def poly_deriv(p):
     return poly_trim([i * a for i, a in enumerate(p)][1:])
 
 
-def _rational_roots(coeffs):
-    """Rational roots of an integer polynomial, by the rational root test."""
-    p = poly_trim(coeffs)
+def _integer_roots(chain):
+    """Integer roots, ascending, of the monic squarefree f = chain[0] given
+    with its Sturm chain: its rational roots.  All roots lie in (-B, B) for
+    B = 2^(1 + max_k ceil(bits(a_(n-k)) / k)), above Fujiwara's bound
+    2 max_k |a_(n-k)|^(1/k).  An interval (a, b] holds V(a) - V(b) roots;
+    it is bisected down to unit intervals, where f(b) = 0 is tested."""
+    def value(p, x):
+        v = 0
+        for c in reversed(p):
+            v = v * x + c
+        return v
+
+    # positive multiples of the chain's members, with integer coefficients
+    chain = [[int(c * d) for c in p] for p in chain
+             for d in [math.lcm(*(Fraction(c).denominator for c in p))]]
+
+    def changes(x):
+        return _sign_changes([v > 0 for v in (value(p, x) for p in chain)
+                              if v])
+
+    bound = 2 ** (1 + max(-(-abs(a).bit_length() // k) for k, a in
+                          enumerate(reversed(chain[0][:-1]), 1)))
     roots = []
-    # factor out x | p
-    while p and p[0] == 0:
-        roots.append(Fraction(0))
-        p = p[1:]
-    if len(p) <= 1:
-        return roots
-    a0, an = abs(int(p[0])), abs(int(p[-1]))
-
-    def divisors(n):
-        out = [1]
-        for q, e in factorint(n).items():
-            out = [d * q ** k for d in out for k in range(e + 1)]
-        return sorted(out)
-
-    for num in divisors(a0):
-        for den in divisors(an):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                val = Fraction(0)
-                for c in reversed(p):
-                    val = val * r + c
-                if val == 0 and r not in roots:
-                    roots.append(r)
+    stack = [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if value(chain[0], b) == 0:
+                roots.append(b)
+            continue
+        mid = (a + b) // 2
+        vm = changes(mid)
+        stack += [(mid, b, vm, vb), (a, mid, va, vm)]
     return roots
 
 
@@ -119,9 +127,10 @@ class NumberField:
             raise NotSquarefree("gcd with derivative has degree %d"
                                 % (len(chain[-2]) - 1))
         deg = len(coeffs) - 1
-        rr = _rational_roots(coeffs)
-        if deg > 1 and rr:
-            raise DetectedReducible("rational root %s" % rr[0])
+        roots = _integer_roots(chain) if deg > 1 else []
+        if roots:
+            raise DetectedReducible("rational root %s"
+                                    % min(roots, key=lambda r: (abs(r), -r)))
         # degree <= 3 with no rational root is irreducible; degree >= 4 is an
         # input contract beyond the rational-root witness.
         self.min_poly = tuple(coeffs)

@@ -368,13 +368,13 @@ _MAX_EXPONENT = 64
 def multiplicative_relations(elements, precision=256):
     """Verified multiplicative relations among nonzero exact elements.
 
-    Over Q (Fractions, or a field of degree 1) they come from exact prime
-    valuations.  In a field of higher degree, candidates come from
-    lattice reduction on the archimedean log vectors (log|x| at every place
-    but the first, which the others fix since each kernel product has norm
-    +-1, and arg x at complex places, with 2 pi / M ambiguity vectors for
-    the possible torsion orders M), restricted to the exact kernel of the
-    norm-valuation matrix; each candidate is verified by exact
+    Over Q (Fractions, or a field of degree 1) they come from exact
+    valuations over a coprime base.  In a field of higher degree, candidates
+    come from lattice reduction on the archimedean log vectors (log|x| at
+    every place but the first, which the others fix since each kernel
+    product has norm +-1, and arg x at complex places, with 2 pi / M
+    ambiguity vectors for the possible torsion orders M), restricted to the
+    exact kernel of the norm valuations; each candidate is verified by exact
     multiplication and kept if it passes.  At sufficient precision the
     numeric kernel equals the true relation lattice: a product whose
     embeddings all lie on the M-grid of the unit circle is a root of unity.
@@ -471,7 +471,7 @@ def _verify_relation(elements, exps):
 
 
 def _relations_over_q(elements):
-    """Exact relation lattice for rationals via prime factorization.  Each
+    """Exact relation lattice for rationals: the valuation kernel.  Each
     kernel row e is checked on integers: prod |x|^e = 1 as top == bot, with
     the sign of the unity from the odd exponents of negative x."""
     out = []

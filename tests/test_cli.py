@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import importlib.resources
 import io
@@ -203,6 +204,40 @@ def test_printed_digits_pinned(capsys, prec):
         _CS_FIGURE_EIGHT[prec]
 
 
+# The 15 command/fixture calls of the cli-cold benchmark workload, with
+# fixture paths relative to the package directory.
+_CLI_PIN_CALLS = (
+    [["invariant", "fixtures/" + f] for f in (
+        "figure_eight.tri", "example3.tri", "weeks_element.bloch",
+        "example2_beta1.bloch", "example2_beta2.bloch")]
+    + [["fill", "fixtures/figure_eight.tri"],
+       ["fill", "fixtures/figure_eight.tri", "--fill", "5,1"],
+       ["cs", "fixtures/figure_eight.tri"], ["cs", "fixtures/example3.tri"],
+       ["borel"] + ["fixtures/" + f for f in (
+           "weeks_element.bloch", "example2_beta1.bloch",
+           "example2_beta2.bloch")],
+       ["relation", "fixtures/example2_beta1.bloch",
+        "fixtures/example2_beta2.bloch"]]
+    + [["scissors", "fixtures/" + f] for f in (
+        "octahedron.poly", "square_pyramid.poly", "tetrahedron.poly",
+        "flat_quadrilateral.poly")])
+
+# SHA-256 of (argv, exit code, stdout, stderr) of each of those calls in
+# --format records at 128, 256 and 512 bits
+CLI_RECORDS_BITS = (
+    "b84874b3097e141a217b044c17db48dfdcb101cb1e7b1ed78afa58841802e41c")
+
+
+def test_cli_records_pinned(monkeypatch, capsys):
+    monkeypatch.chdir(str(importlib.resources.files("blochinv")))
+    runs = []
+    for bits in (128, 256, 512):
+        for argv in _CLI_PIN_CALLS:
+            argv = ["--precision", str(bits), "--format", "records"] + argv
+            runs.append((argv,) + run(capsys, *argv))
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == CLI_RECORDS_BITS
+
+
 def test_cs_example3_rational_probe(capsys):
     code, out, _ = run(capsys, "--precision", "192", "cs", fx("example3.tri"))
     assert code == 0
@@ -293,6 +328,17 @@ def test_header_only_element_is_zero_over_its_field(tmp_path, capsys):
     code, out, _ = run(capsys, "invariant", str(header))
     assert code == 0 and "CertifiedZero" in out
     assert run(capsys, "invariant", str(cancelled))[1] == out
+
+
+def test_reducible_field_with_large_root_exit_2(tmp_path, capsys):
+    # x^2 - N^2 with N = (2^89 - 1)(2^107 - 1): its root is found without
+    # listing the divisors of N^2
+    n = (2 ** 89 - 1) * (2 ** 107 - 1)
+    p = tmp_path / "reducible.bloch"
+    p.write_text("field 2 %d 0 1\n" % -(n * n))
+    code, _, err = run(capsys, "invariant", str(p))
+    assert code == 2
+    assert err.startswith("invalid input:") and str(n) in err
 
 
 def test_deterministic_output(capsys):

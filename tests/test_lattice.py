@@ -7,9 +7,9 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from blochinv.lattice import (factorint, hnf_rows, integer_relations,
-                              kernel_int, lll_reduce, solve_integer,
-                              solve_rational, valuation_kernel)
+from blochinv.lattice import (hnf_rows, integer_relations, kernel_int,
+                              lll_reduce, solve_integer, solve_rational,
+                              valuation_kernel)
 
 
 def rank_int(mat):
@@ -240,18 +240,18 @@ def test_wedge_projection(case):
     assert math.gcd(*minors) == 1
 
 
-# small primes and Mersenne primes above 2^64, whose products Pollard rho
-# would take about 2^(bits/4) steps to split
-_PRIMES = (2, 3, 7, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1)
+# small primes and Mersenne primes of 31 to 127 bits
+_PRIMES = (2, 3, 5, 7, 11, 13, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1,
+           2 ** 107 - 1, 2 ** 127 - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.lists(
     st.integers(-2, 2), min_size=len(_PRIMES), max_size=len(_PRIMES))),
     min_size=1, max_size=5))
-def test_valuation_kernel_without_factoring_large_parts(rows):
-    # numbers beyond 64 bits enter a coprime base by gcd refinement, not by
-    # factoring; the kernel is the one of their true prime exponents
+def test_valuation_kernel_matches_prime_exponents(rows):
+    # the numerators and denominators enter a coprime base by gcd
+    # refinement; the kernel is the one of their true prime exponents
     values = [(-1) ** neg * math.prod(Fraction(p) ** e
                                       for p, e in zip(_PRIMES, exps))
               for neg, exps in rows]
@@ -291,6 +291,16 @@ def _gauss_jordan(mat, rhs):
     for i, c in enumerate(piv_cols):
         x[c] = A[i][n]
     return x
+
+
+def test_non_integral_entries_raise():
+    # entries are read with operator.index: a Fraction is not truncated
+    with pytest.raises(TypeError):
+        hnf_rows([[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        solve_rational([[Fraction(1, 2)]], [1])
+    with pytest.raises(TypeError):
+        solve_integer([[Fraction(1, 2)]], [1])
 
 
 def test_solve_rational():
@@ -411,28 +421,6 @@ def test_integer_relations_none_for_independent():
         # any surviving candidate must actually be a relation; none should be
         assert not (abs(r[0]) <= 50 and abs(r[1]) <= 50) or \
             abs(r[0] * mp.log(2) + r[1] * mp.log(3)) > 1e-20
-
-
-def _is_prime_by_trial(p):
-    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
-def test_factorint_small_range():
-    for n in range(1, 5001):
-        fac = factorint(n)
-        assert list(fac) == sorted(fac)
-        assert all(_is_prime_by_trial(p) and e > 0 for p, e in fac.items())
-        assert math.prod(p ** e for p, e in fac.items()) == n
-
-
-def test_factorint_large_inputs():
-    assert factorint((2 ** 61 - 1) * (2 ** 31 - 1)) == {2 ** 31 - 1: 1,
-                                                       2 ** 61 - 1: 1}
-    assert factorint(1000003 ** 2 * 999983) == {999983: 1, 1000003: 2}
-    assert factorint(3 ** 40) == {3: 40}
-    assert factorint(2 ** 64) == {2: 64}
-    assert factorint((2 ** 89 - 1) ** 2) == {2 ** 89 - 1: 2}
-
 
 
 # integer_relations on raw libmp against the mpf expressions it replaces

@@ -1,17 +1,18 @@
 import itertools
 import math
 import random
+import signal
 import types
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blochinv import numfield
 from blochinv.numfield import (NumberField, field_make, embeddings,
-                               poly_divmod, poly_scale, poly_trim,
-                               _rational_roots)
+                               poly_deriv, poly_divmod, poly_scale, poly_trim,
+                               _integer_roots)
 from blochinv.prebloch import five_term, is_bloch
 from blochinv.errors import (DetectedReducible, DivisionByZero, FieldMismatch,
                              NonMonic, NotSquarefree)
@@ -88,9 +89,57 @@ def test_field_make_rejects_nonsquarefree():
         field_make([1, 2, 1])  # (x+1)^2
 
 
-def test_rational_roots():
-    assert Fraction(1) in _rational_roots([-1, 0, 1])
-    assert _rational_roots([1, -1, 0, 1]) == []
+def _sturm_chain(coeffs):
+    """The chain f, f', -rem, ... that NumberField.__init__ builds."""
+    chain = [coeffs, poly_deriv(coeffs)]
+    while len(chain[-1]) > 1:
+        chain.append(poly_scale(poly_divmod(chain[-2], chain[-1])[1], -1))
+    return chain
+
+
+def _divisor_search(coeffs):
+    """Integer roots of a monic f: 0 and the +-divisors of its lowest
+    nonzero coefficient, each tested."""
+    low = abs(next(a for a in coeffs if a))
+    candidates = {0} | {s * d for d in range(1, low + 1) if low % d == 0
+                        for s in (1, -1)}
+    return sorted(r for r in candidates
+                  if sum(a * r ** i for i, a in enumerate(coeffs)) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=3, unique=True),
+       st.lists(st.integers(-6, 6), max_size=3))
+def test_rational_roots(roots, cofactor):
+    # prod (x - r) times a monic cofactor: squarefree ones only
+    coeffs = cofactor + [1]
+    for r in roots:
+        coeffs = [int(a) for a in poly_mul(coeffs, [-r, 1])]
+    assume(len(coeffs) > 1)
+    chain = _sturm_chain(coeffs)
+    assume(chain[-1])
+    assert _integer_roots(chain) == _divisor_search(coeffs)
+
+
+# a product of Mersenne primes of 89 and 107 bits: listing the divisors of
+# N or N^2 would mean factoring it
+_N = (2 ** 89 - 1) * (2 ** 107 - 1)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("no answer within the deadline")
+
+
+def test_large_constant_coefficients():
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert NumberField([_N, 0, 1]).degree == 2
+        with pytest.raises(DetectedReducible, match="rational root %d$" % _N):
+            NumberField([-_N * _N, 0, 1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_theta_cubed_reduction():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -263,16 +264,18 @@ def test_wedge_five_term_certified_zero_gaussian():
 # (the relation lattice, as recorded when the certificate also listed short
 # combinations of the verified relations), as recorded from the
 # Fraction-coefficient field arithmetic.  Exact arithmetic must reproduce
-# them bit for bit.
+# them bit for bit.  The relation digests of cubic_a and cubic_b were
+# re-recorded when the valuation kernel's columns moved from the primes to
+# a coprime base refined by gcds: another basis of the same lattice.
 _PINNED_CERTIFICATES = [
     ([1, 0, 1], ["-4", "-2"], ["1", "6"], 5, "9702b333d1d24b5e",
      "47c70db0aa8be9ca"),
     ([1, 0, 1], ["-3/2", "-1/4"], ["4", "3"], 5, "d57be637a31acc02",
      "47c70db0aa8be9ca"),
     ([1, -1, 0, 1], ["-1", "-5/4", "1/2"], ["-5", "-5", "-6"], 5,
-     "853df826dcb21392", "47c70db0aa8be9ca"),
+     "d7388cb97019ca8a", "47c70db0aa8be9ca"),
     ([1, -1, 0, 1], ["1", "5/3", "6"], ["1", "6", "-3"], 5,
-     "0cb3a15f63c67810", "47c70db0aa8be9ca"),
+     "05fa7c41b39a4a2a", "47c70db0aa8be9ca"),
 ]
 
 
@@ -308,10 +311,14 @@ def test_is_bloch_pinned_certificates(poly, x, y, count, digest, lattice):
 # _digest_elements().  The earlier pin, which also hashed each certificate's
 # residual basis, was recorded before the coordinate vectors of
 # multiplicative_relations moved from mpc objects to raw libmp tuples.  This
-# pin was computed from the same 201 elements by the last code that had the
-# residual basis, which still matched the earlier pin.
+# pin was re-recorded when the valuation kernel's columns moved from the
+# primes to a coprime base refined by gcds, which moves the bases of some
+# relation lattices; RELATION_LATTICES, which hashes only the verdicts and
+# the Hermite forms of the relation exponents, did not move.
 CERTIFICATE_BITS = (
-    "d4babe4618d5dc8311c07cc2c09a39e74fdd539c263b78cba441dbd842c2f2f0")
+    "826cf74c2fd2da143421447b85f0292cc6e6fd6e87784e7483ba2892773883d7")
+RELATION_LATTICES = (
+    "62259e2d6173c38cdf79faa699024aab4d15404a75d090d857896abc7989e9ec")
 
 
 def _digest_elements():
@@ -340,14 +347,23 @@ def _exact_text(x):
     return str(x)
 
 
+@functools.cache
+def _digest_certificates():
+    return [is_bloch(e, precision=256) for e in _digest_elements()]
+
+
 def test_is_bloch_certificates_digest():
-    out = []
-    for e in _digest_elements():
-        cert = is_bloch(e, precision=256)
-        out.append((cert.verdict,
-                    [(r.exponents, _exact_text(r.unity))
-                     for r in cert.relations]))
+    out = [(cert.verdict, [(r.exponents, _exact_text(r.unity))
+                           for r in cert.relations])
+           for cert in _digest_certificates()]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == CERTIFICATE_BITS
+
+
+def test_is_bloch_relation_lattices_digest():
+    # independent of the basis of each relation lattice
+    out = [(cert.verdict, _lattice_rows(cert.relations))
+           for cert in _digest_certificates()]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == RELATION_LATTICES
 
 
 # Certificates in fields with one archimedean place (Q(sqrt-3), Q(sqrt-7), a
@@ -360,10 +376,14 @@ def test_is_bloch_certificates_digest():
 # 39e41591e1df56b5 and e4ac4c533291de95 were re-recorded when the wedge
 # basis moved from a Smith form to the integer kernel of the relations:
 # same relations and verdicts, wedge matrix A M A^T with A = diag(1, -1).
+# The CertifiedZero digests 28e9c054b7c60968, d38955755c0187ca and
+# 91098667f2400773 were re-recorded when the valuation kernel's columns
+# moved from the primes to a coprime base: same verdicts and relation
+# lattices, other bases of them.
 _ONE_PLACE_PINS = [
     ([1, 1, 1], 256, ("2 1", "-1 3"), "CertifiedZero", "67443bce204513c2"),
-    ([1, 1, 1], 256, ("1/2 -3", "4 1"), "CertifiedZero", "28e9c054b7c60968"),
-    ([1, 1, 1], 256, ("5 -2", "-3 -7/2"), "CertifiedZero", "d38955755c0187ca"),
+    ([1, 1, 1], 256, ("1/2 -3", "4 1"), "CertifiedZero", "8030b673bd8baf9f"),
+    ([1, 1, 1], 256, ("5 -2", "-3 -7/2"), "CertifiedZero", "3f2bdc6b7a0e15a5"),
     ([1, 1, 1], 256, {"2 1": 1}, "CertifiedZero", "994bb13c11ccb0db"),
     ([1, 1, 1], 256, {"1 1": 1}, "CertifiedZero", "ca1f4b74e1d60abc"),
     ([1, 1, 1], 256, {"3 -1": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
@@ -375,7 +395,7 @@ _ONE_PLACE_PINS = [
     ([2, -1, 1], 256, {"-2 1": 1, "2 0": 2},
      "LikelyNonzero", "6ab11bc7290541c9"),
     ([-3, 1], 256, ("5/2", "-4"), "CertifiedZero", "718e391f3edc88d5"),
-    ([-3, 1], 256, ("7", "3/4"), "CertifiedZero", "91098667f2400773"),
+    ([-3, 1], 256, ("7", "3/4"), "CertifiedZero", "c0e759bbb593a3ef"),
     ([-3, 1], 256, {"3": 1}, "LikelyNonzero", "c2a346a4f2c35382"),
     ([-3, 1], 256, {"-4": 1, "-1": 2}, "LikelyNonzero", "b7534772105d5a62"),
     ([1, 0, 1], 128, ("-4 -2", "1 6"), "CertifiedZero", "89b7428281b517c4"),
@@ -420,10 +440,11 @@ def test_is_bloch_one_place_pins(poly, prec, spec, verdict, digest):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(-12, 12, max_denominator=6).filter(bool),
                 min_size=1, max_size=6))
-# exponent 65 exceeds the LLL path's _MAX_EXPONENT; factorization finds it
+# exponent 65 exceeds the LLL path's _MAX_EXPONENT; the valuation kernel
+# finds it
 @example([Fraction(2), Fraction(2 ** 65)])
 def test_degree_one_relations_match_rationals(qs):
-    # a degree-1 field takes the prime-factorization path: the relations
+    # a degree-1 field takes the valuation-kernel path of Q: the relations
     # are those of the same rationals, with unities in the field
     k = field_make([-3, 1])
     rels = multiplicative_relations([k.from_rational(q) for q in qs])

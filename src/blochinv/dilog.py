@@ -322,7 +322,5 @@ def volume_of_prebloch(element, embedding=None, precision=256):
                 continue  # real: D2 = 0
             else:
                 zv = mp.mpc(gen)
-            if zv == 0 or zv == 1:
-                raise DegenerateShape("generator maps to %s" % zv)
             total += coeff * bloch_wigner(zv, precision)
         return total

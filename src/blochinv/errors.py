@@ -109,9 +109,5 @@ class Inconsistent(BlochError):
 
 # --- scissors congruence ---
 
-class DegenerateSimplex(BlochError):
-    """A cone simplex has two equal ideal vertices."""
-
-
 class NotAFiveTermConfiguration(BlochError):
     """Cycle move applied to simplices not matching the five-point pattern."""

@@ -17,9 +17,8 @@ from __future__ import annotations
 import mpmath as mp
 
 from . import textformat
-from .errors import (DegenerateSimplex, DimensionMismatch,
-                     NotAFiveTermConfiguration, NotDistinct,
-                     TriangulationSyntaxError)
+from .errors import (DimensionMismatch, NotAFiveTermConfiguration,
+                     NotDistinct, TriangulationSyntaxError)
 from .prebloch import (Infinity, PreBlochElement, cross_ratio,
                        six_fold_normalize, _pt_eq)
 
@@ -41,9 +40,14 @@ class IdealPolyhedron:
     def _validate(self):
         # closed coherently oriented surface: each directed edge used once
         directed = set()
-        for cyc in self.faces:
+        for k, cyc in enumerate(self.faces):
             if len(cyc) < 3:
                 raise DimensionMismatch("face with fewer than 3 vertices")
+            if len(set(cyc)) < len(cyc):
+                raise DimensionMismatch("face %d repeats a vertex" % k)
+            if not set(cyc) <= set(range(len(self.vertices))):
+                raise DimensionMismatch("face %d has a vertex outside 0..%d"
+                                        % (k, len(self.vertices) - 1))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if (a, b) in directed:
                     raise DimensionMismatch(
@@ -54,23 +58,20 @@ class IdealPolyhedron:
             if (b, a) not in directed:
                 raise DimensionMismatch("boundary edge (%d,%d): faces do not "
                                         "close up" % (a, b))
-        # triangulations: n-3 pairwise non-crossing diagonals per face
+        # triangulations: n-3 diagonals on the face that cut it into triangles
+        self._face_triangles = []
         for k, cyc in enumerate(self.faces):
             diags = self.diagonals[k]
             if len(diags) != len(cyc) - 3:
                 raise DimensionMismatch(
                     "face %d needs %d diagonals, got %d"
                     % (k, len(cyc) - 3, len(diags)))
-            pos = {v: i for i, v in enumerate(cyc)}
             for d in diags:
-                if d[0] not in pos or d[1] not in pos:
+                if d[0] not in cyc or d[1] not in cyc:
                     raise DimensionMismatch("diagonal %s not on face %d"
                                             % (d, k))
-            for i in range(len(diags)):
-                for j in range(i + 1, len(diags)):
-                    if _chords_cross(pos, diags[i], diags[j], len(cyc)):
-                        raise DimensionMismatch(
-                            "crossing diagonals on face %d" % k)
+            self._face_triangles.append(
+                _triangulate_cycle(cyc, [tuple(d) for d in diags]))
         # Euler characteristic with triangulated edges
         edges = set()
         ntri = 0
@@ -86,22 +87,10 @@ class IdealPolyhedron:
 
     def face_triangles(self, k):
         """Oriented triangles of face k induced by its diagonal set."""
-        return _triangulate_cycle(self.faces[k], [tuple(d) for d in
-                                                  self.diagonals[k]])
+        return list(self._face_triangles[k])
 
     def triangles(self):
-        out = []
-        for k in range(len(self.faces)):
-            out.extend(self.face_triangles(k))
-        return out
-
-
-def _chords_cross(pos, d1, d2, n):
-    a, b = sorted((pos[d1[0]], pos[d1[1]]))
-    c, d = sorted((pos[d2[0]], pos[d2[1]]))
-    if len({a, b, c, d}) < 4:
-        return False
-    return (a < c < b < d) or (c < a < d < b)
+        return [tri for tris in self._face_triangles for tri in tris]
 
 
 def _triangulate_cycle(cyc, diags):
@@ -109,7 +98,6 @@ def _triangulate_cycle(cyc, diags):
     preserving the cycle's orientation."""
     if len(cyc) == 3:
         return [tuple(cyc)]
-    members = set(cyc)
     for (u, v) in diags:
         iu, iv = cyc.index(u), cyc.index(v)
         if iu > iv:
@@ -147,16 +135,9 @@ def cone_decomposition(poly, apex):
 def decomposition_class(poly, decomposition, precision=256):
     """Pre-Bloch element of a signed simplex decomposition; numeric cross
     ratios are taken at ``precision``."""
-    terms = []
-    for (quad, sign) in decomposition:
-        pts = [poly.vertices[i] for i in quad]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if _pt_eq(pts[i], pts[j]):
-                    raise DegenerateSimplex("cone simplex %s has equal "
-                                            "vertices" % (quad,))
-        terms.append((cross_ratio(*pts, precision=precision), sign))
-    return PreBlochElement(terms)
+    return PreBlochElement(
+        [(cross_ratio(*[poly.vertices[i] for i in quad], precision=precision),
+          sign) for quad, sign in decomposition])
 
 
 def polyhedron_class(poly, precision=256):
@@ -202,39 +183,24 @@ def cycle_move(decomposition, config):
     v = list(config)
     if len(v) != 5 or len(set(v)) != 5:
         raise NotAFiveTermConfiguration("need five distinct vertex indices")
-    omit = [tuple(v[:k] + v[k + 1:]) for k in range(5)]
-    side_a = [_canon_simplex(omit[k], 1) for k in (0, 2, 4)]
-    side_b = [_canon_simplex(omit[k], 1) for k in (1, 3)]
-    canon_dec = [_canon_simplex(q, s) for q, s in decomposition]
-
-    def remove_all(dec, side):
-        dec = list(dec)
-        for item in side:
-            if item in dec:
-                dec.remove(item)
-            else:
-                return None
-        return dec
-
-    def merged(dec):
-        acc = {}
-        for q, s in dec:
-            acc[q] = acc.get(q, 0) + s
-        out = []
-        for q, s in acc.items():
-            if s:
+    faces = [_canon_simplex(v[:k] + v[k + 1:], 1) for k in range(5)]
+    dec = [_canon_simplex(q, s) for q, s in decomposition]
+    for side, other in ((faces[0::2], faces[1::2]),
+                        (faces[1::2], faces[0::2])):
+        for sign in (1, -1):
+            rest = list(dec)
+            try:
+                for q, s in side:
+                    rest.remove((q, sign * s))
+            except ValueError:
+                continue
+            acc = {}
+            for q, s in rest + [(q, sign * s) for q, s in other]:
+                acc[q] = acc.get(q, 0) + s
+            out = []
+            for q, s in acc.items():
                 out.extend([(q, 1 if s > 0 else -1)] * abs(s))
-        return out
-
-    for side, other in ((side_a, side_b), (side_b, side_a)):
-        rest = remove_all(canon_dec, side)
-        if rest is not None:
-            return merged(rest + other)
-        neg_side = [(q, -s) for q, s in side]
-        neg_other = [(q, -s) for q, s in other]
-        rest = remove_all(canon_dec, neg_side)
-        if rest is not None:
-            return merged(rest + neg_other)
+            return out
     raise NotAFiveTermConfiguration(
         "decomposition does not contain either side of the configuration")
 

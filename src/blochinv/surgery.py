@@ -21,7 +21,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .dilog import _GUARD, _record, bloch_wigner
-from .errors import (BlochError, Diverged, DegenerateShape, DegeneratedToFlat,
+from .errors import (BlochError, Diverged, DegeneratedToFlat,
                      JacobianSingular, NotCoprime, NotFilled, RankDeficient)
 from .lattice import hnf_rows
 
@@ -415,7 +415,5 @@ def solution_volume(result, precision=None):
     with mp.workprec(precision + _GUARD):
         total = mp.mpf(0)
         for z in result.shapes:
-            if z == 0 or z == 1:
-                raise DegenerateShape("solved shape %s" % z)
             total += bloch_wigner(z, precision)
         return total

@@ -15,6 +15,8 @@ modulo pi i, the offsets landing in d.
 
 from __future__ import annotations
 
+import itertools
+
 import mpmath as mp
 
 from . import textformat
@@ -65,8 +67,10 @@ class GluingCombinatorics:
                     raise OpenFace("tet %d face %d unglued" % (t, f))
 
     def edge_classes(self):
-        """Orbits of tetrahedron edges under the face pairings."""
-        parent = {}
+        """Orbits of the unordered tetrahedron edges (t, (a, b)), a < b,
+        under the face pairings."""
+        edges = list(itertools.combinations(range(4), 2))
+        parent = {(t, e): (t, e) for t in range(self.n) for e in edges}
 
         def find(x):
             while parent[x] != x:
@@ -74,27 +78,14 @@ class GluingCombinatorics:
                 x = parent[x]
             return x
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        items = [(t, a, b) for t in range(self.n)
-                 for a in range(4) for b in range(4) if a != b]
-        for it in items:
-            parent[it] = it
         for (t, f), (t2, perm) in self.gluings.items():
-            for a in range(4):
-                for b in range(4):
-                    if a == b or a == f or b == f:
-                        continue
-                    union((t, a, b), (t2, perm[a], perm[b]))
+            for a, b in edges:
+                if f not in (a, b):
+                    parent[find((t, (a, b)))] = find(
+                        (t2, tuple(sorted((perm[a], perm[b])))))
         classes = {}
-        for t in range(self.n):
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    key = min(find((t, a, b)), find((t, b, a)))
-                    classes.setdefault(key, set()).add((t, (a, b)))
+        for x in parent:
+            classes.setdefault(find(x), []).append(x)
         return [sorted(c) for c in sorted(classes.values(), key=sorted)]
 
     def cusp_holonomies(self):

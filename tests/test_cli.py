@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -312,6 +313,25 @@ def test_scissors_square_pyramid(capsys):
     assert "apex_independent:      True" in out
 
 
+@pytest.mark.parametrize("name", ["octahedron.poly", "square_pyramid.poly",
+                                  "tetrahedron.poly",
+                                  "flat_quadrilateral.poly"])
+def test_scissors_triangulates_each_face_once(monkeypatch, capsys, name):
+    # the faces are triangulated when the polyhedron is built, and the
+    # command builds it once
+    from blochinv import scissors
+    calls = []
+    triangulate = scissors._triangulate_cycle
+    monkeypatch.setattr(scissors, "_triangulate_cycle",
+                        lambda *a: calls.append(a) or triangulate(*a))
+    scissors.parse_polyhedron(pathlib.Path(fx(name)).read_text())
+    built = len(calls)
+    del calls[:]
+    code, _, _ = run(capsys, "scissors", fx(name))
+    assert code == 0
+    assert len(calls) == built
+
+
 def test_empty_file_exit_2(tmp_path, capsys):
     p = tmp_path / "empty.tri"
     p.write_text("")
@@ -544,12 +564,19 @@ def test_header_counts_named(tmp_path, capsys):
       for command in ("invariant", "fill", "cs")
       for key, n in (("tets", 1), ("cusps", 0))
 ] + [([command, "empty.tri"], "tets 0\ncusps 0\ndvec\n")
-     for command in ("invariant", "fill", "cs")],
+     for command in ("invariant", "fill", "cs")
+] + [(["scissors", "repeated_face_vertex.poly"],
+      "vertex 0 0 0\nvertex 1 1 0\nvertex 2 0 1\nface 0 1 0 2\n"
+      "diag 0 1 2\n"),
+     (["scissors", "missing_face_vertex.poly"],
+      "vertex 0 0 0\nvertex 1 inf\nvertex 2 1 0\nvertex 3 0.3 1.1\n"
+      "face 0 2 1\nface 0 1 7\nface 1 2 7\nface 0 7 2\n")],
     ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs",
          "calibrate_cs_nan", "calibrate_cs_inf", "calibrate_cs_huge"]
     + ["%s_huge_%s" % (command, key) for command in ("invariant", "fill", "cs")
        for key in ("tets", "cusps")]
-    + ["%s_empty" % command for command in ("invariant", "fill", "cs")])
+    + ["%s_empty" % command for command in ("invariant", "fill", "cs")]
+    + ["scissors_repeated_face_vertex", "scissors_missing_face_vertex"])
 def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     if text is not None:
         (tmp_path / argv[1]).write_text(text)
@@ -730,6 +757,79 @@ def test_edited_fixtures_exit_codes(case):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("invalid input:")
+
+
+# (values accepted, values rejected) of each option; a --fill slope may
+# still be non-coprime or degenerate, a --calibrate-cs value out of range
+_ARGV_VALUES = {
+    "--precision": (["64", "65", "128", "257", "512"],
+                    ["63", "0", "-128", "x", "1.5", "1e2", ""]),
+    "--format": (["text", "records"], ["json", ""]),
+    "--denom-bound": (["1", "120", "99999999999999999999"],
+                      ["0", "-3", "x"]),
+    "--fill": (["5,1", "5 1", "-7,3", "97,-3", "1,0", "0,1", "complete",
+                "2,4", "0,0", "6,-9"], ["5;1", "5,1,2", "5", "x", ""]),
+    "--calibrate-cs": (["0", "1.25", "-3", "1e30", "-1e40", "1e999"],
+                       ["nan", "inf", "abc", ""]),
+    "--bound": (["1", "2", "64"], ["0", "-1", "x"]),
+}
+
+
+def _random_argv(rng):
+    """A command line of one of the six commands on its fixtures (or a
+    missing file, or one of another kind), its options drawn from
+    _ARGV_VALUES, one in ten rejected, separate or in the = form."""
+    def option(name):
+        value = rng.choice(_ARGV_VALUES[name][rng.random() < 0.1])
+        return ["%s=%s" % (name, value)] if rng.random() < 0.3 \
+            else [name, value]
+
+    command = rng.choice(sorted(_COMMAND_FIXTURES))
+    names = [fx(rng.choice(_COMMAND_FIXTURES[command]))
+             for _ in range(2 if command == "relation" else 1)]
+    if command == "borel":
+        names = [fx(name) for name in _COMMAND_FIXTURES["borel"]
+                 if rng.random() < 0.7] or names
+    if rng.random() < 0.1:
+        names[0] = rng.choice([fx("octahedron.poly"), fx("figure_eight.tri"),
+                               fx("weeks_element.bloch"), "no_such_file"])
+    before = []
+    for name in ("--precision", "--format", "--denom-bound"):
+        if rng.random() < 0.5:
+            before += option(name)
+    if rng.random() < 0.3:
+        before.append("--allow-flat")
+    after = []
+    if command == "fill":
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            after += option("--fill")
+    elif command == "cs" and rng.random() < 0.6:
+        after += option("--calibrate-cs")
+    elif command == "relation" and rng.random() < 0.6:
+        after += option("--bound")
+    if rng.random() < 0.1:
+        # a global option after the command is a usage error
+        after += rng.choice([["--allow-flat"], option("--precision")])
+    return before + [command] + names + after
+
+
+def test_argv_fuzz_exit_codes():
+    # a seeded sample of command lines: every one ends through the
+    # documented exit codes, argparse's usage errors as SystemExit(2),
+    # without a traceback, and an exit 2 says why
+    rng = random.Random(7)
+    for _ in range(250):
+        argv = _random_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            assert err.getvalue().startswith("invalid input:"), argv
 
 
 @pytest.mark.parametrize("argv", [

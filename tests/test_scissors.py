@@ -1,13 +1,17 @@
+import collections
 import importlib.resources
+import itertools
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochinv.dilog import bloch_wigner, volume_of_prebloch
 from blochinv.errors import DimensionMismatch, NotAFiveTermConfiguration
 from blochinv.numfield import field_make
 from blochinv.prebloch import Infinity, six_fold_normalize, wedge
-from blochinv.scissors import (IdealPolyhedron, cone_decomposition, cycle_move,
+from blochinv.scissors import (IdealPolyhedron, _canon_simplex,
+                               cone_decomposition, cycle_move,
                                decomposition_class, parse_polyhedron,
                                polyhedron_class)
 
@@ -88,11 +92,9 @@ def test_square_pyramid_cycle_move():
     p = fixture("square_pyramid.poly")
     dec3 = cone_decomposition(p, 2)
     dec2 = cone_decomposition(p, 0)
-    from blochinv.scissors import _canon_simplex
     dec2c = sorted(_canon_simplex(q, s) for q, s in dec2)
     dec3c = sorted(_canon_simplex(q, s) for q, s in dec3)
     # find the configuration whose sides are exactly the two decompositions
-    import itertools
     config = None
     for cand in itertools.permutations(range(5)):
         try:
@@ -163,3 +165,63 @@ def test_validation_rejects_missing_diagonals():
                          mp.mpc(0, -1)],
                         [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
                          [1, 4, 3, 2]])  # quad face without a diagonal
+
+
+def _net(decomposition):
+    """Signed multiplicity of each canonical simplex."""
+    net = collections.Counter()
+    for quad, sign in decomposition:
+        q, s = _canon_simplex(quad, sign)
+        net[q] += s
+    return net
+
+
+_QUADS = st.permutations(range(7)).map(lambda p: tuple(p[:4]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(range(7)).map(lambda p: tuple(p[:5])),
+       st.lists(st.tuples(_QUADS, st.sampled_from([1, -1])), max_size=4),
+       st.sampled_from([None, 0, 1]), st.sampled_from([1, -1]), st.data())
+def test_cycle_move_swaps_one_signed_side(config, noise, parity, sign, data):
+    # the boundary of the 4-simplex on config is d = sum_k (-1)^k [omit_k];
+    # a move trades a side of it, present with one sign, for the other side
+    # of that sign, so the net sum moves by +d or -d
+    v = list(config)
+    omit = [tuple(v[:k] + v[k + 1:]) for k in range(5)]
+    boundary = _net((omit[k], (-1) ** k) for k in range(5))
+    dec = list(noise)
+    if parity is not None:
+        # plant one side, each simplex under an arbitrary vertex order
+        for k in range(parity, 5, 2):
+            order = data.draw(st.permutations(omit[k]))
+            dec.insert(data.draw(st.integers(0, len(dec))),
+                       (order, sign * _canon_simplex(order, 1)[1]
+                        * _canon_simplex(omit[k], 1)[1]))
+    have = collections.Counter(_canon_simplex(q, s) for q, s in dec)
+    present = any(all(have[q, e * s] for q, s in
+                      (_canon_simplex(omit[k], 1) for k in range(p, 5, 2)))
+                  for p in (0, 1) for e in (1, -1))
+    if not present:
+        with pytest.raises(NotAFiveTermConfiguration):
+            cycle_move(dec, config)
+        return
+    moved = _net(cycle_move(dec, config))
+    moved.subtract(_net(dec))
+    delta = {q: s for q, s in moved.items() if s}
+    assert delta in (dict(boundary), {q: -s for q, s in boundary.items()})
+
+
+@pytest.mark.parametrize("vertices,faces,diagonals,message", [
+    # one face whose two sides pair up, Euler characteristic 2 by coincidence
+    ([mp.mpc(0), mp.mpc(1), mp.mpc(0, 1)], [[0, 1, 0, 2]], [[(1, 2)]],
+     "face 0 repeats a vertex"),
+    # a closed tetrahedron on vertex 7 of four
+    ([mp.mpc(0), Infinity, mp.mpc(1), mp.mpc("0.3", "1.1")],
+     [[0, 2, 1], [0, 1, 7], [1, 2, 7], [0, 7, 2]], None,
+     r"face 1 has a vertex outside 0\.\.3"),
+], ids=["repeated_vertex", "missing_vertex"])
+def test_validation_rejects_face_off_the_vertex_list(vertices, faces,
+                                                     diagonals, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        IdealPolyhedron(vertices, faces, diagonals)

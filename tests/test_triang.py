@@ -223,6 +223,47 @@ def test_edge_equations_figure_eight(fig8):
         assert r in stored or [-x for x in r] in stored
 
 
+@st.composite
+def _closed_gluings(draw):
+    """A random closed gluing of 1-4 tetrahedra: the 4n faces paired off,
+    each pair by one of the six bijections that send face to face."""
+    n = draw(st.integers(1, 4))
+    faces = draw(st.permutations([(t, f) for t in range(n)
+                                  for f in range(4)]))
+    glu = {}
+    for (t, f), (t2, f2) in zip(faces[0::2], faces[1::2]):
+        perm = draw(st.sampled_from([p for p in itertools.permutations(
+            range(4)) if p[f] == f2]))
+        glu[(t, f)] = (t2, perm)
+        glu[(t2, f2)] = (t, tuple(perm.index(i) for i in range(4)))
+    return GluingCombinatorics(n, glu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_gluings())
+def test_edge_classes_are_face_map_orbits(g):
+    # brute-force orbit closure: the edge {a, b} of tet t lies in each face
+    # f not in {a, b}, whose map carries it to {perm[a], perm[b]}
+    orbits, seen = [], set()
+    for t in range(g.n):
+        for edge in itertools.combinations(range(4), 2):
+            if (t, edge) in seen:
+                continue
+            orbit, todo = set(), [(t, edge)]
+            while todo:
+                item = todo.pop()
+                if item in orbit:
+                    continue
+                orbit.add(item)
+                s, (a, b) = item
+                for f in set(range(4)) - {a, b}:
+                    s2, perm = g.gluings[(s, f)]
+                    todo.append((s2, tuple(sorted((perm[a], perm[b])))))
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    assert g.edge_classes() == sorted(orbits)
+
+
 def test_edge_equations_open_face():
     g = {(0, 0): (1, (0, 2, 1, 3)), (1, 0): (0, (0, 2, 1, 3))}
     combi = GluingCombinatorics(2, g)

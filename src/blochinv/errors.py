@@ -94,7 +94,7 @@ class Diverged(BlochError):
 
 
 class DegeneratedToFlat(BlochError):
-    """A shape crossed the flatness floor with damping exhausted."""
+    """Without allow_flat, a shape fell below the flatness floor."""
 
 
 class NotFilled(BlochError):

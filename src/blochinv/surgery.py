@@ -21,7 +21,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .dilog import _GUARD, _record, bloch_wigner
-from .errors import (BlochError, Diverged, DegeneratedToFlat,
+from .errors import (DegenerateShape, DegeneratedToFlat, Diverged,
                      JacobianSingular, NotCoprime, NotFilled, RankDeficient)
 from .lattice import hnf_rows
 
@@ -66,7 +66,7 @@ class SolveResult(NamedTuple):
     precision: int   # the bits solved for; core_length and solution_volume
                      # evaluate at it unless told otherwise
     system: FilledSystem = None
-    flat: tuple = ()     # indices of shapes at or below the flatness floor
+    flat: tuple = ()     # indices of shapes below the flatness floor
 
 
 def filled_system(t, filling):
@@ -96,19 +96,17 @@ def filled_system(t, filling):
 # rounding to nearest at prec bits.  Each libmp entry is the call an mpc
 # operator or mpmath function makes, so results equal mpc arithmetic's bits.
 _DOUBLE = SimpleNamespace(
-    log=cmath.log, exp=cmath.exp, add=operator.add, sub=operator.sub,
-    mul=operator.mul, div=operator.truediv, neg=operator.neg,
-    rsub=operator.sub, mul_int=operator.mul, mul_real=operator.mul,
-    fsum=sum, sum=sum, abs_max=lambda F: max(map(abs, F), default=0),
-    l1=lambda z: abs(z.real) + abs(z.imag), abs_imag=lambda z: abs(z.imag),
-    eq_int=operator.eq, lt=operator.lt,
-    pow2=lambda k: 2.0 ** k, pi_i=math.pi * 1j, show=lambda x: mp.nstr(x, 5))
+    log=cmath.log, sub=operator.sub, mul=operator.mul, div=operator.truediv,
+    rsub=operator.sub, mul_int=operator.mul, fsum=sum, sum=sum,
+    abs_max=lambda F: max(map(abs, F), default=0),
+    l1=lambda z: abs(z.real) + abs(z.imag), eq_int=operator.eq,
+    lt=operator.lt, pi_i=math.pi * 1j)
 
 
 @functools.lru_cache(maxsize=16)
 def _libmp(prec):
-    """The _DOUBLE operations, and pos and ge, on libmp (re, im) pairs at
-    prec bits."""
+    """The _DOUBLE operations, and the ladder's exp, add, neg, pos, conj,
+    ge, pow2 and show, on libmp (re, im) pairs at prec bits."""
     rnd = libmp.round_nearest
     zero = libmp.fzero
 
@@ -137,16 +135,15 @@ def _libmp(prec):
         div=lambda a, b: libmp.mpc_div(a, b, prec, rnd),
         neg=lambda z: libmp.mpc_neg(z, prec, rnd),
         pos=lambda z: libmp.mpc_pos(z, prec, rnd),
+        conj=lambda z: libmp.mpc_conjugate(z, prec, rnd),
         rsub=lambda n, z: libmp.mpc_sub((libmp.from_int(n), zero), z, prec, rnd),
         mul_int=lambda n, z: libmp.mpc_mul_int(z, n, prec, rnd),
-        mul_real=lambda x, z: libmp.mpc_mul_mpf(z, libmp.from_float(x), prec, rnd),
         fsum=fsum,
         # sum(): equal to 0 + t1 + ... for terms already rounded to prec
         sum=lambda terms: functools.reduce(add, terms, (zero, zero)),
         abs_max=abs_max,
         l1=lambda z: libmp.mpf_add(libmp.mpf_abs(z[0], prec, rnd),
                                    libmp.mpf_abs(z[1], prec, rnd), prec, rnd),
-        abs_imag=lambda z: libmp.mpf_abs(z[1], prec, rnd),
         eq_int=lambda z, n: z == (libmp.from_int(n), zero),
         lt=libmp.mpf_lt, ge=libmp.mpf_ge,
         pow2=lambda k: libmp.from_man_exp(1, k),
@@ -157,7 +154,14 @@ def _libmp(prec):
 _DOUBLE_TOL = -40     # log2 of the doubles' target; they reach about 2^-48
 _UNDAMPED_MAX = -32   # log2 of the residual from which no undamped step runs
 _FINAL_TESTS = 4      # residual tests at the full working precision
-_MAX_STEPS = 100      # damped Newton steps per stage
+_MAX_STEPS = 100      # damped Newton steps in doubles
+
+
+def _flat(zs, floor):
+    """Indices of the libmp pairs zs with |Im z| < 2^floor."""
+    bound = libmp.from_man_exp(1, floor)
+    return tuple(i for i, z in enumerate(zs)
+                 if libmp.mpf_lt(libmp.mpf_abs(z[1]), bound))
 
 
 def _as_pair(z):
@@ -181,6 +185,17 @@ def _recorded_logs(zs, precision):
     wp), which the volume and Chern-Simons sums read again."""
     recs = [_record(z, precision) for z in zs]
     return [r.log_z._mpc_ for r in recs] + [r.log_1mz._mpc_ for r in recs]
+
+
+def _flat_rule(Z, zs, flat, ar):
+    """Z with the logs of each shape z = r + i eps indexed by flat taken at
+    its limit r + i0: log z = ln|r| + pi i for r < 0, and
+    log(1 - z) = ln|1 - r| - pi i for r > 1."""
+    Z, n = list(Z), len(zs)
+    for i in flat:
+        r = (zs[i][0], libmp.fzero)
+        Z[i], Z[n + i] = ar.log(r), ar.conj(ar.log(ar.rsub(1, r)))
+    return Z
 
 
 def _system_value(system, Z, ar):
@@ -226,47 +241,38 @@ def _solve(J, b, ar):
 def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     """Newton iteration on shape logarithms: a damped search in doubles,
     then one undamped step per precision doubling up to precision + 24 bits,
-    where the residual is tested.  If that fails, damped Newton at 128 bits
-    and then at full precision restarts from the initial shapes.  ``steps``
-    counts the Newton steps behind the result: those in doubles and at
-    higher precision, or, if the fallback ran, its damped steps.
+    where the residual is tested.  ``steps`` counts the steps of both.
 
-    Raises JacobianSingular / Diverged / DegeneratedToFlat; a converged
-    result satisfies the system to residual < 2^(-precision+24).
+    A shape with |Im z| < 2^-(min(precision, 128)//8) is flat.  Without
+    allow_flat the doubles search rejects flat shapes; above doubles a flat
+    shape's logs are taken at z + i0 (_flat_rule) in every step, in the
+    accepted residual test and in the lambdas, while the returned shape
+    keeps its imaginary part.
+
+    Raises DegenerateShape for a start shape at 0 or 1, and
+    JacobianSingular, Diverged or DegeneratedToFlat; a converged result
+    satisfies the system to residual < 2^(-precision+24).
     """
     t = system.triangulation
     if initial_shapes is None:
         initial_shapes = t.numeric_shapes(precision)
-    floor_log2 = -(min(precision, 128) // 8)
-    floor = mp.mpf(2) ** floor_log2
-    if not allow_flat and any(abs(mp.im(mp.mpc(z))) < floor
-                              for z in initial_shapes):
+    start = [_as_pair(z) for z in initial_shapes]
+    for z in map(mp.make_mpc, start):
+        if z == 0 or z == 1:
+            raise DegenerateShape("shape %s" % z)
+    floor = -(min(precision, 128) // 8)     # log2 of the flatness floor
+    if not allow_flat and _flat(start, floor):
         raise DegeneratedToFlat(
             "initial shapes on or near the real line (pass allow_flat)")
-    start = [_as_pair(z) for z in initial_shapes]
     try:
-        zs, Z, residual, steps = _doubling_solve(
-            system, start, precision, floor_log2, allow_flat)
-    except (BlochError, ArithmeticError, ValueError):  # cmath: overflow, log 0
-        zs = None
-    if zs is None:
-        ar = _libmp(precision + _GUARD)
-        shapes, steps = start, 0
-        for stage in [128, precision] if precision > 128 else [precision]:
-            shapes, k = _newton_stage(system, shapes, stage, allow_flat)
-            steps += k
-        zs = [ar.pos(z) for z in shapes]
-        Z = _recorded_logs(zs, precision)
-        residual = _system_value(system, Z, ar)[1]
-        if not ar.lt(residual, ar.pow2(-precision + _GUARD)):
-            raise Diverged("Newton residual %s above tolerance"
-                           % ar.show(residual))
+        zs, Z, residual, steps, flat = _doubling_solve(
+            system, start, precision, floor, allow_flat)
+    except (ArithmeticError, ValueError) as exc:  # cmath: overflow, log 0
+        raise Diverged("Newton search failed: %s" % exc) from None
     zs, Z = [mp.make_mpc(z) for z in zs], [mp.make_mpc(w) for w in Z]
     with mp.workprec(precision + _GUARD):
         lambdas = [mp.mpc(0) if f is None else _core_length(t, Z, j, f)
                    for j, f in enumerate(system.filling)]
-    floor = mp.mpf(2) ** (-(precision // 8))
-    flat = tuple(i for i, z in enumerate(zs) if abs(z.imag) < floor)
     return SolveResult(shapes=zs, lambdas=lambdas,
                        residual=mp.make_mpf(residual), converged=True,
                        steps=steps, precision=precision, system=system,
@@ -277,13 +283,13 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     """Damped Newton in doubles from the libmp pairs ``shapes``; then, up the
     halving ladder w < wp = precision + _GUARD, one undamped step at each
     level whose residual is not below 2^(-w+_GUARD); at wp, up to
-    _FINAL_TESTS residual tests with a step after each failed one.  A
-    residual of 2^_UNDAMPED_MAX or more ends the search (Diverged).
-    Returns (zs, Z, residual, steps) as libmp values at wp bits.
+    _FINAL_TESTS residual tests with a step after each failed one.  Shapes
+    below 2^floor take the flat rule above doubles.  A residual of
+    2^_UNDAMPED_MAX or more ends the search (Diverged).
+    Returns (zs, Z, residual, steps, flat) as libmp values at wp bits.
     """
     zs = [libmp.mpc_to_complex(z, rnd=libmp.round_nearest) for z in shapes]
-    zs, steps = _damped(system, zs, _shape_logs(zs, _DOUBLE), _DOUBLE_TOL,
-                        floor, allow_flat, _DOUBLE)
+    zs, steps = _damped(system, zs, floor, allow_flat)
     # with no step taken, keep the caller's precision; doubles convert exactly
     zs = [_as_pair(z) for z in zs] if steps else shapes
     wp = precision + _GUARD
@@ -295,9 +301,11 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
             Z = _recorded_logs(zs, precision)
         else:
             Z = _shape_logs(zs, ar)
+        flat = _flat(zs, floor)
+        Z = _flat_rule(Z, zs, flat, ar)
         F, res = _system_value(system, Z, ar)
         if w == wp and ar.lt(res, ar.pow2(-precision + _GUARD)):
-            return zs, Z, res, steps
+            return zs, Z, res, steps, flat
         if ar.lt(res, ar.pow2(-w + _GUARD)):
             continue
         if ar.ge(res, ar.pow2(_UNDAMPED_MAX)):
@@ -307,47 +315,38 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     raise Diverged("residual %s in precision doubling" % ar.show(res))
 
 
-def _newton_stage(system, shapes, precision, allow_flat):
-    """Damped Newton at precision + _GUARD bits from libmp pairs:
-    (shapes, steps)."""
-    ar = _libmp(precision + _GUARD)
-    zs = [ar.pos(z) for z in shapes]
-    return _damped(system, zs, _shape_logs(zs, ar), -(precision - _GUARD),
-                   -(precision // 8), allow_flat, ar)
-
-
-def _damped(system, zs, Z, tol, floor, allow_flat, ar):
-    """Damped Newton in ``ar`` to residual 2^tol, in at most _MAX_STEPS
-    steps: (zs, steps).
+def _damped(system, zs, floor, allow_flat):
+    """Damped Newton in doubles to residual 2^_DOUBLE_TOL, in at most
+    _MAX_STEPS steps: (zs, steps).
     A step is halved up to 40 times until the max residual falls; shapes at 0,
     1 or (unless allow_flat) within 2^floor of the real line are rejected."""
-    tol, floor, pinned = ar.pow2(tol), ar.pow2(floor), ar.pow2(floor + 2)
-    F, res = _system_value(system, Z, ar)
+    tol, floor, pinned = 2.0 ** _DOUBLE_TOL, 2.0 ** floor, 2.0 ** (floor + 2)
+    Z = _shape_logs(zs, _DOUBLE)
+    F, res = _system_value(system, Z, _DOUBLE)
     for step in range(_MAX_STEPS):
-        if ar.lt(res, tol):
+        if res < tol:
             return zs, step
-        delta = _solve(_jacobian(system, zs, ar), [ar.neg(v) for v in F], ar)
+        delta = _solve(_jacobian(system, zs, _DOUBLE), [-v for v in F], _DOUBLE)
         for lam in [2.0 ** -k for k in range(40)]:
-            new_logs = [ar.add(w, ar.mul_real(lam, d)) for w, d in zip(Z, delta)]
-            new_zs = [ar.exp(w) for w in new_logs]
-            if any(ar.eq_int(z, 1) or ar.eq_int(z, 0) for z in new_zs) or \
-                    not allow_flat and \
-                    any(ar.lt(ar.abs_imag(z), floor) for z in new_zs):
+            new_logs = [w + lam * d for w, d in zip(Z, delta)]
+            new_zs = [cmath.exp(w) for w in new_logs]
+            if any(z in (0, 1) or not allow_flat and abs(z.imag) < floor
+                   for z in new_zs):
                 continue
-            new_Z = new_logs + [ar.log(ar.rsub(1, z)) for z in new_zs]
-            new_F, new_res = _system_value(system, new_Z, ar)
-            if ar.lt(new_res, res):
+            new_Z = new_logs + [cmath.log(1 - z) for z in new_zs]
+            new_F, new_res = _system_value(system, new_Z, _DOUBLE)
+            if new_res < res:
                 zs, Z, F, res = new_zs, new_Z, new_F, new_res
                 break
         else:
-            if not allow_flat and any(ar.lt(ar.abs_imag(z), pinned) for z in zs):
+            if not allow_flat and any(abs(z.imag) < pinned for z in zs):
                 raise DegeneratedToFlat(
                     "shapes pinned at the flatness floor (pass allow_flat)")
             raise Diverged("no progress at step %d, residual %s"
-                           % (step, ar.show(res)))
-    if ar.lt(res, tol):
+                           % (step, mp.nstr(res, 5)))
+    if res < tol:
         return zs, _MAX_STEPS
-    raise Diverged("step budget exhausted, residual %s" % ar.show(res))
+    raise Diverged("step budget exhausted, residual %s" % mp.nstr(res, 5))
 
 
 def completion_curve(p, q):
@@ -391,16 +390,16 @@ def _core_length(t, Z, j, pq, completion=None):
 
 
 def core_length(result, j, completion=None, precision=None):
-    """Core length at cusp j of a converged SolveResult, at the result's
-    precision unless another is given."""
+    """Core length at cusp j of a converged SolveResult, its flat shapes
+    read at z + i0, at the result's precision unless another is given."""
     if precision is None:
         precision = result.precision
     system = result.system
     if system is None or system.filling[j] is None:
         raise NotFilled("cusp %d is unfilled" % j)
     ar = _libmp(precision + _GUARD)
-    Z = _recorded_logs([ar.pos(_as_pair(z)) for z in result.shapes],
-                       precision)
+    zs = [ar.pos(_as_pair(z)) for z in result.shapes]
+    Z = _flat_rule(_recorded_logs(zs, precision), zs, result.flat, ar)
     with mp.workprec(precision + _GUARD):
         return _core_length(system.triangulation,
                             [mp.make_mpc(w) for w in Z], j,

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -570,17 +571,22 @@ def test_header_counts_named(tmp_path, capsys):
       "diag 0 1 2\n"),
      (["scissors", "missing_face_vertex.poly"],
       "vertex 0 0 0\nvertex 1 inf\nvertex 2 1 0\nvertex 3 0.3 1.1\n"
-      "face 0 2 1\nface 0 1 7\nface 1 2 7\nface 0 7 2\n")],
+      "face 0 2 1\nface 0 1 7\nface 1 2 7\nface 0 7 2\n")]
+  + [(["--allow-flat", "fill", "start_%s.tri" % v, "--fill", "5,1"],
+      re.sub(r"(?m)^(shape \d) .*$", r"\1 %s 0" % v, _FIG8))
+     for v in ("1", "0")],
     ids=["mixed_real_field", "relation_unequal_places", "calibrate_cs",
          "calibrate_cs_nan", "calibrate_cs_inf", "calibrate_cs_huge"]
     + ["%s_huge_%s" % (command, key) for command in ("invariant", "fill", "cs")
        for key in ("tets", "cusps")]
     + ["%s_empty" % command for command in ("invariant", "fill", "cs")]
-    + ["scissors_repeated_face_vertex", "scissors_missing_face_vertex"])
+    + ["scissors_repeated_face_vertex", "scissors_missing_face_vertex",
+       "fill_allow_flat_start_at_1", "fill_allow_flat_start_at_0"])
 def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
-    if text is not None:
-        (tmp_path / argv[1]).write_text(text)
-        argv = [argv[0], str(tmp_path / argv[1])]
+    if text is not None:       # the file is the argument naming a .tri etc.
+        name = next(a for a in argv if a.endswith((".tri", ".bloch", ".poly")))
+        (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a == name else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
@@ -593,14 +599,18 @@ _SHAPE_VALUES = st.one_of(
     st.builds("exact {} {}".format,
               *[st.fractions(-3, 3, max_denominator=4)] * 2),
     st.sampled_from(["0.5", "x y", "inf 0", "0.5 0.8 9", "exact",
-                     "exact 0 1/0", "exact 0 1 2", "exact a 1"]))
+                     "exact 0 1/0", "exact 0 1 2", "exact a 1", "1 0",
+                     "0 0"]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_SHAPE_VALUES, min_size=2, max_size=2), st.booleans())
+@example(["1 0", "1 0"], False)
+@example(["0 0", "0.5 0.8"], False)
 def test_shape_lines_fuzz_exit_codes(values, field):
     # every shape line exact, numeric or malformed, with or without the
-    # field header: a clean exit through the documented codes
+    # field header, each command with and without --allow-flat: a clean
+    # exit through the documented codes
     lines = _FIG8.splitlines()
     lines[5:7] = ["shape %d %s" % shape for shape in enumerate(values)]
     if field:
@@ -609,11 +619,13 @@ def test_shape_lines_fuzz_exit_codes(values, field):
         path = os.path.join(tmp, "fuzz.tri")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        for command in ("invariant", "fill", "cs"):
+        for argv in [[*flags, command, path]
+                     for flags in ([], ["--allow-flat"])
+                     for command in ("invariant", "fill", "cs")]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                code = main(["--precision", "128", command, path])
+                code = main(["--precision", "128"] + argv)
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
             if code == 2:

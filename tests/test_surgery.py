@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochinv import surgery
+from blochinv.chern_simons import cs_formula, solve_flattening
 from blochinv.errors import (BlochError, Diverged, DegeneratedToFlat,
                              NotCoprime, NotFilled)
 from blochinv.surgery import (FillingSpec, completion_curve, core_length,
@@ -34,14 +35,15 @@ def fig8_at(precision):
     return parse_triangulation(text, precision=precision)
 
 
-@pytest.fixture
-def stage_calls(monkeypatch):
-    """Count the runs of the damped fallback stage."""
-    calls = []
-    stage = surgery._newton_stage
-    monkeypatch.setattr(surgery, "_newton_stage",
-                        lambda *a, **kw: calls.append(a[2]) or stage(*a, **kw))
-    return calls
+@functools.cache
+def fig8_solve(slope, precision, allow_flat):
+    """newton_solve on the figure-eight filled at slope, or the BlochError it
+    raised."""
+    try:
+        return newton_solve(filled_system(fig8_at(precision), [slope]),
+                            precision=precision, allow_flat=allow_flat)
+    except BlochError as exc:
+        return exc
 
 
 def test_filling_spec_coprime():
@@ -164,56 +166,80 @@ def test_allow_flat_bypasses_entry_guard(fig8):
         raise AssertionError("flat guard fired despite allow_flat")
 
 
-def test_non_exceptional_slopes_never_fall_back(stage_calls):
+def test_non_exceptional_slopes_never_fall_back():
+    # every non-exceptional slope converges to a solution with no flat shape
     assert len(SLOPES) == 84
     for prec in (128, 256, 512):
-        t = fig8_at(prec)
         for slope in SLOPES:
-            res = newton_solve(filled_system(t, [slope]), precision=prec)
+            res = fig8_solve(slope, prec, False)
             assert res.converged and res.flat == ()
             assert res.residual < mp.mpf(2) ** (-prec + 24)
-    assert stage_calls == []
 
 
-# Outcome of each exceptional slope with allow_flat=False at 128/256/512
-# bits: the exception class, or None for a converged non-flat solution.
-# Recorded from the damped solver before precision doubling.
-D, DF = Diverged, DegeneratedToFlat
+# Outcome of each exceptional slope of the figure-eight knot and of its
+# negative (-p, -q), without and with allow_flat: the exception class, or
+# the flat indices of a converged solution.  Each holds at every precision.
+D, DF, FLAT = Diverged, DegeneratedToFlat, (0, 1)
 EXCEPTIONAL = {
-    (1, 0): (DF, DF, DF), (-1, 0): (D, DF, D), (0, 1): (DF, DF, DF),
-    (1, 1): (DF, DF, DF), (2, 1): (DF, DF, DF), (3, 1): (DF, DF, DF),
-    (4, 1): (DF, DF, DF), (-1, 1): (None,) * 3, (-2, 1): (None,) * 3,
-    (-3, 1): (None,) * 3, (-4, 1): (DF, DF, DF),
+    (1, 0): (DF, D), (-1, 0): (D, D),
+    (0, 1): (DF, FLAT), (0, -1): (D, FLAT),
+    (1, 1): (DF, FLAT), (-1, -1): (D, FLAT),
+    (2, 1): (DF, FLAT), (-2, -1): (D, FLAT),
+    (3, 1): (DF, FLAT), (-3, -1): (D, FLAT),
+    (4, 1): (DF, D), (-4, -1): (DF, D),
+    (-1, 1): ((), ()), (1, -1): (DF, FLAT),
+    (-2, 1): ((), ()), (2, -1): (D, FLAT),
+    (-3, 1): ((), ()), (3, -1): (DF, FLAT),
+    (-4, 1): (DF, D), (4, -1): (D, D),
 }
+PRECISIONS = (128, 256, 512, 1024)
 
 
 @pytest.mark.parametrize("slope", sorted(EXCEPTIONAL))
 def test_exceptional_slope_outcomes(slope):
-    for prec, expected in zip((128, 256, 512), EXCEPTIONAL[slope]):
-        system = filled_system(fig8_at(prec), [slope])
-        if expected is None:
-            res = newton_solve(system, precision=prec)
-            assert res.converged and res.flat == ()
-        else:
-            with pytest.raises(expected) as info:
-                newton_solve(system, precision=prec)
-            assert type(info.value) is expected, (slope, prec)
+    for allow_flat, expected in zip((False, True), EXCEPTIONAL[slope]):
+        got = [fig8_solve(slope, prec, allow_flat) for prec in PRECISIONS]
+        if isinstance(expected, type):
+            assert all(type(r) is expected for r in got), (slope, allow_flat)
+            continue
+        assert all(getattr(r, "flat", None) == expected for r in got), \
+            (slope, allow_flat, got)
+        assert all(r.residual < mp.mpf(2) ** (-prec + 24)
+                   for prec, r in zip(PRECISIONS, got))
+        for prec, lo, hi in zip(PRECISIONS, got, got[1:]):
+            with mp.workprec(2 * prec + 24):
+                tol = mp.mpf(2) ** (-prec + 24)
+                # a flat solution's core length is real; the others have
+                # Re lambda ~ 0, where its sign is the rounding's
+                parts = zip(lo.shapes + lo.lambdas * bool(lo.flat),
+                            hi.shapes + hi.lambdas * bool(hi.flat))
+                assert all(abs(a - b) < tol * max(1, abs(b)) for a, b in parts)
+        # quadratic convergence: the doubles stage is the same at every
+        # precision, and each doubling adds at most one ladder step.  At 128
+        # bits one step from the doubles' 2^-53 can already pass the
+        # accepted 2^-104, where 256 bits need three: the first doubling may
+        # add two.
+        steps = [r.steps for r in got]
+        growth = [b - a for a, b in zip(steps, steps[1:])]
+        assert 0 <= growth[0] <= 2 and all(0 <= g <= 1 for g in growth[1:]), \
+            (slope, allow_flat, steps)
 
 
-def test_allow_flat_exceptional_outcomes(stage_calls):
-    # these fillings degenerate: the solver lands on flat solutions, some of
-    # them only through the damped fallback
+def test_allow_flat_exceptional_outcomes():
+    # these fillings degenerate: the solver lands on flat solutions, whose
+    # logs it takes at z + i0
     for prec in (128, 256):
-        for slope in [(-4, 1), (0, 1), (1, 1), (2, 1), (3, 1)]:
+        for slope in [(0, 1), (1, 1), (2, 1), (3, 1)]:
             res = newton_solve(filled_system(fig8_at(prec), [slope]),
                                precision=prec, allow_flat=True)
             assert res.converged and res.flat == (0, 1), (slope, prec)
             assert res.residual < mp.mpf(2) ** (-prec + 24)
-        for slope in [(1, 0), (-1, 0), (4, 1)]:
+            assert core_length(res, 0)._mpc_ == res.lambdas[0]._mpc_
+            assert mp.im(res.lambdas[0]) == 0
+        for slope in [(1, 0), (-1, 0), (4, 1), (-4, 1)]:
             with pytest.raises(Diverged):
                 newton_solve(filled_system(fig8_at(prec), [slope]),
                              precision=prec, allow_flat=True)
-    assert 128 in stage_calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,17 +256,47 @@ def test_newton_solve_precision_doubling_agrees(slope, p):
             assert abs(a - b) < tol * abs(b)
 
 
-# SHA-256 of every newton_solve outcome below, recorded before the solver's
-# multi-precision part moved from mpc objects to raw libmp tuples
-SOLVER_BITS = "b6cb98fd206edf6306e8a1b392a5f2a601c22e91dc4ec094dc18b339527f042e"
+# coprime slopes with 1 <= p <= 40, 1 <= q <= 15 outside the exceptional set
+ORACLE_SLOPES = [(p, q) for p in range(1, 41) for q in range(1, 16)
+                 if math.gcd(p, q) == 1 and (p, q) not in EXCEPTIONAL]
 
 
-def _solve_outcome(system, precision, allow_flat=False):
+@settings(max_examples=36, deadline=None)
+@given(st.sampled_from(ORACLE_SLOPES), st.sampled_from([128, 256, 512]))
+def test_filling_oracles(slope, prec):
+    # (p, q) and (-p, -q) are one filling, and the figure-eight knot is
+    # amphichiral: (-p, q) is the mirror image of (p, q), with the same
+    # volume, the conjugate core length and the opposite Chern-Simons
+    # invariant (the fixture's flattening adds -pi^2/3 to each)
+    p, q = slope
+    t = fig8_at(prec)
+    a, b, c = (newton_solve(filled_system(t, [s]), precision=prec)
+               for s in [(p, q), (-p, -q), (-p, q)])
+    flat = solve_flattening(t.U, t.d)
+    cs_a, cs_c = (cs_formula(r.shapes, r.lambdas, flat, prec).cs_mod_rational
+                  for r in (a, c))
+    vol_a, vol_b, vol_c = (solution_volume(r) for r in (a, b, c))
+    with mp.workprec(prec + 24):    # mp.conj at 53 bits fakes a mismatch
+        tol = mp.mpf(2) ** -prec
+        assert abs(vol_b - vol_a) < tol and abs(vol_c - vol_a) < tol
+        assert abs(b.lambdas[0] - a.lambdas[0]) < tol
+        assert abs(c.lambdas[0] - mp.conj(a.lambdas[0])) < tol
+        assert abs(cs_a + cs_c + 2 * mp.pi ** 2 / 3) < tol
+
+
+# SHA-256 of every newton_solve outcome on SLOPES at 128, 256 and 512 bits,
+# recorded before the solver's multi-precision part moved from mpc objects to
+# raw libmp tuples
+SOLVER_BITS = "aec99a02bf3711e3bcb5635419ee9df8514e3243aa5a6c60244bbf7ecbd2ff73"
+# and of every EXCEPTIONAL outcome, without and with allow_flat, at PRECISIONS
+EXCEPTIONAL_BITS = "7b85972aab87c74d563eb232f7be58d3a068f6220ef80088a7346941ca6598e9"
+
+
+def _solve_outcome(slope, precision, allow_flat):
     """Exception type and message, or the exact bits of a solution."""
-    try:
-        res = newton_solve(system, precision=precision, allow_flat=allow_flat)
-    except BlochError as exc:
-        return type(exc).__name__, str(exc)
+    res = fig8_solve(slope, precision, allow_flat)
+    if isinstance(res, BlochError):
+        return type(res).__name__, str(res)
     parts = [res.residual._mpf_] + [p for z in res.shapes + res.lambdas
                                     for p in z._mpc_]
     # int() so that the hash is the same with and without gmpy2
@@ -249,17 +305,15 @@ def _solve_outcome(system, precision, allow_flat=False):
 
 
 def test_solver_bits_pinned():
-    out = []
-    for prec in (128, 256, 512):
-        t = fig8_at(prec)
-        out += [_solve_outcome(filled_system(t, [s]), prec)
-                for s in SLOPES + sorted(EXCEPTIONAL)]
-    for prec in (128, 256):
-        t = fig8_at(prec)
-        out += [_solve_outcome(filled_system(t, [s]), prec, allow_flat=True)
-                for s in [(-4, 1), (0, 1), (1, 1), (2, 1), (3, 1),
-                          (1, 0), (-1, 0), (4, 1)]]
+    out = [_solve_outcome(s, prec, False) for prec in (128, 256, 512)
+           for s in SLOPES]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == SOLVER_BITS
+
+
+def test_exceptional_bits_pinned():
+    out = [_solve_outcome(s, prec, allow_flat) for allow_flat in (False, True)
+           for prec in PRECISIONS for s in sorted(EXCEPTIONAL)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == EXCEPTIONAL_BITS
 
 
 def test_solver_fills_the_shape_records():
@@ -307,11 +361,10 @@ def test_libmp_arithmetic_matches_mpc_operators(parts, n, prec):
                  (ar.neg(X), -x), (ar.pos(X), mp.mpc(x)),
                  (ar.log(X), mp.log(x)), (ar.exp(X), mp.exp(x)),
                  (ar.rsub(n, X), n - x), (ar.mul_int(n, X), n * x),
-                 (ar.mul_real(0.25, X), 0.25 * x), (ar.pi_i, mp.pi * 1j),
+                 (ar.conj(X), mp.conj(x)), (ar.pi_i, mp.pi * 1j),
                  (ar.fsum([X, Y]), mp.fsum([x, y])),
                  (ar.sum([Y, Y]), sum([y, y]))]
         for got, want in pairs:
             assert got == want._mpc_
         assert ar.abs_max([X, Y]) == max(abs(x), abs(y))._mpf_
         assert ar.l1(X) == (abs(x.real) + abs(x.imag))._mpf_
-        assert ar.abs_imag(X) == abs(x.imag)._mpf_

@@ -24,7 +24,7 @@ _EXPORTS = {
     "triang": ("Triangulation", "GluingCombinatorics", "parse_triangulation",
                "serialize_triangulation", "edge_equations", "infer_d",
                "bloch_invariant"),
-    "surgery": ("FillingSpec", "FilledSystem", "SolveResult", "filled_system",
+    "surgery": ("FilledSystem", "SolveResult", "filled_system",
                 "newton_solve", "core_length", "solution_volume"),
     "chern_simons": ("FlatteningSolution", "CSResult", "solve_flattening",
                      "cs_formula", "rationalize_mod_pi2"),

@@ -15,7 +15,7 @@ import mpmath as mp
 
 from . import __version__
 from .errors import (BlochError, Diverged, DegeneratedToFlat,
-                     JacobianSingular, NotCoprime, RootFindingFailed,
+                     JacobianSingular, RootFindingFailed,
                      TriangulationSyntaxError)
 
 # Each command imports the modules it runs, so that a process pays only for
@@ -125,13 +125,9 @@ def cmd_invariant(args):
     return 0
 
 
-def _parse_fill_flags(fills, h):
-    if not fills:
-        return None
-    if len(fills) != h:
-        raise NotCoprime("need %d --fill flags, got %d" % (h, len(fills)))
+def _parse_fill_flags(fills):
     out = []
-    for f in fills:
+    for f in fills or ():
         if f == "complete":
             out.append(None)
         else:
@@ -144,15 +140,12 @@ def _parse_fill_flags(fills, h):
 
 
 def cmd_fill(args):
-    from .surgery import (FillingSpec, filled_system, newton_solve,
-                          solution_volume)
+    from .surgery import filled_system, newton_solve, solution_volume
     from .triang import parse_triangulation
     rep = Report("fill", args)
     prec = args.precision
     t = parse_triangulation(_read(args.file), precision=prec)
-    fillings = _parse_fill_flags(args.fill, t.h) or t.fillings
-    filling = FillingSpec(fillings)
-    system = filled_system(t, filling)
+    system = filled_system(t, _parse_fill_flags(args.fill) or t.fillings)
     res = newton_solve(system, precision=prec, allow_flat=args.allow_flat)
     rep.add("converged", res.converged)
     rep.add("steps", res.steps)
@@ -169,7 +162,7 @@ def cmd_fill(args):
 def cmd_cs(args):
     from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                solve_flattening)
-    from .surgery import FillingSpec, filled_system, newton_solve
+    from .surgery import filled_system, newton_solve
     from .triang import parse_triangulation
     rep = Report("cs", args)
     prec = args.precision
@@ -179,9 +172,8 @@ def cmd_cs(args):
     rep.add("flattening", [str(q) for q in flat.c],
             text=" ".join(str(q) for q in flat.c))
     rep.add("flattening_integral", flat.integral)
-    filling = FillingSpec(t.fillings)
-    if any(f is not None for f in filling):
-        res = newton_solve(filled_system(t, filling), precision=prec,
+    if any(t.fillings):
+        res = newton_solve(filled_system(t, t.fillings), precision=prec,
                            initial_shapes=shapes,
                            allow_flat=args.allow_flat)
         shapes = res.shapes
@@ -278,7 +270,7 @@ def cmd_scissors(args):
         spread = max(vols) - min(vols)
         rep.add("volume", _fmt(vols[0], prec))
         rep.add("apex_independence_spread", mp.nstr(spread, 8))
-        ok = spread < mp.mpf(2) ** (-prec // 2)
+        ok = spread < mp.mpf(2) ** -(prec // 2)
         rep.add("apex_independent", bool(ok))
     rep.emit()
     return 0 if ok else 1

@@ -85,10 +85,6 @@ class IdealPolyhedron:
         if chi != 2:
             raise DimensionMismatch("Euler characteristic %d != 2" % chi)
 
-    def face_triangles(self, k):
-        """Oriented triangles of face k induced by its diagonal set."""
-        return list(self._face_triangles[k])
-
     def triangles(self):
         return [tri for tris in self._face_triangles for tri in tris]
 

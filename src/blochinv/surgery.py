@@ -26,35 +26,11 @@ from .errors import (DegenerateShape, DegeneratedToFlat, Diverged,
 from .lattice import hnf_rows
 
 
-class FillingSpec:
-    """Per-cusp filling: None for complete, or coprime (p, q)."""
-
-    def __init__(self, fillings):
-        self.fillings = []
-        for f in fillings:
-            if f is None:
-                self.fillings.append(None)
-                continue
-            p, q = int(f[0]), int(f[1])
-            if math.gcd(p, q) != 1:
-                raise NotCoprime("(%d, %d) not coprime" % (p, q))
-            self.fillings.append((p, q))
-
-    def __len__(self):
-        return len(self.fillings)
-
-    def __iter__(self):
-        return iter(self.fillings)
-
-    def __getitem__(self, j):
-        return self.fillings[j]
-
-
 class FilledSystem(NamedTuple):
     triangulation: object
     rows: list       # integer coefficient rows over Z (length 2n each)
     rhs: list        # rhs in units of pi i (integers; 2 extra for filled cusps)
-    filling: FillingSpec
+    filling: tuple   # per cusp None or a coprime (p, q)
 
 
 class SolveResult(NamedTuple):
@@ -70,11 +46,15 @@ class SolveResult(NamedTuple):
 
 
 def filled_system(t, filling):
-    """Square nonlinear system for the given filling of the triangulation."""
-    if not isinstance(filling, FillingSpec):
-        filling = FillingSpec(filling)
+    """Square nonlinear system for a filling of the triangulation: a
+    sequence holding, per cusp, None (complete) or a coprime (p, q)."""
+    filling = tuple(None if f is None else (int(f[0]), int(f[1]))
+                    for f in filling)
+    for f in filling:
+        if f and math.gcd(*f) != 1:
+            raise NotCoprime("(%d, %d) not coprime" % f)
     if len(filling) != t.h:
-        raise RankDeficient("filling spec for %d cusps, triangulation has %d"
+        raise RankDeficient("fillings for %d cusps, triangulation has %d"
                             % (len(filling), t.h))
     # independent edge rows by integer row reduction of the augmented rows
     H, _ = hnf_rows([u + [d] for u, d in zip(*t.edge_rows())])
@@ -253,9 +233,8 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     JacobianSingular, Diverged or DegeneratedToFlat; a converged result
     satisfies the system to residual < 2^(-precision+24).
     """
-    t = system.triangulation
     if initial_shapes is None:
-        initial_shapes = t.numeric_shapes(precision)
+        initial_shapes = system.triangulation.numeric_shapes(precision)
     start = [_as_pair(z) for z in initial_shapes]
     for z in map(mp.make_mpc, start):
         if z == 0 or z == 1:
@@ -265,18 +244,17 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
         raise DegeneratedToFlat(
             "initial shapes on or near the real line (pass allow_flat)")
     try:
-        zs, Z, residual, steps, flat = _doubling_solve(
+        zs, residual, steps, flat = _doubling_solve(
             system, start, precision, floor, allow_flat)
     except (ArithmeticError, ValueError) as exc:  # cmath: overflow, log 0
         raise Diverged("Newton search failed: %s" % exc) from None
-    zs, Z = [mp.make_mpc(z) for z in zs], [mp.make_mpc(w) for w in Z]
-    with mp.workprec(precision + _GUARD):
-        lambdas = [mp.mpc(0) if f is None else _core_length(t, Z, j, f)
-                   for j, f in enumerate(system.filling)]
-    return SolveResult(shapes=zs, lambdas=lambdas,
-                       residual=mp.make_mpf(residual), converged=True,
-                       steps=steps, precision=precision, system=system,
-                       flat=flat)
+    result = SolveResult(shapes=[mp.make_mpc(z) for z in zs], lambdas=None,
+                         residual=mp.make_mpf(residual), converged=True,
+                         steps=steps, precision=precision, system=system,
+                         flat=flat)
+    return result._replace(lambdas=[
+        mp.mpc(0) if f is None else core_length(result, j)
+        for j, f in enumerate(system.filling)])
 
 
 def _doubling_solve(system, shapes, precision, floor, allow_flat):
@@ -286,7 +264,8 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     _FINAL_TESTS residual tests with a step after each failed one.  Shapes
     below 2^floor take the flat rule above doubles.  A residual of
     2^_UNDAMPED_MAX or more ends the search (Diverged).
-    Returns (zs, Z, residual, steps, flat) as libmp values at wp bits.
+    Returns (zs, residual, steps, flat), zs and residual as libmp values at
+    wp bits.
     """
     zs = [libmp.mpc_to_complex(z, rnd=libmp.round_nearest) for z in shapes]
     zs, steps = _damped(system, zs, floor, allow_flat)
@@ -305,7 +284,7 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
         Z = _flat_rule(Z, zs, flat, ar)
         F, res = _system_value(system, Z, ar)
         if w == wp and ar.lt(res, ar.pow2(-precision + _GUARD)):
-            return zs, Z, res, steps, flat
+            return zs, res, steps, flat
         if ar.lt(res, ar.pow2(-w + _GUARD)):
             continue
         if ar.ge(res, ar.pow2(_UNDAMPED_MAX)):
@@ -364,46 +343,44 @@ def _ext_gcd(a, b):
     return g, y, x - (a // b) * y
 
 
-def _core_length(t, Z, j, pq, completion=None):
-    """Complex length of the core geodesic added at cusp j by a (p, q)
-    filling, from the shape logs Z at the working precision.
+def core_length(result, j, completion=None, precision=None):
+    """Complex length of the core geodesic added at cusp j by the (p, q)
+    filling of a converged SolveResult, from its shape logs (flat shapes
+    read at z + i0) at the result's precision unless another is given.
 
     lambda_j = +-[(r mu + s lam).Z - pi i (r d_mu + s d_lam)] with
-    p s - q r = 1; sign fixed so Re > 0, imaginary part reduced mod 2 pi.
+    p s - q r = +-1, (r, s) the completion_curve unless given; imaginary
+    part reduced mod 2 pi.  The sign makes Re lambda > 0, or, where
+    |Re lambda| < 2^-(precision//2) (a core of length zero), puts
+    Im lambda in [0, pi].
     """
-    p, q = pq
-    if completion is None:
-        completion = completion_curve(p, q)
-    r, s = completion
-    if p * s - q * r not in (1, -1):
-        raise NotCoprime("completion (%d, %d) does not complete (%d, %d)"
-                         % (r, s, p, q))
-    mu, lam, d_mu, d_lam = t.cusp_rows(j)
-    v = mp.fsum((r * a + s * b) * w for a, b, w in zip(mu, lam, Z)) \
-        - mp.pi * mp.mpc(0, 1) * (r * d_mu + s * d_lam)
-    if mp.re(v) < 0:
-        v = -v
-    im = mp.im(v)
-    twopi = 2 * mp.pi
-    im = im - twopi * mp.floor(im / twopi + mp.mpf(1) / 2)
-    return mp.mpc(mp.re(v), im)
-
-
-def core_length(result, j, completion=None, precision=None):
-    """Core length at cusp j of a converged SolveResult, its flat shapes
-    read at z + i0, at the result's precision unless another is given."""
     if precision is None:
         precision = result.precision
     system = result.system
     if system is None or system.filling[j] is None:
         raise NotFilled("cusp %d is unfilled" % j)
+    p, q = system.filling[j]
+    r, s = completion_curve(p, q) if completion is None else completion
+    if p * s - q * r not in (1, -1):
+        raise NotCoprime("completion (%d, %d) does not complete (%d, %d)"
+                         % (r, s, p, q))
     ar = _libmp(precision + _GUARD)
     zs = [ar.pos(_as_pair(z)) for z in result.shapes]
     Z = _flat_rule(_recorded_logs(zs, precision), zs, result.flat, ar)
+    mu, lam, d_mu, d_lam = system.triangulation.cusp_rows(j)
     with mp.workprec(precision + _GUARD):
-        return _core_length(system.triangulation,
-                            [mp.make_mpc(w) for w in Z], j,
-                            system.filling[j], completion)
+        v = mp.fsum((r * a + s * b) * mp.make_mpc(w)
+                    for a, b, w in zip(mu, lam, Z)) \
+            - mp.pi * mp.mpc(0, 1) * (r * d_mu + s * d_lam)
+        twopi = 2 * mp.pi
+
+        def reduced(im):                # im mod 2 pi, in [-pi, pi)
+            return im - twopi * mp.floor(im / twopi + mp.mpf(1) / 2)
+
+        zero = abs(mp.re(v)) < mp.mpf(2) ** -(precision // 2)
+        if (reduced(mp.im(v)) if zero else mp.re(v)) < 0:
+            v = -v
+        return mp.mpc(mp.re(v), reduced(mp.im(v)))
 
 
 def solution_volume(result, precision=None):

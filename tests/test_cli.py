@@ -593,6 +593,17 @@ def test_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, text):
     assert err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("slope", ["1,0", "4,1"])
+def test_numeric_failure_exit_1(capsys, fmt, slope):
+    # exceptional fillings of the figure-eight knot: the solve fails, and
+    # the command prints nothing but one line on stderr
+    code, out, err = run(capsys, "--format", fmt, "fill",
+                         fx("figure_eight.tri"), "--fill", slope)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+
 _SHAPE_VALUES = st.one_of(
     st.just(_FIG8.splitlines()[5].split(None, 2)[2]),
     st.just("exact 0 1"),
@@ -840,6 +851,8 @@ def test_argv_fuzz_exit_codes():
                 code = exc.code
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+        if code == 1:
+            assert err.getvalue().startswith("numeric failure:"), argv
         if code == 2:
             assert err.getvalue().startswith("invalid input:"), argv
 

@@ -1,6 +1,6 @@
 """Contracts that hold across the library: results do not depend on the
 ambient mpmath precision, no module imports a name it never uses, and no
-module defines a helper that nothing reads."""
+module defines a helper or a method that nothing reads."""
 
 import ast
 import importlib.resources
@@ -197,6 +197,17 @@ def test_no_unused_imports():
     dead = {name: [d for d in _private_definitions(tree) if d not in loaded]
             for name, tree in trees.items()}
     assert {name: found for name, found in dead.items() if found} == {}
+    # every method of a package class, but for the dunders, is read in the
+    # package or in its tests
+    read = loaded.union(*(_loaded_names(ast.parse(path.read_text()))
+                          for path in Path(__file__).parent.glob("*.py")))
+    unread = {name: [cls.name + "." + node.name for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for node in cls.body
+                     if isinstance(node, ast.FunctionDef)
+                     and not node.name.endswith("__")
+                     and node.name not in read]
+              for name, tree in trees.items()}
+    assert {name: found for name, found in unread.items() if found} == {}
     # the modules that export nothing serve the package: each of their
     # public functions and classes is read in it
     internal = ("lattice", "textformat", "errors")

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from blochinv import surgery
 from blochinv.chern_simons import cs_formula, solve_flattening
 from blochinv.errors import (BlochError, Diverged, DegeneratedToFlat,
-                             NotCoprime, NotFilled)
-from blochinv.surgery import (FillingSpec, completion_curve, core_length,
-                              filled_system, newton_solve, solution_volume)
+                             NotCoprime, NotFilled, RankDeficient)
+from blochinv.surgery import (completion_curve, core_length, filled_system,
+                              newton_solve, solution_volume)
 from blochinv.triang import parse_triangulation
 
 # coprime p/q with |p| <= 12, 1 <= q <= 6 outside the exceptional slopes
@@ -46,10 +46,16 @@ def fig8_solve(slope, precision, allow_flat):
         return exc
 
 
-def test_filling_spec_coprime():
-    with pytest.raises(NotCoprime):
-        FillingSpec([(2, 4)])
-    FillingSpec([(5, 1), None])
+def test_filling_spec_coprime(fig8):
+    # filled_system checks a filling and keeps it as a tuple of None or
+    # integer pairs
+    for bad in [(2, 4), (0, 0), (-3, 6)]:
+        with pytest.raises(NotCoprime):
+            filled_system(fig8, [bad])
+    assert filled_system(fig8, [[5, 1]]).filling == ((5, 1),)
+    assert filled_system(fig8, iter([None])).filling == (None,)
+    with pytest.raises(RankDeficient):
+        filled_system(fig8, [(5, 1), None])
 
 
 def test_completion_curve():
@@ -206,13 +212,17 @@ def test_exceptional_slope_outcomes(slope):
             (slope, allow_flat, got)
         assert all(r.residual < mp.mpf(2) ** (-prec + 24)
                    for prec, r in zip(PRECISIONS, got))
+        for prec, r in zip(PRECISIONS, got):
+            lam = r.lambdas[0]
+            if abs(mp.re(lam)) < mp.mpf(2) ** -(prec // 2):   # length zero
+                assert 0 <= mp.im(lam) <= mp.pi, (slope, prec, lam)
         for prec, lo, hi in zip(PRECISIONS, got, got[1:]):
             with mp.workprec(2 * prec + 24):
                 tol = mp.mpf(2) ** (-prec + 24)
-                # a flat solution's core length is real; the others have
-                # Re lambda ~ 0, where its sign is the rounding's
-                parts = zip(lo.shapes + lo.lambdas * bool(lo.flat),
-                            hi.shapes + hi.lambdas * bool(hi.flat))
+                # also on (-1, 1), (-2, 1) and (-3, 1), whose cores have
+                # length zero: Re lambda is noise there, and the sign of
+                # lambda puts Im lambda in [0, pi] at every precision
+                parts = zip(lo.shapes + lo.lambdas, hi.shapes + hi.lambdas)
                 assert all(abs(a - b) < tol * max(1, abs(b)) for a, b in parts)
         # quadratic convergence: the doubles stage is the same at every
         # precision, and each doubling adds at most one ladder step.  At 128
@@ -289,7 +299,7 @@ def test_filling_oracles(slope, prec):
 # raw libmp tuples
 SOLVER_BITS = "aec99a02bf3711e3bcb5635419ee9df8514e3243aa5a6c60244bbf7ecbd2ff73"
 # and of every EXCEPTIONAL outcome, without and with allow_flat, at PRECISIONS
-EXCEPTIONAL_BITS = "7b85972aab87c74d563eb232f7be58d3a068f6220ef80088a7346941ca6598e9"
+EXCEPTIONAL_BITS = "d8bc3245f46c17c0f5f49e3302ee15fa4c44e67836df34936bc22d1feab586d2"
 
 
 def _solve_outcome(slope, precision, allow_flat):

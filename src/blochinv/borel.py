@@ -14,7 +14,6 @@ different root of the minimal polynomial.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import mpmath as mp
@@ -88,20 +87,15 @@ def detect_relation(vectors, coefficient_bound=64, precision=256,
                 break
         else:
             return None
-        g = math.gcd(*coeffs)
+        # integer_relations' rows are primitive: fix the sign only
         if next(c for c in coeffs if c) < 0:
-            g = -g
-        coeffs = [c // g for c in coeffs]
+            coeffs = [-c for c in coeffs]
         confidence = "NumericOnly"
         if elements is not None:
-            combo = None
-            for c, e in zip(coeffs, elements):
-                if e is None:
-                    combo = None
-                    break
-                part = e.scale(c)
-                combo = part if combo is None else combo + part
-            if combo is not None and six_fold_normalize(combo).is_zero():
+            combo = elements[0].scale(coeffs[0])
+            for c, e in zip(coeffs[1:], elements[1:]):
+                combo = combo + e.scale(c)
+            if six_fold_normalize(combo).is_zero():
                 confidence = "ExactInputVerified"
         return RelationReport(coefficients=tuple(coeffs), residual=resid,
                               confidence=confidence)
@@ -118,42 +112,13 @@ def per_root_values(element, precision=256):
 
 
 def rank_witness(vectors, precision=256):
-    """Numerical rank of the span of equal-length real vectors.
-
-    Gaussian elimination with full pivoting; a pivot counts while it exceeds
-    2^(-precision/2) times the largest pivot.
-    """
+    """Numerical rank of the span of equal-length real vectors: the number
+    of singular values above 2^(-precision/2) times the largest."""
     vecs = [v.values if isinstance(v, RegulatorVector) else list(v)
             for v in vectors]
-    if not vecs:
+    if not vecs or not vecs[0]:
         return 0
     with mp.workprec(precision + _GUARD):
-        A = [[mp.mpf(x) for x in row] for row in vecs]
-        m, n = len(A), len(A[0])
-        threshold = mp.mpf(2) ** (-(precision // 2))
-        pivots = []
-        r = 0
-        cols = list(range(n))
-        while r < m:
-            piv = None
-            best = mp.mpf(0)
-            for i in range(r, m):
-                for j in cols:
-                    if abs(A[i][j]) > best:
-                        best = abs(A[i][j])
-                        piv = (i, j)
-            if piv is None or best == 0:
-                break
-            i0, j0 = piv
-            A[r], A[i0] = A[i0], A[r]
-            pivots.append(best)
-            for i in range(r + 1, m):
-                f = A[i][j0] / A[r][j0]
-                if f:
-                    A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-            cols.remove(j0)
-            r += 1
-        if not pivots:
-            return 0
-        top = pivots[0]
-        return sum(1 for p in pivots if p > threshold * top)
+        sv = mp.svd_r(mp.matrix(vecs), compute_uv=False)
+        floor = max(sv) * mp.mpf(2) ** (-(precision // 2))
+        return sum(1 for s in sv if s > floor)

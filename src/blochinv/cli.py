@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: invariant, fill, cs, borel, relation, scissors.  Exit codes:
-0 success, 1 numeric non-convergence, 2 invalid input.  ``--format records``
-emits a single JSON document with a versioned schema tag instead of text.
+Subcommands: invariant, fill, cs, borel, relation, scissors.  Each
+``cmd_*`` fills the ``Report`` that ``main`` builds; ``main`` alone emits it
+and chooses the exit code: 0 success, 1 a ``NumericFailure``, 2 any other
+``BlochError`` (invalid input).  ``--format records`` emits a single JSON
+document with a versioned schema tag instead of text.
 """
 
 from __future__ import annotations
@@ -14,17 +16,12 @@ import sys
 import mpmath as mp
 
 from . import __version__
-from .errors import (BlochError, Diverged, DegeneratedToFlat,
-                     JacobianSingular, RootFindingFailed,
-                     TriangulationSyntaxError)
+from .errors import BlochError, NumericFailure, TriangulationSyntaxError
 
 # Each command imports the modules it runs, so that a process pays only for
 # its own command.
 
 SCHEMA = "blochinv.report/1"
-
-_NUMERIC_ERRORS = (Diverged, DegeneratedToFlat, JacobianSingular,
-                   RootFindingFailed)
 
 
 def _digits(precision):
@@ -38,8 +35,8 @@ def _fmt(x, precision):
 class Report:
     """Collects key/value findings; renders as text lines or one JSON doc."""
 
-    def __init__(self, command, args):
-        self.data = {"schema": SCHEMA, "command": command,
+    def __init__(self, args):
+        self.data = {"schema": SCHEMA, "command": args.command,
                      "precision": args.precision}
         self.format = args.format
         self.lines = []
@@ -82,12 +79,11 @@ def _load_element(path, precision):
 
 # ---------------------------------------------------------------------------
 
-def cmd_invariant(args):
+def cmd_invariant(args, rep):
     from .dilog import volume_of_prebloch
     from .numfield import embeddings
     from .prebloch import is_bloch, serialize_element, six_fold_normalize
     from .triang import bloch_invariant, parse_triangulation
-    rep = Report("invariant", args)
     text = _read(args.file)
     prec = args.precision
     if _is_triangulation(text):
@@ -121,8 +117,6 @@ def cmd_invariant(args):
     elif not element.is_exact():
         v = volume_of_prebloch(element, precision=prec)
         rep.add("volume", _fmt(v, prec))
-    rep.emit()
-    return 0
 
 
 def _parse_fill_flags(fills):
@@ -139,10 +133,9 @@ def _parse_fill_flags(fills):
     return out
 
 
-def cmd_fill(args):
+def cmd_fill(args, rep):
     from .surgery import filled_system, newton_solve, solution_volume
     from .triang import parse_triangulation
-    rep = Report("fill", args)
     prec = args.precision
     t = parse_triangulation(_read(args.file), precision=prec)
     system = filled_system(t, _parse_fill_flags(args.fill) or t.fillings)
@@ -155,16 +148,13 @@ def cmd_fill(args):
     for j, lam in enumerate(res.lambdas):
         rep.add("core_length_%d" % j, _fmt(lam, prec))
     rep.add("volume", _fmt(solution_volume(res, precision=prec), prec))
-    rep.emit()
-    return 0
 
 
-def cmd_cs(args):
+def cmd_cs(args, rep):
     from .chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                solve_flattening)
     from .surgery import filled_system, newton_solve
     from .triang import parse_triangulation
-    rep = Report("cs", args)
     prec = args.precision
     t = parse_triangulation(_read(args.file), precision=prec)
     shapes = t.validate(precision=prec)
@@ -207,13 +197,10 @@ def cmd_cs(args):
             q = rationalize_mod_pi2(mp.im(alpha), args.denom_bound, prec)
             rep.add("alpha_fitted_over_pi2", str(q) if q is not None else None,
                     text=q if q is not None else "NotFound")
-    rep.emit()
-    return 0
 
 
-def cmd_borel(args):
+def cmd_borel(args, rep):
     from .borel import borel_regulator, per_root_values
-    rep = Report("borel", args)
     prec = args.precision
     for path in args.files:
         element, places = _load_element(path, prec)
@@ -224,13 +211,10 @@ def cmd_borel(args):
         with mp.workprec(prec + 16):
             gal = per_root_values(element, precision=prec)
             rep.add("galois_sum_%s" % path, mp.nstr(mp.fsum(gal), 8))
-    rep.emit()
-    return 0
 
 
-def cmd_relation(args):
+def cmd_relation(args, rep):
     from .borel import borel_regulator, detect_relation, rank_witness
-    rep = Report("relation", args)
     prec = args.precision
     vectors = []
     elements = []
@@ -247,15 +231,12 @@ def cmd_relation(args):
         rep.add("residual", mp.nstr(report.residual, 8))
         rep.add("confidence", report.confidence)
     rep.add("rank_witness", rank_witness(vectors, precision=prec))
-    rep.emit()
-    return 0
 
 
-def cmd_scissors(args):
+def cmd_scissors(args, rep):
     from .dilog import volume_of_prebloch
     from .scissors import (cone_decomposition, decomposition_class,
                            parse_polyhedron, polyhedron_class)
-    rep = Report("scissors", args)
     prec = args.precision
     poly = parse_polyhedron(_read(args.file), precision=prec)
     element = polyhedron_class(poly, precision=prec)
@@ -268,12 +249,12 @@ def cmd_scissors(args):
             e = decomposition_class(poly, cone_decomposition(poly, apex), prec)
             vols.append(volume_of_prebloch(e, precision=prec))
         spread = max(vols) - min(vols)
+        if not spread < mp.mpf(2) ** -(prec // 2):
+            raise NumericFailure("apex volumes spread %s"
+                                 % mp.nstr(spread, 8))
         rep.add("volume", _fmt(vols[0], prec))
         rep.add("apex_independence_spread", mp.nstr(spread, 8))
-        ok = spread < mp.mpf(2) ** -(prec // 2)
-        rep.add("apex_independent", bool(ok))
-    rep.emit()
-    return 0 if ok else 1
+        rep.add("apex_independent", True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +332,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.precision < 64:
         ap.error("precision must be at least 64 bits")
+    rep = Report(args)
     try:
-        return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+        args.func(args, rep)
+    except NumericFailure as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 1
     except BlochError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 2
+    rep.emit()
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ class BlochError(Exception):
     """Base class for all blochinv errors."""
 
 
+class NumericFailure(BlochError):
+    """A numeric computation failed on valid input; the CLI exits 1."""
+
+
 # --- number field construction / arithmetic ---
 
 class NonMonic(BlochError):
@@ -27,7 +31,7 @@ class DivisionByZero(BlochError, ZeroDivisionError):
     """Inversion of the zero field element."""
 
 
-class RootFindingFailed(BlochError):
+class RootFindingFailed(NumericFailure):
     """Root refinement did not reach the requested precision."""
 
 
@@ -85,15 +89,15 @@ class RankDeficient(BlochError):
     """No square nonsingular subsystem could be selected."""
 
 
-class JacobianSingular(BlochError):
+class JacobianSingular(NumericFailure):
     """Newton step hit a numerically singular Jacobian."""
 
 
-class Diverged(BlochError):
+class Diverged(NumericFailure):
     """Newton iteration failed to converge."""
 
 
-class DegeneratedToFlat(BlochError):
+class DegeneratedToFlat(NumericFailure):
     """Without allow_flat, a shape fell below the flatness floor."""
 
 

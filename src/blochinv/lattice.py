@@ -266,9 +266,8 @@ def integer_relations(vectors, precision, max_coeff=None):
     out = []
     thresh = from_man_exp(1, half - precision // 4)
     for row in red:
+        # a basis row of {(c, T c)}: its c is primitive and nonzero
         coeffs = row[:n]
-        if not any(coeffs):
-            continue
         tail = [from_int(t, wp, rnd) for t in row[n:]]
         tail_norm = mpf_sqrt(mpf_sum([mpf_mul(t, t, wp, rnd) for t in tail],
                                      wp, rnd), wp, rnd)

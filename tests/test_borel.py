@@ -193,6 +193,35 @@ def test_rank_witness_scaled_copy():
 
 
 @st.composite
+def _spanning_vectors(draw):
+    """(k, vectors): k independent random real vectors and integer
+    combinations of them, shuffled; 1 <= m <= 5 vectors of 1 <= n <= 4
+    entries."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(m, n)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    with mp.workprec(600):
+        basis = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(n)]
+                 for _ in range(k)]
+        vectors = basis + [
+            [mp.fsum(c * b[j] for c, b in zip(coeffs, basis))
+             for j in range(n)]
+            for coeffs in draw(st.lists(st.lists(st.integers(-3, 3),
+                                                 min_size=k, max_size=k),
+                                        min_size=m - k, max_size=m - k))]
+    return k, draw(st.permutations(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spanning_vectors())
+def test_rank_witness_counts_independent_vectors(case):
+    k, vectors = case
+    for prec in (128, 256):
+        assert rank_witness(vectors, precision=prec) == k
+
+
+@st.composite
 def _exact_elements(draw):
     """A field among Q(i), x^3 - x + 1 and the quartic, and an element with
     one to three generators of small coefficients, none of them 0 or 1."""

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import importlib.resources
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import blochinv
-from blochinv import textformat
+from blochinv import cli, errors, textformat
 from blochinv.cli import main
 from blochinv.dilog import bloch_wigner
 from blochinv.triang import parse_triangulation
@@ -286,6 +287,17 @@ def test_relation_none(capsys):
     assert "rank_witness:          2" in out
 
 
+def test_relation_totally_real_field_rank_0(tmp_path, capsys):
+    # Q(sqrt 2) has no complex place: the regulator vectors are empty and
+    # span rank 0
+    a, b = tmp_path / "a.bloch", tmp_path / "b.bloch"
+    a.write_text("field 2 -2 0 1\n1 * [1 1]\n")
+    b.write_text("field 2 -2 0 1\n2 * [3 1]\n")
+    code, out, _ = run(capsys, "relation", str(a), str(b))
+    assert code == 0
+    assert "rank_witness:          0" in out
+
+
 def test_scissors_octahedron(capsys):
     code, out, _ = run(capsys, "--precision", "128", "scissors",
                        fx("octahedron.poly"))
@@ -305,6 +317,20 @@ def test_scissors_spread_at_requested_precision(tmp_path, capsys, precision):
     assert code == 0
     spread = mp.mpf(json.loads(out)["apex_independence_spread"])
     assert spread < mp.mpf(2) ** (-precision + 8)
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_scissors_apex_spread_exit_1(monkeypatch, capsys, fmt):
+    # apex volumes that disagree are a numeric failure like any other:
+    # nothing on stdout and one stderr line
+    from blochinv import dilog
+    volumes = itertools.count()
+    monkeypatch.setattr(dilog, "volume_of_prebloch",
+                        lambda *args, **kwargs: mp.mpf(next(volumes)))
+    code, out, err = run(capsys, "--format", fmt, "scissors",
+                         fx("octahedron.poly"))
+    assert (code, out) == (1, "")
+    assert err == "numeric failure: apex volumes spread 5.0\n"
 
 
 def test_scissors_square_pyramid(capsys):
@@ -602,6 +628,22 @@ def test_numeric_failure_exit_1(capsys, fmt, slope):
                          fx("figure_eight.tri"), "--fill", slope)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("name,code", [
+    ("NumericFailure", 1), ("Diverged", 1), ("DegeneratedToFlat", 1),
+    ("JacobianSingular", 1), ("RootFindingFailed", 1), ("NotCoprime", 2)])
+def test_error_class_decides_exit_code(monkeypatch, capsys, name, code):
+    # main alone emits the report: a command that raises after filling part
+    # of it prints nothing on stdout, and NumericFailure marks exit 1
+    def failing(args, rep):
+        rep.add("partial", True)
+        raise getattr(errors, name)("planted")
+
+    monkeypatch.setattr(cli, "cmd_fill", failing)
+    prefix = "numeric failure:" if code == 1 else "invalid input:"
+    assert run(capsys, "fill", fx("figure_eight.tri")) == \
+        (code, "", prefix + " planted\n")
 
 
 _SHAPE_VALUES = st.one_of(

@@ -217,3 +217,30 @@ def test_no_unused_imports():
                      and node.name not in loaded]
               for name in internal}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_cli_main_owns_report_and_exit_code():
+    # every cmd_* only fills the report that cli.main builds: none returns
+    # a value or emits, and NumericFailure alone marks an exit 1, with no
+    # second list of numeric errors anywhere in the package
+    package = Path(blochinv.__file__).parent
+    commands = [node for node in ast.parse((package / "cli.py").read_text())
+                .body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")]
+    assert len(commands) == 6
+    found = {cmd.name: [node.lineno for node in ast.walk(cmd)
+                        if isinstance(node, ast.Return)
+                        and node.value is not None
+                        or isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "emit"]
+             for cmd in commands}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    defined = {name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               for name in ([node.id] if isinstance(node, ast.Name)
+                            and isinstance(node.ctx, ast.Store) else
+                            [node.name] if isinstance(
+                                node, (ast.FunctionDef, ast.ClassDef))
+                            else [])}
+    assert "_NUMERIC_ERRORS" not in defined

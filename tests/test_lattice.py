@@ -423,6 +423,25 @@ def test_integer_relations_none_for_independent():
             abs(r[0] * mp.log(2) + r[1] * mp.log(3)) > 1e-20
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32),
+       st.sampled_from([128, 256]), st.data())
+def test_integer_relations_rows_primitive(n, k, seed, prec, data):
+    # each candidate is a row of an LLL basis of {(c, T c)}, so its
+    # coefficients are nonzero and primitive: callers divide by no gcd
+    rng = random.Random(seed)
+    with mp.workprec(prec + 64):
+        vectors = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(n)]
+                   for _ in range(k)]
+        for coeffs in data.draw(st.lists(st.lists(st.integers(-4, 4),
+                                                  min_size=k, max_size=k),
+                                         max_size=3)):
+            vectors.append([mp.fsum(c * v[j] for c, v in zip(coeffs, vectors))
+                            for j in range(n)])
+    for row in integer_relations(vectors, prec):
+        assert math.gcd(*row) == 1, row
+
+
 # integer_relations on raw libmp against the mpf expressions it replaces
 
 def _scaled_entries_mpf(v, prec):

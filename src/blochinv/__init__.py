@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "numfield": ("NumberField", "FieldElement", "EmbeddingSet", "field_make",
                  "embeddings"),
-    "dilog": ("li2", "bloch_wigner", "rogers", "volume_of_prebloch"),
+    "dilog": ("li2", "bloch_wigner", "rogers"),
     "prebloch": ("PreBlochElement", "Infinity", "cross_ratio",
                  "six_fold_normalize", "five_term", "wedge", "is_bloch",
                  "multiplicative_relations", "WedgeElement",
-                 "BlochCertificate", "parse_element", "serialize_element"),
+                 "BlochCertificate", "parse_element", "serialize_element",
+                 "volume_of_prebloch", "bloch_invariant"),
     "triang": ("Triangulation", "GluingCombinatorics", "parse_triangulation",
-               "serialize_triangulation", "edge_equations", "infer_d",
-               "bloch_invariant"),
+               "serialize_triangulation", "edge_equations", "infer_d"),
     "surgery": ("FilledSystem", "SolveResult", "filled_system",
                 "newton_solve", "core_length", "solution_volume"),
     "chern_simons": ("FlatteningSolution", "CSResult", "solve_flattening",

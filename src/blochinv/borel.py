@@ -18,11 +18,11 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .dilog import _GUARD, bloch_wigner, volume_of_prebloch  # noqa: F401 (re-export)
+from .dilog import _GUARD, bloch_wigner  # noqa: F401 (re-export)
 from .errors import DegenerateShape, DimensionMismatch
 from .lattice import integer_relations
 from .numfield import embeddings
-from .prebloch import six_fold_normalize
+from .prebloch import six_fold_normalize, volume_of_prebloch
 
 
 class RegulatorVector:

@@ -80,13 +80,13 @@ def _load_element(path, precision):
 # ---------------------------------------------------------------------------
 
 def cmd_invariant(args, rep):
-    from .dilog import volume_of_prebloch
     from .numfield import embeddings
-    from .prebloch import is_bloch, serialize_element, six_fold_normalize
-    from .triang import bloch_invariant, parse_triangulation
+    from .prebloch import (bloch_invariant, is_bloch, serialize_element,
+                           six_fold_normalize, volume_of_prebloch)
     text = _read(args.file)
     prec = args.precision
     if _is_triangulation(text):
+        from .triang import parse_triangulation
         t = parse_triangulation(text, precision=prec)
         if t.exact_shapes():
             rep.add("field", list(t.field.min_poly))
@@ -234,7 +234,7 @@ def cmd_relation(args, rep):
 
 
 def cmd_scissors(args, rep):
-    from .dilog import volume_of_prebloch
+    from .prebloch import volume_of_prebloch
     from .scissors import (cone_decomposition, decomposition_class,
                            parse_polyhedron, polyhedron_class)
     prec = args.precision

@@ -106,7 +106,7 @@ import mpmath as mp
 from mpmath import libmp
 from mpmath.libmp import to_fixed, to_rational
 
-from .errors import DegenerateShape, DimensionMismatch
+from .errors import DegenerateShape
 
 # guard bits added to a caller's precision by every numeric module
 _GUARD = 24
@@ -295,32 +295,3 @@ def _flattened_rogers(z, cp, cpp, precision):
 def _mpq(q):
     return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
-
-def volume_of_prebloch(element, embedding=None, precision=256):
-    """Sum of n_i * D2(sigma(z_i)) over the element's generators.
-
-    Numeric generators are evaluated directly; exact generators are mapped
-    through ``embedding`` (a root of the field's minimal polynomial).  When
-    the field has a single complex place and no embedding is given, that
-    place is used.
-    """
-    from .numfield import FieldElement, embeddings as _embeddings
-
-    with mp.workprec(precision + _GUARD):
-        total = mp.mpf(0)
-        emb = embedding
-        for gen, coeff in element.terms.items():
-            if isinstance(gen, FieldElement):
-                if emb is None:
-                    es = _embeddings(gen.field, precision)
-                    if es.r2 != 1:
-                        raise DimensionMismatch(
-                            "field has %d complex places; pass an embedding" % es.r2)
-                    emb = es.complex_pairs[0]
-                zv = gen.evaluate(emb)
-            elif isinstance(gen, Fraction):
-                continue  # real: D2 = 0
-            else:
-                zv = mp.mpc(gen)
-            total += coeff * bloch_wigner(zv, precision)
-        return total

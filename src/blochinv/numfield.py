@@ -6,8 +6,8 @@ counts give its number r1 of real places and find any integer root.
 Elements are coefficient vectors reduced mod f, held as integer numerators
 over one common denominator in lowest terms; norm and inverse come from one
 fraction-free (Bareiss) elimination on the integer multiplication matrix.
-Embeddings are the roots of f, Newton-polished once per field and
-caller-specified binary precision.
+Embeddings are the roots of f, Newton-polished once per minimal polynomial
+and caller-specified binary precision; equal fields share them.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ class NumberField:
         at_inf = [1 if p[-1] > 0 else -1 for p in chain]
         at_minus_inf = [s * (-1) ** (len(p) - 1) for s, p in zip(at_inf, chain)]
         self.r1 = _sign_changes(at_minus_inf) - _sign_changes(at_inf)
-        self._embeddings = {}  # precision -> EmbeddingSet, see embeddings()
         # x^deg, ..., x^(2 deg - 2) mod f: integral, as f is monic
         row = [-c for c in coeffs[:deg]]
         self._xpow = []
@@ -476,11 +475,11 @@ class EmbeddingSet:
     real_roots are sorted ascending; complex_pairs holds one representative
     per conjugate pair with Im > 0, sorted by (real part, imaginary part),
     and is the default evaluation list for regulator vectors.  Both are tuples,
-    as one instance is shared by all callers at its field and precision.
+    as one instance is shared by all callers at its minimal polynomial and
+    precision.
     """
 
-    def __init__(self, field, real_roots, complex_pairs, precision):
-        self.field = field
+    def __init__(self, real_roots, complex_pairs, precision):
         self.real_roots = tuple(real_roots)
         self.complex_pairs = tuple(complex_pairs)
         self.r1 = len(self.real_roots)
@@ -500,6 +499,10 @@ class EmbeddingSet:
                 (self.r1, self.r2, self.precision))
 
 
+# (min_poly, precision) -> EmbeddingSet, filled by embeddings()
+_EMBEDDINGS = {}
+
+
 def embeddings(field, precision=256):
     """All complex embeddings of the field, polished to ``precision`` bits.
 
@@ -508,14 +511,15 @@ def embeddings(field, precision=256):
     polished again from their real parts.  The others with Im > 0 are the
     pair representatives.  Each root r has |f(r)| < 2^(-precision-8), or at
     worst the certified |f(r)| < 2^(-precision/2).  The result is computed
-    once per field and precision and then shared.
+    once per minimal polynomial and precision and then shared by every field
+    equal to this one.
     """
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
-    es = field._embeddings.get(precision)
+    f = field.min_poly
+    es = _EMBEDDINGS.get((f, precision))
     if es is not None:
         return es
-    f = field.min_poly
     with mp.workprec(precision + 64):
         try:
             roots = mp.polyroots([mp.mpf(c) for c in reversed(f)],
@@ -531,8 +535,7 @@ def embeddings(field, precision=256):
     if 2 * len(pairs) != field.degree - field.r1:
         raise RootFindingFailed("found %d of %d conjugate pairs" % (
             len(pairs), (field.degree - field.r1) // 2))
-    es = EmbeddingSet(field, reals, pairs, precision)
-    field._embeddings[precision] = es
+    es = _EMBEDDINGS[f, precision] = EmbeddingSet(reals, pairs, precision)
     return es
 
 

@@ -1,6 +1,7 @@
 """The pre-Bloch group: formal sums of cross-ratio classes, six-fold
-normalization, five-term relation elements, the wedge map into k* ^ k*, and a
-certified Bloch-group membership test.
+normalization, five-term relation elements, the wedge map into k* ^ k*, a
+certified Bloch-group membership test, D2 sums at an embedding, and the
+class beta(M) of a triangulation's shapes.
 
 Exact generators live in a NumberField (degree 1 = Q); numeric generators are
 arbitrary-precision complex numbers.  The wedge of an exact element is
@@ -23,9 +24,9 @@ from mpmath.libmp import (fzero, mpc_abs, mpf_atan2, mpf_log, mpf_mul_int,
                           mpf_sum, round_nearest)
 
 from . import textformat
-from .dilog import _GUARD
-from .errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
-                     RequiresExactField, RootFindingFailed,
+from .dilog import _GUARD, bloch_wigner
+from .errors import (DegenerateFiveTerm, DegenerateShape, DimensionMismatch,
+                     NotDistinct, RequiresExactField, RootFindingFailed,
                      TriangulationSyntaxError)
 from .lattice import integer_relations, kernel_int, valuation_kernel
 from .numfield import FieldElement, _polish, embeddings, horner
@@ -100,8 +101,6 @@ def _is_exact(g):
 
 
 def _degenerate(g):
-    if isinstance(g, FieldElement):
-        return g.is_zero() or g.is_one()
     return g == 0 or g == 1
 
 
@@ -203,23 +202,14 @@ class PreBlochElement:
 def orbit_images(z):
     """The six images of z under the cross-ratio symmetry group, with signs:
     even images {z, 1-1/z, 1/(1-z)} carry +1, odd {1/z, 1-z, z/(z-1)} -1."""
-    one = _one_like(z)
     return [
         (z, 1),
-        (one - one / z, 1),
-        (one / (one - z), 1),
-        (one / z, -1),
-        (one - z, -1),
-        (z / (z - one), -1),
+        (1 - 1 / z, 1),
+        (1 / (1 - z), 1),
+        (1 / z, -1),
+        (1 - z, -1),
+        (z / (z - 1), -1),
     ]
-
-
-def _one_like(z):
-    if isinstance(z, FieldElement):
-        return z.field.one()
-    if isinstance(z, Fraction):
-        return Fraction(1)
-    return mp.mpc(1)
 
 
 def _value_bits(z):
@@ -281,8 +271,6 @@ def five_term(x, y, precision=256):
         x = Fraction(x)
     if isinstance(y, int):
         y = Fraction(y)
-    one_x = _one_like(x)
-    one_y = _one_like(y)
     if _degenerate(x) or _degenerate(y):
         raise DegenerateFiveTerm("x or y in {0, 1}")
     with mp.workprec(precision + _GUARD):
@@ -290,13 +278,59 @@ def five_term(x, y, precision=256):
             (x, 1),
             (y, -1),
             (y / x, 1),
-            ((one_x - one_x / x) / (one_y - one_y / y), -1),
-            ((one_x - x) / (one_y - y), 1),
+            ((1 - 1 / x) / (1 - 1 / y), -1),
+            ((1 - x) / (1 - y), 1),
         ]
     for g, _ in entries:
         if _degenerate(g):
             raise DegenerateFiveTerm("entry %s lies in {0, 1}" % (g,))
     return PreBlochElement(entries)
+
+
+# ---------------------------------------------------------------------------
+# volumes and the class of a triangulation
+
+def volume_of_prebloch(element, embedding=None, precision=256):
+    """Sum of n_i * D2(sigma(z_i)) over the element's generators.
+
+    Numeric generators are evaluated directly; exact generators are mapped
+    through ``embedding`` (a root of the field's minimal polynomial).  When
+    the field has a single complex place and no embedding is given, that
+    place is used.
+    """
+    with mp.workprec(precision + _GUARD):
+        total = mp.mpf(0)
+        emb = embedding
+        for gen, coeff in element.terms.items():
+            if isinstance(gen, FieldElement):
+                if emb is None:
+                    es = embeddings(gen.field, precision)
+                    if es.r2 != 1:
+                        raise DimensionMismatch(
+                            "field has %d complex places; pass an embedding" % es.r2)
+                    emb = es.complex_pairs[0]
+                zv = gen.evaluate(emb)
+            elif isinstance(gen, Fraction):
+                continue  # real: D2 = 0
+            else:
+                zv = mp.mpc(gen)
+            total += coeff * bloch_wigner(zv, precision)
+        return total
+
+
+def bloch_invariant(t, precision=256):
+    """The pre-Bloch class sum [z_j] of the shapes ``t.validate(precision)``
+    returns for the triangulation t, six-fold normalized; exact shapes stay
+    exact.
+
+    beta(M) is defined only for a triangulation whose gluing equations
+    U.Z = pi i d hold, so this raises where validate does."""
+    zs = t.validate(precision)
+    if t.exact_shapes():
+        e = PreBlochElement([(z, 1) for z in t.shapes], field=t.field)
+    else:
+        e = PreBlochElement([(z, 1) for z in zs])
+    return six_fold_normalize(e)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +390,7 @@ def _dedup_generators(element):
 
     pairs = []
     for g, c in element.terms.items():
-        one = _one_like(g)
-        pairs.append((idx(g), idx(one - g), c))
+        pairs.append((idx(g), idx(1 - g), c))
     return base, pairs
 
 

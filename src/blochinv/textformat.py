@@ -7,7 +7,6 @@ fixed-arity keyword unpacks its args, so extra tokens fail like missing ones.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import mpmath as mp
@@ -40,17 +39,11 @@ def read(text, handle):
 
 
 def read_field(args):
-    """The NumberField of a `field <deg> <c0> ... <cdeg>` line.  Equal lines
-    give one instance, so files over one field share its embeddings."""
+    """The NumberField of a `field <deg> <c0> ... <cdeg>` line."""
     deg, *coeffs = [int(a) for a in args]
     if len(coeffs) != deg + 1:
         raise TriangulationSyntaxError(
             "field degree %d needs %d coefficients" % (deg, deg + 1))
-    return _field(tuple(coeffs))
-
-
-@functools.cache
-def _field(coeffs):
     return NumberField(coeffs)
 
 

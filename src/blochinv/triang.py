@@ -25,7 +25,6 @@ from .errors import (DegenerateShape, DimensionMismatch, NotIntegral,
                      OpenFace, TriangulationSyntaxError)
 from .lattice import hnf_rows
 from .numfield import FieldElement, embeddings
-from .prebloch import PreBlochElement, six_fold_normalize
 
 
 # (log z, log(1-z)) coefficients of the log parameter of each edge: z on
@@ -272,20 +271,6 @@ def _pi_i_multiples(t, zs, precision):
                 raise NotIntegral("row value %s / pi i not near an integer" % q)
             out.append(int(k))
         return out
-
-
-def bloch_invariant(t, precision=256):
-    """The pre-Bloch class sum [z_j] of the shapes ``t.validate(precision)``
-    returns, six-fold normalized; exact shapes stay exact.
-
-    beta(M) is defined only for a triangulation whose gluing equations
-    U.Z = pi i d hold, so this raises where validate does."""
-    zs = t.validate(precision)
-    if t.exact_shapes():
-        e = PreBlochElement([(z, 1) for z in t.shapes], field=t.field)
-    else:
-        e = PreBlochElement([(z, 1) for z in zs])
-    return six_fold_normalize(e)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from blochinv.errors import DegenerateFiveTerm, DegenerateShape
 from blochinv.lattice import kernel_int
 from blochinv.numfield import conj_exact, embeddings, field_make
 from blochinv.prebloch import (PreBlochElement, five_term, is_bloch,
-                               six_fold_normalize, wedge)
+                               six_fold_normalize, volume_of_prebloch, wedge)
 from blochinv.scissors import (cone_decomposition, cycle_move,
                                decomposition_class, parse_polyhedron)
 from blochinv.surgery import core_length, filled_system, newton_solve, solution_volume
@@ -274,7 +274,6 @@ def test_criterion_9_scissors():
 
 
 def _vol(e, prec):
-    from blochinv.dilog import volume_of_prebloch
     return volume_of_prebloch(e, precision=prec)
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import blochinv
-from blochinv import cli, errors, textformat
+from blochinv import cli, errors, numfield
 from blochinv.cli import main
 from blochinv.dilog import bloch_wigner
 from blochinv.triang import parse_triangulation
@@ -260,7 +260,7 @@ def test_borel_prints_published_pairs(capsys):
 
 def test_borel_shares_one_field_across_files(monkeypatch, capsys):
     # the two example2 files share one quartic field, Weeks has a cubic one
-    textformat._field.cache_clear()
+    numfield._EMBEDDINGS.clear()
     calls = []
     polyroots = mp.polyroots
     monkeypatch.setattr(mp, "polyroots",
@@ -323,9 +323,9 @@ def test_scissors_spread_at_requested_precision(tmp_path, capsys, precision):
 def test_scissors_apex_spread_exit_1(monkeypatch, capsys, fmt):
     # apex volumes that disagree are a numeric failure like any other:
     # nothing on stdout and one stderr line
-    from blochinv import dilog
+    from blochinv import prebloch
     volumes = itertools.count()
-    monkeypatch.setattr(dilog, "volume_of_prebloch",
+    monkeypatch.setattr(prebloch, "volume_of_prebloch",
                         lambda *args, **kwargs: mp.mpf(next(volumes)))
     code, out, err = run(capsys, "--format", fmt, "scissors",
                          fx("octahedron.poly"))
@@ -959,40 +959,40 @@ print(" ".join(sorted(n[len("blochinv."):] for n in sys.modules
                   if n in sys.modules]))
 """
 
+# what every command that reads a file loads
+_READ = {"mpmath", "cli", "errors", "dilog", "lattice", "numfield",
+         "textformat"}
+
+# each command loads the modules it runs and no other: fill and cs build no
+# pre-Bloch element, and invariant reads a .bloch file without triang
 _FOOTPRINT = [
-    ("import", ["import"], set(), {"mpmath"}),
-    ("version", ["--version"], {"cli", "errors"}, None),
-    ("invariant_tri", ["invariant", fx("figure_eight.tri")], None,
-     {"surgery", "chern_simons", "borel", "scissors"}),
-    ("invariant_bloch", ["invariant", fx("weeks_element.bloch")], None,
-     {"surgery", "chern_simons", "borel", "scissors"}),
-    ("fill", ["fill", fx("figure_eight.tri"), "--fill", "5,1"], None,
-     {"borel", "scissors"}),
-    ("cs", ["cs", fx("figure_eight.tri")], None, {"borel", "scissors"}),
-    ("borel", ["borel", fx("weeks_element.bloch")], None,
-     {"triang", "surgery", "chern_simons", "scissors"}),
+    ("import", ["import"], set()),
+    ("version", ["--version"], {"mpmath", "cli", "errors"}),
+    ("invariant_tri", ["invariant", fx("figure_eight.tri")],
+     _READ | {"prebloch", "triang"}),
+    ("invariant_bloch", ["invariant", fx("weeks_element.bloch")],
+     _READ | {"prebloch"}),
+    ("fill", ["fill", fx("figure_eight.tri"), "--fill", "5,1"],
+     _READ | {"triang", "surgery"}),
+    ("cs", ["cs", fx("figure_eight.tri")],
+     _READ | {"triang", "surgery", "chern_simons"}),
+    ("borel", ["borel", fx("weeks_element.bloch")],
+     _READ | {"prebloch", "borel"}),
     ("relation", ["relation", fx("example2_beta1.bloch"),
-                  fx("example2_beta2.bloch")], None,
-     {"triang", "surgery", "chern_simons", "scissors"}),
-    ("scissors", ["scissors", fx("octahedron.poly")], None,
-     {"triang", "surgery", "chern_simons", "borel"}),
+                  fx("example2_beta2.bloch")], _READ | {"prebloch", "borel"}),
+    ("scissors", ["scissors", fx("octahedron.poly")],
+     _READ | {"prebloch", "scissors"}),
 ]
 
 
-@pytest.mark.parametrize("argv,only,absent",
-                         [case[1:] for case in _FOOTPRINT],
+@pytest.mark.parametrize("argv,loaded", [case[1:] for case in _FOOTPRINT],
                          ids=[case[0] for case in _FOOTPRINT])
-def test_command_module_footprint(argv, only, absent):
+def test_command_module_footprint(argv, loaded):
     src = str(pathlib.Path(blochinv.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE] + argv,
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.splitlines()[-1].split())
-    assert not loaded & {"dataclasses", "sympy"}
-    if only is not None:
-        assert loaded - {"mpmath"} == only
-    if absent is not None:
-        assert not loaded & absent
+    assert set(proc.stdout.splitlines()[-1].split()) == loaded
 
 
 def test_lazy_exports_are_the_defining_modules_names():

@@ -1,5 +1,6 @@
 """Contracts that hold across the library: results do not depend on the
-ambient mpmath precision, no module imports a name it never uses, and no
+ambient mpmath precision, no module imports a name it never uses, each
+module imports only the package modules below it in its layer, and no
 module defines a helper or a method that nothing reads."""
 
 import ast
@@ -10,22 +11,22 @@ import mpmath as mp
 import pytest
 
 import blochinv
-from blochinv import dilog, textformat
+from blochinv import dilog, numfield
 from blochinv.borel import (RegulatorVector, borel_regulator, detect_relation,
                             per_root_values, rank_witness)
 from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                    solve_flattening)
-from blochinv.dilog import bloch_wigner, li2, rogers, volume_of_prebloch
+from blochinv.dilog import bloch_wigner, li2, rogers
 from blochinv.numfield import NumberField, embeddings
 from blochinv.prebloch import (BlochCertificate, Infinity, PreBlochElement,
-                               cross_ratio, five_term, is_bloch,
-                               multiplicative_relations, parse_element,
-                               six_fold_normalize)
+                               bloch_invariant, cross_ratio, five_term,
+                               is_bloch, multiplicative_relations,
+                               parse_element, six_fold_normalize,
+                               volume_of_prebloch)
 from blochinv.scissors import parse_polyhedron, polyhedron_class
 from blochinv.surgery import (core_length, filled_system, newton_solve,
                               solution_volume)
-from blochinv.triang import (Triangulation, bloch_invariant,
-                             parse_triangulation)
+from blochinv.triang import Triangulation, parse_triangulation
 
 P = 128
 Z = mp.mpc("0.3", "0.8")
@@ -121,9 +122,7 @@ def _fresh():
     """Forget every memoised value, so that each call computes afresh."""
     dilog._record.cache_clear()
     dilog._bernoulli_table.cache_clear()
-    textformat._field.cache_clear()
-    for field in (WEEKS, EISENSTEIN):
-        field._embeddings.clear()
+    numfield._EMBEDDINGS.clear()
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -217,6 +216,47 @@ def test_no_unused_imports():
                      and node.name not in loaded]
               for name in internal}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+# the package modules each library module imports: dilog is a leaf over
+# errors, and triang builds no pre-Bloch element (prebloch.bloch_invariant
+# does)
+LAYERS = {
+    "errors": set(),
+    "lattice": set(),
+    "dilog": {"errors"},
+    "numfield": {"errors"},
+    "textformat": {"errors", "numfield"},
+    "prebloch": {"dilog", "errors", "lattice", "numfield", "textformat"},
+    "triang": {"dilog", "errors", "lattice", "numfield", "textformat"},
+    "surgery": {"dilog", "errors", "lattice"},
+    "chern_simons": {"dilog", "errors", "lattice"},
+    "borel": {"dilog", "errors", "lattice", "numfield", "prebloch"},
+    "scissors": {"errors", "prebloch", "textformat"},
+}
+
+
+def test_import_layering():
+    # cli imports per command (test_cli pins what each command loads); no
+    # other module imports inside a function
+    package = Path(blochinv.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in package.glob("*.py")}
+    assert set(trees) - set(LAYERS) == {"__init__", "cli"}
+    found = {}
+    for name in LAYERS:
+        found[name] = set()
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found[name].update([node.module] if node.module else
+                                   [alias.name for alias in node.names])
+    assert found == LAYERS
+    nested = {name: [node.lineno for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(fn)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))]
+              for name, tree in trees.items() if name != "cli"}
+    assert {name: lines for name, lines in nested.items() if lines} == {}
 
 
 def test_cli_main_owns_report_and_exit_code():

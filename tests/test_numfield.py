@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from blochinv import numfield
+from blochinv import numfield, textformat
 from blochinv.numfield import (NumberField, field_make, embeddings,
                                poly_deriv, poly_divmod, poly_scale, poly_trim,
                                _integer_roots)
@@ -382,6 +382,7 @@ def test_signature_matches_sturm_oracle():
 
 
 def test_embeddings_computed_once_per_field_and_precision(monkeypatch):
+    numfield._EMBEDDINGS.clear()
     k = NumberField(WEEKS)
     calls = []
     polyroots = mp.polyroots
@@ -398,6 +399,26 @@ def test_embeddings_computed_once_per_field_and_precision(monkeypatch):
     assert len(calls) == 2
     # the bench tracer wraps plain module functions only
     assert type(numfield.embeddings) is types.FunctionType
+
+
+def test_equal_fields_share_one_embedding_set(monkeypatch):
+    # embeddings belong to the minimal polynomial, not to a field instance:
+    # two fields built apart and two parses of one `field` line each make
+    # one root-finding call
+    numfield._EMBEDDINGS.clear()
+    calls = []
+    polyroots = mp.polyroots
+    monkeypatch.setattr(mp, "polyroots",
+                        lambda *a, **kw: calls.append(1) or polyroots(*a, **kw))
+    a, b = NumberField(WEEKS), NumberField(WEEKS)
+    assert a is not b
+    assert embeddings(a, 128) is embeddings(b, 128)
+    assert len(calls) == 1
+    line = ["3", "1", "-1", "0", "1"]
+    c, d = textformat.read_field(line), textformat.read_field(line)
+    assert c is not d
+    assert embeddings(c, 192) is embeddings(d, 192)
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------------------------

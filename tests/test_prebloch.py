@@ -10,7 +10,6 @@ import pytest
 from hypothesis import (assume, example, given, settings,
                         strategies as st)
 
-from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DegenerateFiveTerm, DegenerateShape, NotDistinct,
                              RequiresExactField, TriangulationSyntaxError)
 from blochinv.lattice import hnf_rows
@@ -18,7 +17,7 @@ from blochinv.numfield import FieldElement, field_make
 from blochinv.prebloch import (Infinity, PreBlochElement, cross_ratio,
                                five_term, is_bloch, multiplicative_relations,
                                orbit_images, parse_element, serialize_element,
-                               six_fold_normalize, wedge)
+                               six_fold_normalize, volume_of_prebloch, wedge)
 
 WEEKS = field_make([1, -1, 0, 1])
 QUARTIC = field_make([1, -1, 1, 0, 1])

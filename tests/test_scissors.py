@@ -6,10 +6,11 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv.dilog import bloch_wigner, volume_of_prebloch
+from blochinv.dilog import bloch_wigner
 from blochinv.errors import DimensionMismatch, NotAFiveTermConfiguration
 from blochinv.numfield import field_make
-from blochinv.prebloch import Infinity, six_fold_normalize, wedge
+from blochinv.prebloch import (Infinity, six_fold_normalize,
+                               volume_of_prebloch, wedge)
 from blochinv.scissors import (IdealPolyhedron, _canon_simplex,
                                cone_decomposition, cycle_move,
                                decomposition_class, parse_polyhedron,

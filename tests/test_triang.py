@@ -5,14 +5,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv.dilog import volume_of_prebloch
 from blochinv.errors import (DimensionMismatch, NotIntegral, OpenFace,
                              TriangulationSyntaxError)
 from blochinv.lattice import hnf_rows
 from blochinv.numfield import FieldElement, field_make
+from blochinv.prebloch import bloch_invariant, volume_of_prebloch
 from blochinv.triang import (GluingCombinatorics, Triangulation,
-                             bloch_invariant, edge_equations, infer_d,
-                             parse_triangulation, serialize_triangulation)
+                             edge_equations, infer_d, parse_triangulation,
+                             serialize_triangulation)
 
 
 def fixture_text(name):

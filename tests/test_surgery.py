@@ -2,12 +2,13 @@ import functools
 import hashlib
 import importlib.resources
 import math
+import random
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv import surgery
+from blochinv import dilog, surgery
 from blochinv.chern_simons import cs_formula, solve_flattening
 from blochinv.errors import (BlochError, Diverged, DegeneratedToFlat,
                              NotCoprime, NotFilled, RankDeficient)
@@ -324,6 +325,59 @@ def test_exceptional_bits_pinned():
     out = [_solve_outcome(s, prec, allow_flat) for allow_flat in (False, True)
            for prec in PRECISIONS for s in sorted(EXCEPTIONAL)]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == EXCEPTIONAL_BITS
+
+
+# SHA-256 of li2, bloch_wigner and rogers on _kernel_points, and of
+# solution_volume, cs_formula(...).value and core_length on every SLOPES
+# solution, at 128, 256 and 512 bits, recorded while the dilog kernel and
+# the sums still worked on mpc objects
+POSTSOLVE_BITS = "e7a680f88806bd8f0873498b3e858c29b9382eb3dd3897a1ca15970bbe563cb7"
+
+
+def _bits(x):
+    """The raw (sign, int(man), exp) of an mpf, or of both parts of an mpc."""
+    parts = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_,)
+    return [(sign, int(man), exp) for sign, man, exp, _ in parts]
+
+
+def _kernel_points():
+    """Seeded points on every branch of li2: |z| < 1/4 (log1p, also below
+    2^-wp), series, reflection, inversion, negative real, |z| = 1,
+    Re z = 1/2, real z > 1; each carries bits down to 2^-800, below every
+    working precision."""
+    rng = random.Random(30)
+    with mp.workprec(800):
+        def polar(lo, hi, arg):
+            z = rng.uniform(lo, hi) * mp.expjpi(arg)
+            return z * (1 + mp.mpf(rng.getrandbits(700)) / 2 ** 760)
+        pts = []
+        for _ in range(6):
+            pts += [polar(0.01, 0.24, rng.uniform(-1, 1)),       # log1p
+                    polar(0.3, 0.99, rng.uniform(0.4, 1)),       # series
+                    polar(0.3, 0.99, rng.uniform(-0.2, 0.2)),    # reflection
+                    polar(1.01, 6, rng.uniform(-1, 1)),          # inversion
+                    -polar(0.1, 6, 0),                           # z < 0
+                    mp.expjpi(mp.mpf(rng.getrandbits(700)) / 2 ** 699 - 1),
+                    mp.mpc(0.5, mp.mpf(rng.getrandbits(700)) / 2 ** 698 - 2),
+                    polar(1.01, 6, 0)]                           # z > 1
+    return pts + [mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0.5, 0.5),
+                  mp.mpc("1e-200", "-3e-201")]
+
+
+def test_postsolve_bits_pinned():
+    out = []
+    for prec in (128, 256, 512):
+        out += [_bits(f(z, prec)) for z in _kernel_points()
+                for f in (dilog.li2, dilog.bloch_wigner, dilog.rogers)]
+        out += [_bits(dilog.li2(z, prec)) for z in (0, 1)]
+        t = fig8_at(prec)
+        flat = solve_flattening(t.U, t.d)
+        for s in SLOPES:
+            res = fig8_solve(s, prec, False)
+            cs = cs_formula(res.shapes, res.lambdas, flat, prec)
+            out += [_bits(solution_volume(res)), _bits(cs.value),
+                    _bits(core_length(res, 0))]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == POSTSOLVE_BITS
 
 
 def test_solver_fills_the_shape_records():

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .dilog import _GUARD, _flattened_rogers, rational_reconstruct
+from .dilog import (_GUARD, _I, _ZERO, _flattened_rogers, _libmp, _rounded,
+                    rational_reconstruct)
 from .errors import Inconsistent
 from .lattice import solve_integer, solve_rational
 
@@ -57,15 +58,15 @@ def cs_formula(shapes, lambdas, flattening, precision=256):
     if len(c) != 2 * n:
         raise Inconsistent("flattening length %d for %d shapes" % (len(c), n))
     cp, cpp = c[:n], c[n:]
-    with mp.workprec(precision + _GUARD):
-        total = mp.mpc(0)
-        for j, lam in enumerate(lambdas or []):
-            total -= mp.pi / 2 * mp.mpc(lam)
-        for nu in range(n):
-            total -= mp.mpc(0, 1) * _flattened_rogers(shapes[nu], cp[nu],
-                                                      cpp[nu], precision)
-        return CSResult(value=total, vol=mp.re(total),
-                        cs_mod_rational=mp.im(total))
+    wp = precision + _GUARD
+    ar, total = _libmp(wp), _ZERO
+    for lam in lambdas or []:       # total -= mp.pi / 2 * mp.mpc(lam)
+        total = ar.sub(total, ar.mul_mpf(_rounded(lam, wp), ar.half_pi))
+    for nu in range(n):             # total -= mp.mpc(0, 1) * R_nu
+        total = ar.sub(total, ar.mul(_I, _flattened_rogers(
+            shapes[nu], cp[nu], cpp[nu], precision)))
+    value = mp.make_mpc(total)
+    return CSResult(value=value, vol=value.real, cs_mod_rational=value.imag)
 
 
 def rho_of_cs(res, precision=256):

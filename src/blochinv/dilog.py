@@ -21,13 +21,15 @@ w = e^(+-i pi/3) (z = e^(-+i pi/3)), so |u| <= pi/3.
 
 Shape records.  A shape's principal logs at the working precision
 wp = precision + _GUARD come from one memoised record, keyed by z rounded to
-wp bits and by the precision.  The record holds log z and log(1-z) at wp
+wp bits and by the precision.  The record holds z, log z and log(1-z) at wp
 bits (mpmath's log of the rounded z and of 1 - z rounded to wp bits, the
 bits of mp.log(z) and mp.log(1 - z) at wp), and Li2(z) once li2 asks for
-it.  D2, the Rogers sum, the pi i multiples of triang, the core lengths and
-the working-precision residual test of surgery's Newton solver all read
-these logs, so the two logs of a solved shape are taken once.  li2 takes
-every log it needs from the record:
+it, as raw libmp (re, im) pairs.  D2, the Rogers sum, the pi i multiples
+of triang, the core lengths and the working-precision residual test of
+surgery's Newton solver all read these logs, so the two logs of a solved
+shape are taken once.  The kernel and the sums work on pairs in _libmp's
+arithmetic, with the bits of mpc arithmetic; mpc and mpf objects are made
+only at the public returns.  li2 takes every log it needs from the record:
 
     series       u = -log(1-z); u = -log1p(-z) only for |z| < 1/4
     reflection   u = -log z, and the product log z log(1-z)
@@ -101,10 +103,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 from mpmath import libmp
-from mpmath.libmp import to_fixed, to_rational
+from mpmath.libmp import fone, fzero, to_fixed, to_rational
 
 from .errors import DegenerateShape
 
@@ -113,7 +116,7 @@ _GUARD = 24
 
 _LOG2_36 = math.log2(36)
 
-_ONE = (libmp.fone, libmp.fzero)
+_ZERO, _ONE, _I = (fzero, fzero), (fone, fzero), (fzero, fone)   # 0, 1, i
 
 # shape records kept.  A Dehn filling solved at three precisions has six
 # shapes, each read by the volume and Chern-Simons sums (and the solver's last
@@ -122,19 +125,82 @@ _ONE = (libmp.fone, libmp.fzero)
 _MEMO_SIZE = 32
 
 
+@functools.lru_cache(maxsize=16)
+def _libmp(prec):
+    """Arithmetic at prec bits on libmp (re, im) pairs, and on mpf values for
+    names that start with f: each entry is the call of the mpc or mpf
+    operator or mpmath function it stands for, so results have its bits."""
+    rnd = libmp.round_nearest
+    zero, two, pi = fzero, libmp.from_int(2), libmp.mpf_pi(prec, rnd)
+
+    def fsum(terms):                  # mp.fsum: one exact sum per part
+        terms = list(terms)
+        return (libmp.mpf_sum([a for a, _ in terms], prec, rnd),
+                libmp.mpf_sum([b for _, b in terms], prec, rnd))
+
+    def add(a, b):
+        return libmp.mpc_add(a, b, prec, rnd)
+
+    def abs_max(F):                   # max(map(abs, F)): first maximum
+        m = zero
+        for i, v in enumerate(F):
+            v = libmp.mpc_abs(v, prec, rnd)
+            if not i or libmp.mpf_lt(m, v):
+                m = v
+        return m
+
+    return SimpleNamespace(
+        log=lambda z: libmp.mpc_log(z, prec, rnd),
+        exp=lambda z: libmp.mpc_exp(z, prec, rnd),
+        add=add,
+        sub=lambda a, b: libmp.mpc_sub(a, b, prec, rnd),
+        mul=lambda a, b: libmp.mpc_mul(a, b, prec, rnd),
+        div=lambda a, b: libmp.mpc_div(a, b, prec, rnd),
+        neg=lambda z: libmp.mpc_neg(z, prec, rnd),
+        pos=lambda z: libmp.mpc_pos(z, prec, rnd),
+        conj=lambda z: libmp.mpc_conjugate(z, prec, rnd),
+        rsub=lambda n, z: libmp.mpc_sub((libmp.from_int(n), zero), z, prec, rnd),
+        rdiv=lambda n, z: libmp.mpc_mpf_div(libmp.from_int(n), z, prec, rnd),
+        mul_int=lambda n, z: libmp.mpc_mul_int(z, n, prec, rnd),
+        mul_mpf=lambda z, x: libmp.mpc_mul_mpf(z, x, prec, rnd),
+        sub_mpf=lambda z, x: libmp.mpc_sub_mpf(z, x, prec, rnd),
+        half=lambda z: libmp.mpc_div_mpf(z, two, prec, rnd),      # z / 2
+        sq=lambda z: libmp.mpc_pow_int(z, 2, prec, rnd),          # z ** 2
+        fsum=fsum,
+        # sum(): equal to 0 + t1 + ... for terms already rounded to prec
+        sum=lambda terms: functools.reduce(add, terms, (zero, zero)),
+        abs_max=abs_max,
+        l1=lambda z: libmp.mpf_add(libmp.mpf_abs(z[0], prec, rnd),
+                                   libmp.mpf_abs(z[1], prec, rnd), prec, rnd),
+        eq_int=lambda z, n: z == (libmp.from_int(n), zero),
+        lt=libmp.mpf_lt, gt=libmp.mpf_gt, ge=libmp.mpf_ge,
+        fadd=lambda x, y: libmp.mpf_add(x, y, prec, rnd),
+        fsub=lambda x, y: libmp.mpf_sub(x, y, prec, rnd),
+        fmul=lambda x, y: libmp.mpf_mul(x, y, prec, rnd),
+        fdiv=lambda x, y: libmp.mpf_div(x, y, prec, rnd),
+        fsq=lambda x: libmp.mpf_pow_int(x, 2, prec, rnd),         # x ** 2
+        fabs=lambda x: libmp.mpf_abs(x, prec, rnd),
+        floor=lambda x: libmp.mpf_floor(x, prec, rnd),
+        # mp.mpf(q.numerator) / mp.mpf(q.denominator), both below 2^prec
+        fq=lambda q: libmp.from_rational(*q.as_integer_ratio(), prec, rnd),
+        ldexp=lambda n, k: libmp.from_man_exp(n, k, prec, rnd),  # mpf(ldexp)
+        pow2=lambda k: libmp.from_man_exp(1, k),
+        pi_i=(zero, pi), half_pi=libmp.mpf_div(pi, two, prec, rnd),
+        two_pi=libmp.mpf_mul_int(pi, 2, prec, rnd),
+        pi_sq_6=libmp.mpf_div(libmp.mpf_pow_int(pi, 2, prec, rnd),
+                              libmp.from_int(6), prec, rnd),
+        show=lambda x: libmp.to_str(x, 5))
+
+
 class _Shape:
-    """A shape z rounded to wp bits, its principal logs log z and log(1-z)
-    at wp bits, and Li2(z) once li2 asks for it (None until then)."""
+    """libmp pairs: a shape z rounded to wp bits, its principal logs log z and
+    log(1-z) at wp bits, and Li2(z) once li2 asks for it (None until then)."""
 
     __slots__ = ("z", "log_z", "log_1mz", "li2")
 
-    def __init__(self, z_mpc, wp):
-        # libmp's calls behind mp.log(z) and mp.log(1 - z) at wp bits
-        rnd = libmp.round_nearest
-        self.z = mp.make_mpc(z_mpc)
-        self.log_z = mp.make_mpc(libmp.mpc_log(z_mpc, wp, rnd))
-        self.log_1mz = mp.make_mpc(libmp.mpc_log(
-            libmp.mpc_sub(_ONE, z_mpc, wp, rnd), wp, rnd))
+    def __init__(self, z, wp):
+        ar = _libmp(wp)             # mp.log(z) and mp.log(1 - z) at wp bits
+        self.z, self.log_z, self.log_1mz = z, ar.log(z), ar.log(ar.rsub(1, z))
         self.li2 = None
 
 
@@ -143,6 +209,14 @@ def _record(z_mpc, precision):
     """The _Shape of the libmp pair z_mpc, already rounded to
     precision + _GUARD bits."""
     return _Shape(z_mpc, precision + _GUARD)
+
+
+def _rounded(z, wp):
+    """The libmp pair of mp.mpc(z) at wp bits."""
+    if hasattr(z, "_mpc_"):
+        return libmp.mpc_pos(z._mpc_, wp, libmp.round_nearest)
+    with mp.workprec(wp):
+        return mp.mpc(z)._mpc_
 
 
 def li2(z, precision=256):
@@ -154,41 +228,41 @@ def li2(z, precision=256):
     record already holds.
     """
     wp = precision + _GUARD
-    with mp.workprec(wp):
-        rec = _record(mp.mpc(z)._mpc_, precision)
-        if rec.li2 is None:
-            rec.li2 = _li2_kernel(rec, wp)
-        return rec.li2
+    rec = _record(_rounded(z, wp), precision)
+    if rec.li2 is None:
+        rec.li2 = _li2_kernel(rec, wp)
+    return mp.make_mpc(rec.li2)
 
 
 def _li2_kernel(rec, wp):
     """Li2 of a record's z from its logs, at working precision wp."""
-    z, log_z, log_1mz = rec.z, rec.log_z, rec.log_1mz
-    with mp.workprec(wp):
-        if z == 0:
-            return mp.mpc(0)
-        if z == 1:
-            return mp.mpc(mp.pi ** 2 / 6)
-        abs_sq = z.real ** 2 + z.imag ** 2
-        if abs_sq > 1:
-            pi_i = mp.mpc(0, mp.pi)
-            log_w = 2 * pi_i - log_z if z.imag == 0 and z.real < 0 else -log_z
-            diff = log_1mz - log_z
-            log_1mw = diff - pi_i if diff.imag > 0 else diff + pi_i
-            log_mz = log_z - pi_i if log_z.imag > 0 else log_z + pi_i
-            return (-_li2_unit_disc(1 / z, log_w, log_1mw, wp)
-                    - mp.pi ** 2 / 6 - log_mz ** 2 / 2)
-        if abs_sq < 0.0625:       # |z| < 1/4: keep the error relative
-            return _li2_bernoulli(-mp.log1p(-z), wp)
-        return _li2_unit_disc(z, log_z, log_1mz, wp)
+    ar, z, log_z, log_1mz = _libmp(wp), rec.z, rec.log_z, rec.log_1mz
+    if z == _ZERO or z == _ONE:               # Li2(0) = 0, Li2(1) = pi^2/6
+        return (ar.pi_sq_6 if z == _ONE else fzero), fzero
+    abs_sq = ar.fadd(ar.fsq(z[0]), ar.fsq(z[1]))
+    if ar.gt(abs_sq, fone):
+        log_w = ar.neg(log_z)
+        if z[1] == fzero and ar.lt(z[0], fzero):
+            log_w = ar.sub(ar.mul_int(2, ar.pi_i), log_z)
+        diff = ar.sub(log_1mz, log_z)
+        log_1mw = (ar.sub if ar.gt(diff[1], fzero) else ar.add)(diff, ar.pi_i)
+        log_mz = (ar.sub if ar.gt(log_z[1], fzero) else ar.add)(log_z, ar.pi_i)
+        w = ar.neg(_li2_unit_disc(ar.rdiv(1, z), log_w, log_1mw, wp))
+        return ar.sub(ar.sub_mpf(w, ar.pi_sq_6), ar.half(ar.sq(log_mz)))
+    if ar.lt(abs_sq, ar.pow2(-4)):    # |z| < 1/4: keep the error relative
+        with mp.workprec(wp):
+            return _li2_bernoulli((-mp.log1p(-mp.make_mpc(z)))._mpc_, wp)
+    return _li2_unit_disc(z, log_z, log_1mz, wp)
 
 
 def _li2_unit_disc(z, log_z, log_1mz, wp):
     """Li2 for |z| <= 1 from the principal logs of z and 1 - z, at working
     precision wp (reflection, then series)."""
-    if z.real > 0.5:
-        return mp.pi ** 2 / 6 - log_z * log_1mz - _li2_bernoulli(-log_z, wp)
-    return _li2_bernoulli(-log_1mz, wp)
+    ar = _libmp(wp)
+    if ar.gt(z[0], ar.pow2(-1)):
+        return ar.sub(ar.sub((ar.pi_sq_6, fzero), ar.mul(log_z, log_1mz)),
+                      _li2_bernoulli(ar.neg(log_z), wp))
+    return _li2_bernoulli(ar.neg(log_1mz), wp)
 
 
 @functools.cache
@@ -211,8 +285,8 @@ def _li2_bernoulli(u, wp):
     """Li2 = u S(u) for u = -log(1-z), |u| <= pi/3 (module docstring)."""
     f, inv_two_pi_sq, d = _bernoulli_table(wp)
     # u, w = u^2 and v = w / (2 pi)^2 as F-bit fixed-point (real, imag) pairs
-    ur = to_fixed(u.real._mpf_, f)
-    ui = to_fixed(u.imag._mpf_, f)
+    ur = to_fixed(u[0], f)
+    ui = to_fixed(u[1], f)
     wr = (ur * ur - ui * ui) >> f
     wi = (ur * ui) >> (f - 1)
     vr = (wr * inv_two_pi_sq) >> f
@@ -226,14 +300,17 @@ def _li2_bernoulli(u, wp):
         if log2_v < 0:
             k = min(k, math.ceil((f + 1) / -log2_v) - 1)
         if k:
-            # S += v T, T = d_1 + d_2 v + ... + d_k v^(k-1) by Horner's rule
-            tr, ti = d[k - 1], 0
-            for dk in reversed(d[:k - 1]):
-                tr, ti = (dk + ((vr * tr - vi * ti) >> f),
-                          (vr * ti + vi * tr) >> f)
-            sr += (vr * tr - vi * ti) >> f
-            si += (vr * ti + vi * tr) >> f
-    return u * mp.mpc(mp.ldexp(sr, -f), mp.ldexp(si, -f))
+            # S += v T, T = d_1 + d_2 v + ... + d_k v^(k-1) by Horner's rule:
+            # t <- c + v t for c = d_k, ..., d_1, 0, with Gauss's 3 products
+            tr = ti = 0
+            vs = vr + vi
+            for c in d[k - 1::-1] + (0,):
+                p, q = vr * tr, vi * ti
+                tr, ti = c + ((p - q) >> f), (vs * (tr + ti) - p - q) >> f
+            sr += tr
+            si += ti
+    ar = _libmp(wp)
+    return ar.mul(u, (ar.ldexp(sr, -f), ar.ldexp(si, -f)))
 
 
 def bloch_wigner(z, precision=256):
@@ -242,19 +319,20 @@ def bloch_wigner(z, precision=256):
     The hyperbolic volume of an ideal tetrahedron with cross ratio z.  Exactly
     zero for real z; raises DegenerateShape at 0 and 1.
     """
-    with mp.workprec(precision + _GUARD):
-        z = mp.mpc(z)
-        if z == 0 or z == 1:
-            raise DegenerateShape("D2 undefined at %s" % z)
-        if mp.im(z) == 0:
-            return mp.mpf(0)
-        rec = _record(z._mpc_, precision)
-        return mp.im(li2(z, precision)) + rec.log_z.real * rec.log_1mz.imag
+    wp = precision + _GUARD
+    pair = _rounded(z, wp)
+    if pair == _ZERO or pair == _ONE:
+        raise DegenerateShape("D2 undefined at %s" % mp.make_mpc(pair))
+    if pair[1] == fzero:
+        return mp.mpf(0)
+    ar, rec = _libmp(wp), _record(pair, precision)
+    return mp.make_mpf(ar.fadd(li2(z, precision)._mpc_[1],
+                               ar.fmul(rec.log_z[0], rec.log_1mz[1])))
 
 
 def rogers(z, precision=256):
     """Rogers dilogarithm R(z) = (1/2) log(z) log(1-z) + Li_2(z)."""
-    return _flattened_rogers(z, 0, 0, precision)
+    return mp.make_mpc(_flattened_rogers(z, 0, 0, precision))
 
 
 def rational_reconstruct(x, max_denominator, tolerance):
@@ -278,20 +356,18 @@ def _exact(x):
 
 
 def _flattened_rogers(z, cp, cpp, precision):
-    """R(z) - (i pi / 2)(c' log(1-z) - c'' log z) at precision + _GUARD bits;
-    cp, cpp are Fractions.  Raises DegenerateShape at 0 and 1."""
-    with mp.workprec(precision + _GUARD):
-        z = mp.mpc(z)
-        if z == 0 or z == 1:
-            raise DegenerateShape("Rogers function undefined at %s" % z)
-        rec = _record(z._mpc_, precision)
-        term = rec.log_z * rec.log_1mz / 2 + li2(z, precision)
-        if cp or cpp:
-            term -= (mp.mpc(0, 1) * mp.pi / 2) * (
-                _mpq(cp) * rec.log_1mz - _mpq(cpp) * rec.log_z)
-        return term
-
-
-def _mpq(q):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
-
+    """R(z) - (i pi / 2)(c' log(1-z) - c'' log z), a libmp pair at precision
+    + _GUARD bits; cp, cpp are Fractions.  Raises DegenerateShape at 0, 1."""
+    wp = precision + _GUARD
+    pair = _rounded(z, wp)
+    if pair == _ZERO or pair == _ONE:
+        raise DegenerateShape("Rogers function undefined at %s"
+                              % mp.make_mpc(pair))
+    ar, rec = _libmp(wp), _record(pair, precision)
+    term = ar.add(ar.half(ar.mul(rec.log_z, rec.log_1mz)),
+                  li2(z, precision)._mpc_)
+    if cp or cpp:
+        c = ar.sub(ar.mul_mpf(rec.log_1mz, ar.fq(cp)),
+                   ar.mul_mpf(rec.log_z, ar.fq(cpp)))
+        term = ar.sub(term, ar.mul(ar.half(ar.pi_i), c))
+    return term

@@ -11,7 +11,6 @@ unfilled cusp (completeness), or p*meridian + q*longitude = 2 pi i for a
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from types import SimpleNamespace
@@ -20,7 +19,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath import libmp
 
-from .dilog import _GUARD, _record, bloch_wigner
+from .dilog import _GUARD, _libmp, _record, bloch_wigner
 from .errors import (DegenerateShape, DegeneratedToFlat, Diverged,
                      JacobianSingular, NotCoprime, NotFilled, RankDeficient)
 from .lattice import hnf_rows
@@ -72,63 +71,14 @@ def filled_system(t, filling):
 
 
 # Arithmetic namespaces: the solver routines below take one as ``ar``.
-# _DOUBLE is Python complex; _libmp(prec) works on raw libmp (re, im) pairs,
-# rounding to nearest at prec bits.  Each libmp entry is the call an mpc
-# operator or mpmath function makes, so results equal mpc arithmetic's bits.
+# _DOUBLE is Python complex; dilog._libmp(prec) works on raw libmp values at
+# prec bits, with the bits of mpc arithmetic.
 _DOUBLE = SimpleNamespace(
     log=cmath.log, sub=operator.sub, mul=operator.mul, div=operator.truediv,
     rsub=operator.sub, mul_int=operator.mul, fsum=sum, sum=sum,
     abs_max=lambda F: max(map(abs, F), default=0),
     l1=lambda z: abs(z.real) + abs(z.imag), eq_int=operator.eq,
     lt=operator.lt, pi_i=math.pi * 1j)
-
-
-@functools.lru_cache(maxsize=16)
-def _libmp(prec):
-    """The _DOUBLE operations, and the ladder's exp, add, neg, pos, conj,
-    ge, pow2 and show, on libmp (re, im) pairs at prec bits."""
-    rnd = libmp.round_nearest
-    zero = libmp.fzero
-
-    def fsum(terms):                  # mp.fsum: one exact sum per part
-        terms = list(terms)
-        return (libmp.mpf_sum([a for a, _ in terms], prec, rnd),
-                libmp.mpf_sum([b for _, b in terms], prec, rnd))
-
-    def add(a, b):
-        return libmp.mpc_add(a, b, prec, rnd)
-
-    def abs_max(F):                   # max(map(abs, F)): first maximum
-        m = zero
-        for i, v in enumerate(F):
-            v = libmp.mpc_abs(v, prec, rnd)
-            if not i or libmp.mpf_lt(m, v):
-                m = v
-        return m
-
-    return SimpleNamespace(
-        log=lambda z: libmp.mpc_log(z, prec, rnd),
-        exp=lambda z: libmp.mpc_exp(z, prec, rnd),
-        add=add,
-        sub=lambda a, b: libmp.mpc_sub(a, b, prec, rnd),
-        mul=lambda a, b: libmp.mpc_mul(a, b, prec, rnd),
-        div=lambda a, b: libmp.mpc_div(a, b, prec, rnd),
-        neg=lambda z: libmp.mpc_neg(z, prec, rnd),
-        pos=lambda z: libmp.mpc_pos(z, prec, rnd),
-        conj=lambda z: libmp.mpc_conjugate(z, prec, rnd),
-        rsub=lambda n, z: libmp.mpc_sub((libmp.from_int(n), zero), z, prec, rnd),
-        mul_int=lambda n, z: libmp.mpc_mul_int(z, n, prec, rnd),
-        fsum=fsum,
-        # sum(): equal to 0 + t1 + ... for terms already rounded to prec
-        sum=lambda terms: functools.reduce(add, terms, (zero, zero)),
-        abs_max=abs_max,
-        l1=lambda z: libmp.mpf_add(libmp.mpf_abs(z[0], prec, rnd),
-                                   libmp.mpf_abs(z[1], prec, rnd), prec, rnd),
-        eq_int=lambda z, n: z == (libmp.from_int(n), zero),
-        lt=libmp.mpf_lt, ge=libmp.mpf_ge,
-        pow2=lambda k: libmp.from_man_exp(1, k),
-        pi_i=(zero, libmp.mpf_pi(prec, rnd)),
-        show=lambda x: libmp.to_str(x, 5))
 
 
 _DOUBLE_TOL = -40     # log2 of the doubles' target; they reach about 2^-48
@@ -164,7 +114,7 @@ def _recorded_logs(zs, precision):
     the logs of their dilog shape records (the bits _shape_logs gives at
     wp), which the volume and Chern-Simons sums read again."""
     recs = [_record(z, precision) for z in zs]
-    return [r.log_z._mpc_ for r in recs] + [r.log_1mz._mpc_ for r in recs]
+    return [r.log_z for r in recs] + [r.log_1mz for r in recs]
 
 
 def _flat_rule(Z, zs, flat, ar):
@@ -178,11 +128,15 @@ def _flat_rule(Z, zs, flat, ar):
     return Z
 
 
+def _row_value(row, rhs, Z, ar):
+    """row.Z - pi i rhs, as mp.fsum(c * w) - mp.pi * mp.mpc(0, 1) * rhs."""
+    return ar.sub(ar.fsum(ar.mul_int(c, w) for c, w in zip(row, Z) if c),
+                  ar.mul_int(rhs, ar.pi_i))
+
+
 def _system_value(system, Z, ar):
     """F = U.Z - pi i d, one entry per equation, and max |F|."""
-    F = [ar.sub(ar.fsum(ar.mul_int(c, w) for c, w in zip(row, Z) if c),
-                ar.mul_int(r, ar.pi_i))
-         for row, r in zip(system.rows, system.rhs)]
+    F = [_row_value(u, r, Z, ar) for u, r in zip(system.rows, system.rhs)]
     return F, ar.abs_max(F)
 
 
@@ -368,19 +322,17 @@ def core_length(result, j, completion=None, precision=None):
     zs = [ar.pos(_as_pair(z)) for z in result.shapes]
     Z = _flat_rule(_recorded_logs(zs, precision), zs, result.flat, ar)
     mu, lam, d_mu, d_lam = system.triangulation.cusp_rows(j)
-    with mp.workprec(precision + _GUARD):
-        v = mp.fsum((r * a + s * b) * mp.make_mpc(w)
-                    for a, b, w in zip(mu, lam, Z)) \
-            - mp.pi * mp.mpc(0, 1) * (r * d_mu + s * d_lam)
-        twopi = 2 * mp.pi
+    v = _row_value([r * a + s * b for a, b in zip(mu, lam)],
+                   r * d_mu + s * d_lam, Z, ar)
 
-        def reduced(im):                # im mod 2 pi, in [-pi, pi)
-            return im - twopi * mp.floor(im / twopi + mp.mpf(1) / 2)
+    def reduced(im):                # im - 2 pi floor(im / 2 pi + 1/2)
+        k = ar.floor(ar.fadd(ar.fdiv(im, ar.two_pi), ar.pow2(-1)))
+        return ar.fsub(im, ar.fmul(ar.two_pi, k))
 
-        zero = abs(mp.re(v)) < mp.mpf(2) ** -(precision // 2)
-        if (reduced(mp.im(v)) if zero else mp.re(v)) < 0:
-            v = -v
-        return mp.mpc(mp.re(v), reduced(mp.im(v)))
+    zero = ar.lt(ar.fabs(v[0]), ar.pow2(-(precision // 2)))
+    if ar.lt(reduced(v[1]) if zero else v[0], libmp.fzero):
+        v = ar.neg(v)
+    return mp.make_mpc((v[0], reduced(v[1])))
 
 
 def solution_volume(result, precision=None):
@@ -388,8 +340,8 @@ def solution_volume(result, precision=None):
     result's precision unless another is given."""
     if precision is None:
         precision = result.precision
-    with mp.workprec(precision + _GUARD):
-        total = mp.mpf(0)
-        for z in result.shapes:
-            total += bloch_wigner(z, precision)
-        return total
+    ar, total = _libmp(precision + _GUARD), libmp.fzero
+    for i, z in enumerate(result.shapes):
+        if i not in result.flat:
+            total = ar.fadd(total, bloch_wigner(z, precision)._mpf_)
+    return mp.make_mpf(total)

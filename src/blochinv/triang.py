@@ -258,7 +258,8 @@ def _pi_i_multiples(t, zs, precision):
             if z == 0 or z == 1:
                 raise DegenerateShape("shape %s" % z)
             recs.append(_record(z._mpc_, precision))
-        Z = [r.log_z for r in recs] + [r.log_1mz for r in recs]
+        Z = [mp.make_mpc(r.log_z) for r in recs] + \
+            [mp.make_mpc(r.log_1mz) for r in recs]
         tol = mp.mpf(2) ** (-(precision // 4))
         out = []
         for row in t.U:

@@ -31,6 +31,7 @@ from blochinv.triang import Triangulation, parse_triangulation
 P = 128
 Z = mp.mpc("0.3", "0.8")
 W = mp.mpc("-1.7", "0.2")
+REFLECTED, SMALL = mp.mpc("0.8", "0.3"), mp.mpc("0.1", "-0.15")
 WEEKS = NumberField([1, -1, 0, 1])
 THETA = WEEKS.gen()
 
@@ -62,12 +63,14 @@ with mp.workprec(P + 64):
     ELEVEN_48 = mp.pi ** 2 * 11 / 48
 
 CALLS = {
-    "li2": lambda: li2(Z, P),
+    # the series, reflection and |z| < 1/4 branches
+    "li2": lambda: (li2(Z, P), li2(REFLECTED, P), li2(SMALL, P)),
     "bloch_wigner": lambda: bloch_wigner(Z, P),
     "rogers": lambda: rogers(W, P),
     "cross_ratio": lambda: (cross_ratio(mp.mpc(0), mp.mpc(1), Z, W, P),
                             cross_ratio(Infinity, mp.mpc(0), Z, W, P)),
-    "cs_formula": lambda: cs_formula(SHAPES, [0], FLAT, P),
+    "cs_formula": lambda: (cs_formula(SHAPES, [0], FLAT, P),
+                           cs_formula(SOLVED.shapes, SOLVED.lambdas, FLAT, P)),
     "rho_of_cs": lambda: rho_of_cs(CS, P),
     "rationalize_mod_pi2": lambda: rationalize_mod_pi2(ELEVEN_48, 120, P),
     "newton_solve": lambda: newton_solve(SYSTEM, precision=P),

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_fixed
 from hypothesis import given, settings, strategies as st
 
 from blochinv.chern_simons import cs_formula, rho_of_cs
 from blochinv.dilog import (_GUARD, _MEMO_SIZE, _bernoulli_table,
-                            _li2_kernel, _record, bloch_wigner, li2,
-                            rational_reconstruct, rogers)
+                            _li2_bernoulli, _li2_kernel, _record,
+                            bloch_wigner, li2, rational_reconstruct, rogers)
 from blochinv.errors import DegenerateShape
 
 PREC = 256
@@ -269,6 +270,55 @@ def test_bernoulli_table_length_is_the_truncation_bound(wp):
         assert tail < mp.mpf(2) ** -f
 
 
+_FIXED = st.integers(-(1 << 560), 1 << 560)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FIXED, _FIXED, _FIXED, _FIXED, _FIXED,
+       st.sampled_from([168, 296, 552]))
+def test_gauss_horner_step_equals_four_products(vr, vi, tr, ti, c, f):
+    # t <- c + v t in F-bit fixed point: Gauss's three products give the
+    # integers of the four, so the shifted parts are the same
+    p, q = vr * tr, vi * ti
+    gauss = c + ((p - q) >> f), ((vr + vi) * (tr + ti) - p - q) >> f
+    assert gauss == (c + ((vr * tr - vi * ti) >> f), (vr * ti + vi * tr) >> f)
+
+
+def _li2_bernoulli_four_products(u, wp):
+    """_li2_bernoulli on mpc objects, Horner's rule with four products per
+    complex step: the reference for the libmp kernel."""
+    f, inv_two_pi_sq, d = _bernoulli_table(wp)
+    ur, ui = to_fixed(u.real._mpf_, f), to_fixed(u.imag._mpf_, f)
+    wr, wi = (ur * ur - ui * ui) >> f, (ur * ui) >> (f - 1)
+    vr, vi = (wr * inv_two_pi_sq) >> f, (wi * inv_two_pi_sq) >> f
+    sr, si = (1 << f) - (ur >> 2), -(ui >> 2)
+    v_sq = vr * vr + vi * vi
+    if v_sq:
+        log2_v = math.log2(v_sq) / 2 - f
+        k = len(d)
+        if log2_v < 0:
+            k = min(k, math.ceil((f + 1) / -log2_v) - 1)
+        if k:
+            tr, ti = d[k - 1], 0
+            for dk in reversed(d[:k - 1]):
+                tr, ti = (dk + ((vr * tr - vi * ti) >> f),
+                          (vr * ti + vi * tr) >> f)
+            sr += (vr * tr - vi * ti) >> f
+            si += (vr * ti + vi * tr) >> f
+    with mp.workprec(wp):
+        return u * mp.mpc(mp.ldexp(sr, -f), mp.ldexp(si, -f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 1), st.floats(-1, 1), st.sampled_from([152, 280, 536]))
+def test_li2_series_matches_four_product_reference(r, t, wp):
+    # the series on the whole reduced domain |u| <= pi/3, small |u| included
+    with mp.workprec(wp):
+        u = r * mp.pi / 3 * mp.expjpi(t)
+    assert _li2_bernoulli(u._mpc_, wp) == \
+        _li2_bernoulli_four_products(u, wp)._mpc_
+
+
 _COORD = st.floats(-4, 4, allow_nan=False)
 
 
@@ -303,7 +353,8 @@ def test_d2_six_fold_symmetry(x, y, p):
 def _uncached(z, p):
     """li2 of z from a fresh shape record, outside the memo."""
     with mp.workprec(p + _GUARD):
-        return _li2_kernel(_record.__wrapped__(mp.mpc(z)._mpc_, p), p + _GUARD)
+        rec = _record.__wrapped__(mp.mpc(z)._mpc_, p)
+    return mp.make_mpc(_li2_kernel(rec, p + _GUARD))
 
 
 @st.composite

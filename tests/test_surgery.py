@@ -3,12 +3,14 @@ import hashlib
 import importlib.resources
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv import dilog, surgery
+from blochinv import dilog
 from blochinv.chern_simons import cs_formula, solve_flattening
 from blochinv.errors import (BlochError, Diverged, DegeneratedToFlat,
                              NotCoprime, NotFilled, RankDeficient)
@@ -253,6 +255,17 @@ def test_allow_flat_exceptional_outcomes():
                              precision=prec, allow_flat=True)
 
 
+def test_flat_solutions_have_volume_zero():
+    # a flat shape's logs are read at z + i0, where D2 is zero: the volume
+    # does not read the noise of its imaginary part
+    flat = [s for s, (_, with_flat) in EXCEPTIONAL.items() if with_flat == FLAT]
+    assert len(flat) == 11
+    for slope in flat:
+        for prec in PRECISIONS:
+            res = fig8_solve(slope, prec, True)
+            assert solution_volume(res)._mpf_ == libmp.fzero, (slope, prec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SLOPES), st.sampled_from([64, 128, 256]))
 def test_newton_solve_precision_doubling_agrees(slope, p):
@@ -401,9 +414,9 @@ def test_solver_fills_the_shape_records():
                 for a, b, c in zip((rec.z, rec.log_z, rec.log_1mz),
                                    (fresh.z, fresh.log_z, fresh.log_1mz),
                                    (z,) + logs):
-                    assert a._mpc_ == b._mpc_ == c._mpc_, (slope, prec)
+                    assert a == b == c._mpc_, (slope, prec)
                 assert dilog.li2(z, prec)._mpc_ == \
-                    dilog._li2_kernel(fresh, wp)._mpc_
+                    dilog._li2_kernel(fresh, wp)
             assert core_length(res, 0, precision=prec)._mpc_ == \
                 res.lambdas[0]._mpc_
 
@@ -412,23 +425,44 @@ def test_solver_fills_the_shape_records():
 @given(st.lists(st.floats(-8, 8), min_size=4, max_size=4),
        st.integers(-25, 25), st.sampled_from([76, 140, 280]))
 def test_libmp_arithmetic_matches_mpc_operators(parts, n, prec):
-    # each libmp entry must give the bits of the mpc operation it stands for,
-    # also on operands carrying more bits than the working precision
-    ar = surgery._libmp(prec)
+    # each libmp entry must give the bits of the mpc or mpf operation it
+    # stands for, also on operands carrying more bits than the working
+    # precision
+    ar = dilog._libmp(prec)
     with mp.workprec(prec + 40):
         x = mp.exp(mp.mpc(parts[0], parts[1]) / 3)
+        a, k = x.real, int(x.real * 2 ** (prec + 60))
+    q = Fraction(n, 7)
     with mp.workprec(prec):
         y = mp.exp(mp.mpc(parts[2], parts[3]) / 7)
-        X, Y = x._mpc_, y._mpc_
+        b = y.real
+        X, Y, A, B = x._mpc_, y._mpc_, a._mpf_, b._mpf_
         pairs = [(ar.add(X, Y), x + y), (ar.sub(X, Y), x - y),
                  (ar.mul(X, Y), x * y), (ar.div(X, Y), x / y),
                  (ar.neg(X), -x), (ar.pos(X), mp.mpc(x)),
                  (ar.log(X), mp.log(x)), (ar.exp(X), mp.exp(x)),
                  (ar.rsub(n, X), n - x), (ar.mul_int(n, X), n * x),
+                 (ar.rdiv(n, X), n / x), (ar.mul_mpf(X, B), x * b),
+                 (ar.sub_mpf(X, B), x - b), (ar.half(X), x / 2),
+                 (ar.sq(X), x ** 2), (ar.sub((B, libmp.fzero), X), b - x),
+                 (ar.mul(ar.half(ar.pi_i), X), mp.mpc(0, 1) * mp.pi / 2 * x),
                  (ar.conj(X), mp.conj(x)), (ar.pi_i, mp.pi * 1j),
                  (ar.fsum([X, Y]), mp.fsum([x, y])),
-                 (ar.sum([Y, Y]), sum([y, y]))]
+                 (ar.sum([Y, Y]), sum([y, y])),
+                 ((ar.ldexp(k, -prec), ar.ldexp(-k, -prec - 9)),
+                  mp.mpc(mp.ldexp(k, -prec), mp.ldexp(-k, -prec - 9)))]
         for got, want in pairs:
             assert got == want._mpc_
-        assert ar.abs_max([X, Y]) == max(abs(x), abs(y))._mpf_
-        assert ar.l1(X) == (abs(x.real) + abs(x.imag))._mpf_
+        reals = [(ar.fadd(A, B), a + b), (ar.fsub(A, B), a - b),
+                 (ar.fmul(A, B), a * b), (ar.fdiv(A, B), a / b),
+                 (ar.fsq(A), a ** 2), (ar.fabs(A), abs(a)),
+                 (ar.floor(A), mp.floor(a)),
+                 (ar.fq(q), mp.mpf(q.numerator) / mp.mpf(q.denominator)),
+                 (ar.half_pi, mp.pi / 2), (ar.two_pi, 2 * mp.pi),
+                 (ar.pi_sq_6, mp.pi ** 2 / 6),
+                 (ar.abs_max([X, Y]), max(abs(x), abs(y))),
+                 (ar.l1(X), abs(x.real) + abs(x.imag))]
+        for got, want in reals:
+            assert got == want._mpf_
+        assert (ar.gt(A, B), ar.lt(A, B), ar.ge(A, B)) == (a > b, a < b,
+                                                            a >= b)

@@ -127,8 +127,8 @@ _MEMO_SIZE = 32
 
 @functools.lru_cache(maxsize=16)
 def _libmp(prec):
-    """Arithmetic at prec bits on libmp (re, im) pairs, and on mpf values for
-    names that start with f: each entry is the call of the mpc or mpf
+    """Arithmetic at prec bits on libmp (re, im) pairs, and on mpf values in
+    the comparisons and fadd ... fq: each entry is the call of the mpc or mpf
     operator or mpmath function it stands for, so results have its bits."""
     rnd = libmp.round_nearest
     zero, two, pi = fzero, libmp.from_int(2), libmp.mpf_pi(prec, rnd)

@@ -325,7 +325,7 @@ def core_length(result, j, completion=None, precision=None):
     v = _row_value([r * a + s * b for a, b in zip(mu, lam)],
                    r * d_mu + s * d_lam, Z, ar)
 
-    def reduced(im):                # im - 2 pi floor(im / 2 pi + 1/2)
+    def reduced(im):                # im mod 2 pi, in [-pi, pi)
         k = ar.floor(ar.fadd(ar.fdiv(im, ar.two_pi), ar.pow2(-1)))
         return ar.fsub(im, ar.fmul(ar.two_pi, k))
 

@@ -4,7 +4,10 @@ module imports only the package modules below it in its layer, and no
 module defines a helper or a method that nothing reads."""
 
 import ast
+import hashlib
 import importlib.resources
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -17,12 +20,13 @@ from blochinv.borel import (RegulatorVector, borel_regulator, detect_relation,
 from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
                                    solve_flattening)
 from blochinv.dilog import bloch_wigner, li2, rogers
+from blochinv.errors import BlochError
 from blochinv.numfield import NumberField, embeddings
 from blochinv.prebloch import (BlochCertificate, Infinity, PreBlochElement,
                                bloch_invariant, cross_ratio, five_term,
                                is_bloch, multiplicative_relations,
                                parse_element, six_fold_normalize,
-                               volume_of_prebloch)
+                               volume_of_prebloch, wedge)
 from blochinv.scissors import parse_polyhedron, polyhedron_class
 from blochinv.surgery import (core_length, filled_system, newton_solve,
                               solution_volume)
@@ -138,6 +142,87 @@ def test_results_ignore_ambient_precision(name):
             results.append(_raw(CALLS[name]()))
     _fresh()
     assert results[0] == results[1]
+
+
+# SHA-256 of the raw bits at the exact/numeric boundary (see
+# _boundary_outcomes), recorded while exact elements were evaluated through
+# FieldElement.evaluate, per_root_values had its own D2 loop and
+# cross_ratio a branch for each slot of infinity
+BOUNDARY_BITS = ("3287ff142fc8c2d2aa7a583c15fe7906"
+                 "ad1daa0c0863659209b9f060c428091d")
+GAUSS = NumberField([1, 0, 1])
+QUARTIC = [1, -1, 1, 0, 1]
+
+
+def _cross_ratio_points(rng):
+    """Four distinct seeded points of each kind: mpc with bits down to
+    2^-400, Fractions, and elements of Q(i)."""
+    def frac():
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+    with mp.workprec(400):
+        numeric = [mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                   * (1 + mp.mpf(rng.getrandbits(300)) / 2 ** 330)
+                   for _ in range(4)]
+    return [numeric, [frac() for _ in range(4)],
+            [GAUSS.element([frac(), frac()]) for _ in range(4)]]
+
+
+def _field_outcome(poly):
+    """r1 of the field of poly, or the error it raises."""
+    try:
+        return NumberField(poly).r1
+    except BlochError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _boundary_outcomes():
+    """Every value the exact/numeric boundary hands on: D2 sums of the
+    .bloch fixtures at their places and at every root, the exact
+    figure-eight's shapes, embeddings and polished place lines, cross
+    ratios with infinity in each slot, flattenings, zero elements'
+    certificates and NumberField outcomes on seeded polynomials."""
+    out = []
+    for prec in (128, 256):
+        for name in ("example2_beta1.bloch", "example2_beta2.bloch",
+                     "weeks_element.bloch"):
+            element, places = parse_element(_fixture(name), precision=prec)
+            roots = embeddings(element.field, prec).all_roots()
+            out += [places, per_root_values(element, prec),
+                    borel_regulator(element, prec),
+                    borel_regulator(element, prec, places)]
+            out += [volume_of_prebloch(element, r, prec)
+                    for r in places + roots]
+        out.append(volume_of_prebloch(ELEMENT, precision=prec))
+        for poly in ([1, 0, 1], [1, -1, 0, 1], QUARTIC):
+            es = embeddings(NumberField(poly), prec)
+            out += [es.real_roots, es.complex_pairs, es.all_roots()]
+    out += [EXACT_FIG8.numeric_shapes(prec) for prec in (128, 256, 512)]
+    rng = random.Random(32)
+    for _ in range(3):
+        for pts in _cross_ratio_points(rng):
+            for prec in (128, 256):
+                out.append(cross_ratio(*pts, precision=prec))
+                for slot in range(4):
+                    at_inf = pts[:slot] + [Infinity] + pts[slot + 1:]
+                    out.append(cross_ratio(*at_inf, precision=prec))
+    for name in ("figure_eight.tri", "example3.tri"):
+        t = parse_triangulation(_fixture(name), precision=P)
+        out.append(solve_flattening(t.U, t.d))
+    for zero in (PreBlochElement(), PreBlochElement(field=GAUSS),
+                 PreBlochElement(field=WEEKS)):
+        out += [is_bloch(zero, P), wedge(zero, P).matrix]
+    rng = random.Random(32)
+    for _ in range(40):
+        poly = [rng.randint(-9, 9) for _ in range(rng.randint(2, 6))] + [1]
+        root = rng.randint(-5, 5)
+        times_root = [b - root * a for a, b in zip(poly + [0], [0] + poly)]
+        out += [_field_outcome(poly), _field_outcome(times_root)]
+    return out
+
+
+def test_boundary_bits_pinned():
+    out = repr(_raw(_boundary_outcomes()))
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDARY_BITS
 
 
 def _unused_imports(path):

@@ -102,13 +102,12 @@ def detect_relation(vectors, coefficient_bound=64, precision=256,
 
 
 def per_root_values(element, precision=256):
-    """D2 sums of an exact element at every root of min_poly, in the
-    deterministic all-roots order (real roots contribute zero)."""
-    if not element.is_exact() or element.field is None:
-        raise DegenerateShape("needs exact generators over a field")
-    es = embeddings(element.field, precision)
-    return [volume_of_prebloch(element, embedding=r, precision=precision)
-            for r in es.all_roots()]
+    """``borel_regulator``'s values at every root of min_poly, in the
+    deterministic all-roots order (real roots contribute zero); without a
+    field it raises borel_regulator's DegenerateShape."""
+    places = (embeddings(element.field, precision).all_roots()
+              if element.field is not None else None)
+    return borel_regulator(element, precision, places).values
 
 
 def rank_witness(vectors, precision=256):

@@ -41,13 +41,12 @@ def solve_flattening(U, d):
     Raises Inconsistent when d is outside the rational column span of U.
     """
     x = solve_integer(U, d)
-    if x is not None:
-        return FlatteningSolution(c=[Fraction(v) for v in x], integral=True)
-    x = solve_rational(U, d)
-    if x is None:
-        raise Inconsistent("U c = d has no rational solution")
-    return FlatteningSolution(c=[Fraction(v) for v in x],
-                              integral=all(v.denominator == 1 for v in x))
+    integral = x is not None
+    if not integral:
+        x = solve_rational(U, d)
+        if x is None:
+            raise Inconsistent("U c = d has no rational solution")
+    return FlatteningSolution(c=[Fraction(v) for v in x], integral=integral)
 
 
 def cs_formula(shapes, lambdas, flattening, precision=256):

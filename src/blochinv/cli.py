@@ -105,16 +105,17 @@ def cmd_invariant(args, rep):
     rep.add("terms", len(element))
     element_lines = serialize_element(element).strip().splitlines()
     rep.add("element", element_lines, text="; ".join(element_lines))
-    if element.is_exact() and element.field is not None:
+    if element.is_exact():
         cert = is_bloch(element, precision=prec)
         rep.add("bloch_certificate", cert.verdict)
-        es = embeddings(element.field, prec)
-        for j, root in enumerate(es.complex_pairs):
+        roots = (embeddings(element.field, prec).complex_pairs
+                 if element.field is not None else ())
+        for j, root in enumerate(roots):
             v = volume_of_prebloch(element, embedding=root, precision=prec)
             rep.add("volume_embedding_%d" % j, _fmt(v, prec),
                     text="%s (at root %s)" % (_fmt(v, prec),
                                               mp.nstr(root, 12)))
-    elif not element.is_exact():
+    else:
         v = volume_of_prebloch(element, precision=prec)
         rep.add("volume", _fmt(v, prec))
 

@@ -7,7 +7,9 @@ Elements are coefficient vectors reduced mod f, held as integer numerators
 over one common denominator in lowest terms; norm and inverse come from one
 fraction-free (Bareiss) elimination on the integer multiplication matrix.
 Embeddings are the roots of f, Newton-polished once per minimal polynomial
-and caller-specified binary precision; equal fields share them.
+and caller-specified binary precision; equal fields share them.  An element
+is evaluated at a root by ``horner`` alone, at a precision its caller
+passes.
 """
 
 from __future__ import annotations
@@ -73,18 +75,12 @@ def _integer_roots(chain):
     B = 2^(1 + max_k ceil(bits(a_(n-k)) / k)), above Fujiwara's bound
     2 max_k |a_(n-k)|^(1/k).  An interval (a, b] holds V(a) - V(b) roots;
     it is bisected down to unit intervals, where f(b) = 0 is tested."""
-    def value(p, x):
-        v = 0
-        for c in reversed(p):
-            v = v * x + c
-        return v
-
     # positive multiples of the chain's members, with integer coefficients
     chain = [[int(c * d) for c in p] for p in chain
              for d in [math.lcm(*(Fraction(c).denominator for c in p))]]
 
     def changes(x):
-        return _sign_changes([v > 0 for v in (value(p, x) for p in chain)
+        return _sign_changes([v > 0 for v in (_poly_value(p, x) for p in chain)
                               if v])
 
     bound = 2 ** (1 + max(-(-abs(a).bit_length() // k) for k, a in
@@ -96,7 +92,7 @@ def _integer_roots(chain):
         if va == vb:
             continue
         if b - a == 1:
-            if value(chain[0], b) == 0:
+            if _poly_value(chain[0], b) == 0:
                 roots.append(b)
             continue
         mid = (a + b) // 2
@@ -374,17 +370,11 @@ class FieldElement:
         det, _ = _bareiss(self._mult_matrix())
         return Fraction(det, self.den ** self.field.degree)
 
-    # -- numerics -----------------------------------------------------------
-    def evaluate(self, root):
-        """Horner evaluation of the coefficient vector at a numeric root, at
-        the working precision: the bits of ``horner``."""
-        root = mp.convert(root)
-        pair = root._mpc_ if hasattr(root, "_mpc_") else (root._mpf_, fzero)
-        return mp.make_mpc(horner(self, [pair], mp.mp.prec)[0])
-
 
 def horner(element, roots, prec):
-    """The element's values at libmp (re, im) roots, as libmp pairs.
+    """The element's values at libmp (re, im) roots, as libmp pairs: the
+    one evaluation of an exact element at a place.  Callers pass each
+    root's own pair, unrounded, and the precision explicitly.
 
     Each coefficient p/q in lowest terms is rounded once, as
     from_int(p) / from_int(q); each Horner step rounds the product, as
@@ -539,11 +529,14 @@ def embeddings(field, precision=256):
     return es
 
 
-def _poly_eval_mp(int_coeffs, z):
-    acc = mp.mpc(0) if isinstance(z, mp.mpc) else mp.mpf(0)
-    for c in reversed(int_coeffs):
-        acc = acc * z + c
-    return acc
+def _poly_value(p, x):
+    """p(x) by Horner from the integer 0: exact at an integer x; at an mpf
+    or mpc x, 0 * x + c has the bits of mp.mpf(0) * x + c or
+    mp.mpc(0) * x + c at the working precision."""
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
 
 
 def _polish(int_coeffs, z0, precision):
@@ -558,14 +551,14 @@ def _polish(int_coeffs, z0, precision):
         z = z0 if isinstance(z0, mp.mpc) else mp.mpf(z0)
         bound = mp.mpf(2) ** (-precision - 8)
         for _ in range(precision):
-            fv = _poly_eval_mp(int_coeffs, z)
+            fv = _poly_value(int_coeffs, z)
             if abs(fv) < bound:
                 return z
-            dv = _poly_eval_mp(deriv, z)
+            dv = _poly_value(deriv, z)
             if dv == 0:
                 break
             z = z - fv / dv
-        fv = _poly_eval_mp(int_coeffs, z)
+        fv = _poly_value(int_coeffs, z)
         if abs(fv) < mp.mpf(2) ** (-(precision // 2)):
             return z
     raise RootFindingFailed("Newton polish stalled near %s" % z0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,28 +63,21 @@ def cross_ratio(z1, z2, z3, z4, precision=256):
     """Cross ratio [z1:z2:z3:z4] = ((z3-z2)(z4-z1)) / ((z3-z1)(z4-z2)).
 
     Points may be exact field elements, Fractions, mpmath complex numbers, or
-    Infinity.  Distinct points give a value outside {0, 1}.  Numeric points
-    are combined at precision + _GUARD bits.
+    Infinity; the two factors that hold Infinity are left out.  Distinct
+    points give a value outside {0, 1}.  Numeric points are combined at
+    precision + _GUARD bits.
     """
     pts = [z1, z2, z3, z4]
     for i in range(4):
         for j in range(i + 1, 4):
             if _pt_eq(pts[i], pts[j]):
                 raise NotDistinct("cross-ratio points %d and %d coincide" % (i, j))
-    inf_at = [i for i, p in enumerate(pts) if p is Infinity]
+    sides = (((z3, z2), (z4, z1)), ((z3, z1), (z4, z2)))
     with mp.workprec(precision + _GUARD):
-        if not inf_at:
-            num = (z3 - z2) * (z4 - z1)
-            den = (z3 - z1) * (z4 - z2)
-            return num / den
-        i = inf_at[0]
-        if i == 0:
-            return (z3 - z2) / (z4 - z2)
-        if i == 1:
-            return (z4 - z1) / (z3 - z1)
-        if i == 2:
-            return (z4 - z1) / (z4 - z2)
-        return (z3 - z2) / (z3 - z1)
+        num, den = (functools.reduce(operator.mul, [
+            a - b for a, b in side
+            if a is not Infinity and b is not Infinity]) for side in sides)
+        return num / den
 
 
 def _pt_eq(a, b):
@@ -309,7 +303,8 @@ def volume_of_prebloch(element, embedding=None, precision=256):
                         raise DimensionMismatch(
                             "field has %d complex places; pass an embedding" % es.r2)
                     emb = es.complex_pairs[0]
-                zv = gen.evaluate(emb)
+                zv = mp.make_mpc(horner(gen, [exact_mpc(emb)._mpc_],
+                                        precision + _GUARD)[0])
             elif isinstance(gen, Fraction):
                 continue  # real: D2 = 0
             else:
@@ -476,8 +471,9 @@ def multiplicative_relations(elements, precision=256):
 def _log_coordinates(x, places, r1, wp):
     """log|x| at each libmp place but the first, then arg x at each place
     after the first r1 (the real ones), as raw mpfs: the bits of
-    mp.log(abs(v)) and mp.arg(v) for v = x.evaluate(place) at working
-    precision wp.  The first place's log is never computed."""
+    mp.log(abs(v)) and mp.arg(v) for v the mpc Horner value of x at the
+    place, all at working precision wp.  The first place's log is never
+    computed."""
     rnd = round_nearest
     values = horner(x, places, wp)
     return ([mpf_log(mpc_abs(v, wp, rnd), wp, rnd) for v in values[1:]]
@@ -530,8 +526,6 @@ def wedge(element, precision=256):
     """
     if not element.is_exact():
         raise RequiresExactField("wedge needs exact generators")
-    if element.is_zero():
-        return WedgeElement(matrix=[], relations=[])
     base, pairs = _dedup_generators(element)
     m = len(base)
     rels = multiplicative_relations(base, precision=precision)

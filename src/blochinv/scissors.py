@@ -14,8 +14,6 @@ through the orientation of the entered cycles.
 
 from __future__ import annotations
 
-import mpmath as mp
-
 from . import textformat
 from .errors import (DimensionMismatch, NotAFiveTermConfiguration,
                      NotDistinct, TriangulationSyntaxError)
@@ -151,12 +149,13 @@ def polyhedron_class(poly, precision=256):
 
 
 def _vertex_key(v):
+    """The apex order's key of a vertex, from its own parts: mp.mpc(v)
+    would round them to the ambient precision."""
     if v is Infinity:
         return (1,)
-    z = mp.mpc(v) if not hasattr(v, "coeffs") else None
-    if z is None:
+    if hasattr(v, "coeffs"):
         return (0, tuple(v.coeffs))
-    return (0, mp.re(z), mp.im(z))
+    return (0, v.real, v.imag)
 
 
 def _canon_simplex(quad, sign):

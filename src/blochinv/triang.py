@@ -24,7 +24,7 @@ from .dilog import _GUARD, _record
 from .errors import (DegenerateShape, DimensionMismatch, NotIntegral,
                      OpenFace, TriangulationSyntaxError)
 from .lattice import hnf_rows
-from .numfield import FieldElement, embeddings
+from .numfield import FieldElement, embeddings, horner
 
 
 # (log z, log(1-z)) coefficients of the log parameter of each edge: z on
@@ -204,10 +204,11 @@ class Triangulation:
     def numeric_shapes(self, precision=256):
         """Shape vector as complex numbers at the requested precision.
 
-        Exact shapes are evaluated at the first root of the field, in the
-        all-roots order of its embeddings, where U.Z = pi i d holds for the
-        stored d; NotIntegral, naming each root and the d it gives (or why
-        it gives none), when no root does."""
+        Exact shapes are evaluated by numfield.horner, at precision + _GUARD
+        bits, at the first root of the field, in the all-roots order of its
+        embeddings, where U.Z = pi i d holds for the stored d; NotIntegral,
+        naming each root and the d it gives (or why it gives none), when no
+        root does."""
         if not self.exact_shapes():
             with mp.workprec(precision + _GUARD):
                 return [mp.mpc(z) if tok is None
@@ -216,8 +217,8 @@ class Triangulation:
                                           or [None] * self.n)]
         tried = []
         for root in embeddings(self.field, precision).all_roots():
-            with mp.workprec(precision + _GUARD):
-                zs = [z.evaluate(root) for z in self.shapes]
+            zs = [mp.make_mpc(horner(z, [root._mpc_], precision + _GUARD)[0])
+                  for z in self.shapes]
             try:
                 d = _pi_i_multiples(self, zs, precision)
             except (NotIntegral, DegenerateShape) as exc:

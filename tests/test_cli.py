@@ -377,6 +377,23 @@ def test_header_only_element_is_zero_over_its_field(tmp_path, capsys):
     assert run(capsys, "invariant", str(cancelled))[1] == out
 
 
+def test_rational_element_certified_with_or_without_field(tmp_path, capsys):
+    # is_bloch certifies rational elements without a field: a .bloch file
+    # of rational terms gets its certificate whether or not a field line
+    # declares Q
+    body = "1 * [2]\n1 * [-1]\n1 * [1/2]\n"
+    bare, over_q = tmp_path / "bare.bloch", tmp_path / "over_q.bloch"
+    bare.write_text(body)
+    over_q.write_text("field 1 0 1\n" + body)
+    verdicts = []
+    for path in (bare, over_q):
+        code, out, _ = run(capsys, "--format", "records", "invariant",
+                           str(path))
+        assert code == 0
+        verdicts.append(json.loads(out).get("bloch_certificate"))
+    assert verdicts == ["CertifiedZero"] * 2
+
+
 def test_reducible_field_with_large_root_exit_2(tmp_path, capsys):
     # x^2 - N^2 with N = (2^89 - 1)(2^107 - 1): its root is found without
     # listing the divisors of N^2

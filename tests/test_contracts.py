@@ -38,6 +38,9 @@ W = mp.mpc("-1.7", "0.2")
 REFLECTED, SMALL = mp.mpc("0.8", "0.3"), mp.mpc("0.1", "-0.15")
 WEEKS = NumberField([1, -1, 0, 1])
 THETA = WEEKS.gen()
+GAUSS = NumberField([1, 0, 1])
+GAUSS_POINTS = [GAUSS.element(c) for c in ([0, 1], [1, 0], [-1, 2],
+                                           [Fraction(1, 3), -1])]
 
 
 def _fixture(name):
@@ -63,6 +66,21 @@ VECTORS = [[mp.mpf(1) / 3, mp.mpf(2) / 7], [mp.mpf(2) / 3, mp.mpf(4) / 7],
 BETA1_TEXT = _fixture("example2_beta1.bloch")
 BETA1, _ = parse_element(BETA1_TEXT, precision=P)
 OCTAHEDRON = parse_polyhedron(_fixture("octahedron.poly"), precision=P)
+# a square pyramid whose vertices 3 and 4 tie in their real parts at 53
+# bits, not at P: its apex is vertex 3, and coning from vertex 4 gives
+# another class
+TIED = parse_polyhedron("""vertex 0 inf
+vertex 1 1 0
+vertex 2 0 1
+vertex 3 -1.0000000000000000000000001 0.5
+vertex 4 -1 -0.5
+face 0 1 2
+face 0 2 3
+face 0 3 4
+face 0 4 1
+face 1 4 3 2
+diag 4 1 3
+""", precision=P)
 with mp.workprec(P + 64):
     ELEVEN_48 = mp.pi ** 2 * 11 / 48
 
@@ -72,7 +90,11 @@ CALLS = {
     "bloch_wigner": lambda: bloch_wigner(Z, P),
     "rogers": lambda: rogers(W, P),
     "cross_ratio": lambda: (cross_ratio(mp.mpc(0), mp.mpc(1), Z, W, P),
-                            cross_ratio(Infinity, mp.mpc(0), Z, W, P)),
+                            cross_ratio(Infinity, mp.mpc(0), Z, W, P),
+                            cross_ratio(mp.mpc(0), Infinity, Z, W, P),
+                            cross_ratio(mp.mpc(0), Z, Infinity, W, P),
+                            cross_ratio(mp.mpc(0), Z, W, Infinity, P),
+                            cross_ratio(*GAUSS_POINTS, P)),
     "cs_formula": lambda: (cs_formula(SHAPES, [0], FLAT, P),
                            cs_formula(SOLVED.shapes, SOLVED.lambdas, FLAT, P)),
     "rho_of_cs": lambda: rho_of_cs(CS, P),
@@ -85,6 +107,7 @@ CALLS = {
     "rank_witness": lambda: rank_witness(VECTORS, P),
     "validate": lambda: FIG8.validate(P),
     "validate_exact": lambda: EXACT_FIG8.validate(P),
+    "numeric_shapes_exact": lambda: EXACT_FIG8.numeric_shapes(P),
     "is_bloch": lambda: (is_bloch(five_term(THETA, THETA + 1), P),
                          is_bloch(BETA1, P)),
     "multiplicative_relations": lambda: multiplicative_relations(
@@ -98,7 +121,8 @@ CALLS = {
                               parse_element("1 * (0.3 0.8)\n", P)),
     "per_root_values": lambda: per_root_values(ELEMENT, P),
     "detect_relation": lambda: detect_relation(VECTORS, precision=P),
-    "polyhedron_class": lambda: polyhedron_class(OCTAHEDRON, P),
+    "polyhedron_class": lambda: (polyhedron_class(OCTAHEDRON, P),
+                                 polyhedron_class(TIED, P)),
     "bloch_invariant": lambda: (bloch_invariant(FIG8, P),
                                 bloch_invariant(EXACT_FIG8, P)),
 }
@@ -150,7 +174,6 @@ def test_results_ignore_ambient_precision(name):
 # cross_ratio a branch for each slot of infinity
 BOUNDARY_BITS = ("3287ff142fc8c2d2aa7a583c15fe7906"
                  "ad1daa0c0863659209b9f060c428091d")
-GAUSS = NumberField([1, 0, 1])
 QUARTIC = [1, -1, 1, 0, 1]
 
 
@@ -223,6 +246,18 @@ def _boundary_outcomes():
 def test_boundary_bits_pinned():
     out = repr(_raw(_boundary_outcomes()))
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDARY_BITS
+
+
+def test_no_module_reads_ambient_precision():
+    # the static half of the contract above: no module reads mp.prec or
+    # mp.dps, bare or through mp.mp
+    package = Path(blochinv.__file__).parent
+    found = {path.name: [node.lineno for node in ast.walk(
+        ast.parse(path.read_text())) if isinstance(node, ast.Attribute)
+        and node.attr in ("prec", "dps")
+        and ast.unparse(node.value) in ("mp", "mp.mp", "mpmath", "mpmath.mp")]
+        for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _unused_imports(path):

@@ -566,8 +566,6 @@ def test_libmp_coordinates_match_mpc(k, prec, data):
     with mp.workprec(prec):
         values = [_mpc_horner(a, r) for r in roots]
         assert horner(a, places, prec) == [v._mpc_ for v in values]
-        assert [a.evaluate(r)._mpc_ for r in roots] == \
-            [v._mpc_ for v in values]
         coords = ([mp.log(abs(v))._mpf_ for v in values[1:]]
                   + [mp.arg(v)._mpf_ for v in values[len(reals):]])
     assert _log_coordinates(a, places, len(reals), prec) == coords

@@ -340,11 +340,13 @@ def test_exceptional_bits_pinned():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == EXCEPTIONAL_BITS
 
 
-# SHA-256 of li2, bloch_wigner and rogers on _kernel_points, and of
-# solution_volume, cs_formula(...).value and core_length on every SLOPES
-# solution, at 128, 256 and 512 bits, recorded while the dilog kernel and
-# the sums still worked on mpc objects
-POSTSOLVE_BITS = "e7a680f88806bd8f0873498b3e858c29b9382eb3dd3897a1ca15970bbe563cb7"
+# SHA-256 of li2, bloch_wigner and rogers on _kernel_points, and of li2(0)
+# and li2(1), at 128, 256 and 512 bits, recorded while the inversion branch
+# still formed 1/z to test Re(1/z) > 1/2
+KERNEL_BITS = "92b912facf4807ed5d8274c542ca7a70bbefa61c7f95100bc66ee28d883002b6"
+# SHA-256 of solution_volume, cs_formula(...).value and core_length on every
+# SLOPES solution at 128, 256 and 512 bits
+POSTSOLVE_BITS = "d18718ef02caee2bae1cb2ad7ace7c12ab185db005517cf065744066c00bbf50"
 
 
 def _bits(x):
@@ -356,8 +358,10 @@ def _bits(x):
 def _kernel_points():
     """Seeded points on every branch of li2: |z| < 1/4 (log1p, also below
     2^-wp), series, reflection, inversion, negative real, |z| = 1,
-    Re z = 1/2, real z > 1; each carries bits down to 2^-800, below every
-    working precision."""
+    Re z = 1/2, real z > 1, and |z| > 1 within 2^-6 to 2^-100 of either side
+    of |z - 1| = 1, where inversion switches to reflection; each carries
+    bits down to 2^-800, below every working precision.  1 + i and 1 - i
+    lie on that circle exactly."""
     rng = random.Random(30)
     with mp.workprec(800):
         def polar(lo, hi, arg):
@@ -373,16 +377,26 @@ def _kernel_points():
                     mp.expjpi(mp.mpf(rng.getrandbits(700)) / 2 ** 699 - 1),
                     mp.mpc(0.5, mp.mpf(rng.getrandbits(700)) / 2 ** 698 - 2),
                     polar(1.01, 6, 0)]                           # z > 1
+        for k in (6, 40, 100):          # |z| > 1 for |arg(z - 1)| < 2 pi/3
+            for side in (-1, 1):
+                arg = mp.mpf(rng.getrandbits(700)) / 2 ** 700 * 1.2 - 0.6
+                pts.append(1 + (1 + side * mp.mpf(2) ** -k) * mp.expjpi(arg))
     return pts + [mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0.5, 0.5),
-                  mp.mpc("1e-200", "-3e-201")]
+                  mp.mpc("1e-200", "-3e-201"), mp.mpc(1, 1), mp.mpc(1, -1)]
 
 
-def test_postsolve_bits_pinned():
+def test_kernel_bits_pinned():
     out = []
     for prec in (128, 256, 512):
         out += [_bits(f(z, prec)) for z in _kernel_points()
                 for f in (dilog.li2, dilog.bloch_wigner, dilog.rogers)]
         out += [_bits(dilog.li2(z, prec)) for z in (0, 1)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == KERNEL_BITS
+
+
+def test_postsolve_bits_pinned():
+    out = []
+    for prec in (128, 256, 512):
         t = fig8_at(prec)
         flat = solve_flattening(t.U, t.d)
         for s in SLOPES:

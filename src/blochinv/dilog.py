@@ -160,7 +160,6 @@ def _libmp(prec):
         pos=lambda z: libmp.mpc_pos(z, prec, rnd),
         conj=lambda z: libmp.mpc_conjugate(z, prec, rnd),
         rsub=lambda n, z: libmp.mpc_sub((libmp.from_int(n), zero), z, prec, rnd),
-        rdiv=lambda n, z: libmp.mpc_mpf_div(libmp.from_int(n), z, prec, rnd),
         mul_int=lambda n, z: libmp.mpc_mul_int(z, n, prec, rnd),
         mul_mpf=lambda z, x: libmp.mpc_mul_mpf(z, x, prec, rnd),
         sub_mpf=lambda z, x: libmp.mpc_sub_mpf(z, x, prec, rnd),
@@ -247,19 +246,23 @@ def _li2_kernel(rec, wp):
         diff = ar.sub(log_1mz, log_z)
         log_1mw = (ar.sub if ar.gt(diff[1], fzero) else ar.add)(diff, ar.pi_i)
         log_mz = (ar.sub if ar.gt(log_z[1], fzero) else ar.add)(log_z, ar.pi_i)
-        w = ar.neg(_li2_unit_disc(ar.rdiv(1, z), log_w, log_1mw, wp))
+        # Re(1/z) > 1/2 is (x - 1)^2 + y^2 < 1, decided exactly
+        x_1 = libmp.mpf_sub(z[0], fone)
+        reflect = libmp.mpf_lt(libmp.mpf_add(libmp.mpf_mul(x_1, x_1),
+                                             libmp.mpf_mul(z[1], z[1])), fone)
+        w = ar.neg(_li2_unit_disc(reflect, log_w, log_1mw, wp))
         return ar.sub(ar.sub_mpf(w, ar.pi_sq_6), ar.half(ar.sq(log_mz)))
     if ar.lt(abs_sq, ar.pow2(-4)):    # |z| < 1/4: keep the error relative
         with mp.workprec(wp):
             return _li2_bernoulli((-mp.log1p(-mp.make_mpc(z)))._mpc_, wp)
-    return _li2_unit_disc(z, log_z, log_1mz, wp)
+    return _li2_unit_disc(ar.gt(z[0], ar.pow2(-1)), log_z, log_1mz, wp)
 
 
-def _li2_unit_disc(z, log_z, log_1mz, wp):
+def _li2_unit_disc(reflect, log_z, log_1mz, wp):
     """Li2 for |z| <= 1 from the principal logs of z and 1 - z, at working
-    precision wp (reflection, then series)."""
+    precision wp: by reflection if reflect (Re z > 1/2), else the series."""
     ar = _libmp(wp)
-    if ar.gt(z[0], ar.pow2(-1)):
+    if reflect:
         return ar.sub(ar.sub((ar.pi_sq_6, fzero), ar.mul(log_z, log_1mz)),
                       _li2_bernoulli(ar.neg(log_z), wp))
     return _li2_bernoulli(ar.neg(log_1mz), wp)

@@ -456,7 +456,7 @@ def test_libmp_arithmetic_matches_mpc_operators(parts, n, prec):
                  (ar.neg(X), -x), (ar.pos(X), mp.mpc(x)),
                  (ar.log(X), mp.log(x)), (ar.exp(X), mp.exp(x)),
                  (ar.rsub(n, X), n - x), (ar.mul_int(n, X), n * x),
-                 (ar.rdiv(n, X), n / x), (ar.mul_mpf(X, B), x * b),
+                 (ar.mul_mpf(X, B), x * b),
                  (ar.sub_mpf(X, B), x - b), (ar.half(X), x / 2),
                  (ar.sq(X), x ** 2), (ar.sub((B, libmp.fzero), X), b - x),
                  (ar.mul(ar.half(ar.pi_i), X), mp.mpc(0, 1) * mp.pi / 2 * x),

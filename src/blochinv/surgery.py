@@ -84,6 +84,7 @@ _DOUBLE = SimpleNamespace(
 _DOUBLE_TOL = -40     # log2 of the doubles' target; they reach about 2^-48
 _UNDAMPED_MAX = -32   # log2 of the residual from which no undamped step runs
 _FINAL_TESTS = 4      # residual tests at the full working precision
+_RUNG_MIN = 64        # the least halved caller precision with a ladder rung
 _MAX_STEPS = 100      # damped Newton steps in doubles
 
 
@@ -174,8 +175,10 @@ def _solve(J, b, ar):
 
 def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     """Newton iteration on shape logarithms: a damped search in doubles,
-    then one undamped step per precision doubling up to precision + 24 bits,
-    where the residual is tested.  ``steps`` counts the steps of both.
+    then one undamped step at each rung of a precision-doubling ladder,
+    (precision >> k) + 24 bits for precision >> k >= 64, and last at
+    precision + 24 bits, where the residual is tested.  ``steps`` counts the
+    steps of both.
 
     A shape with |Im z| < 2^-(min(precision, 128)//8) is flat.  Without
     allow_flat the doubles search rejects flat shapes; above doubles a flat
@@ -212,12 +215,21 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
 
 
 def _doubling_solve(system, shapes, precision, floor, allow_flat):
-    """Damped Newton in doubles from the libmp pairs ``shapes``; then, up the
-    halving ladder w < wp = precision + _GUARD, one undamped step at each
-    level whose residual is not below 2^(-w+_GUARD); at wp, up to
-    _FINAL_TESTS residual tests with a step after each failed one.  Shapes
-    below 2^floor take the flat rule above doubles.  A residual of
-    2^_UNDAMPED_MAX or more ends the search (Diverged).
+    """Damped Newton in doubles from the libmp pairs ``shapes``; then one
+    undamped step at each rung w = (precision >> k) + _GUARD, for the halved
+    caller precisions precision >> k >= _RUNG_MIN, whose residual is not
+    below 2^(-w+_GUARD); at wp = precision + _GUARD, up to _FINAL_TESTS
+    residual tests with a step after each failed one.  Shapes below 2^floor
+    take the flat rule above doubles.  A residual of 2^_UNDAMPED_MAX or more
+    ends the search (Diverged).
+
+    Each rung carries its own guard bits, as in the classical doubling
+    Newton iteration (Brent and Zimmermann, *Modern Computer Arithmetic*,
+    4.2).  A step at w leaves a residual of about 2^(-w+6).  So the doubles'
+    2^-48 is above the first rung's skip bound, 2^-64, every rung steps, and
+    the rung below wp leaves about 2^(-precision/2-18), from which one step
+    at wp passes the test: wp is evaluated twice, for one step and the
+    accepted test.
     Returns (zs, residual, steps, flat), zs and residual as libmp values at
     wp bits.
     """
@@ -226,7 +238,9 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     # with no step taken, keep the caller's precision; doubles convert exactly
     zs = [_as_pair(z) for z in zs] if steps else shapes
     wp = precision + _GUARD
-    ladder = [wp >> k for k in range(wp.bit_length(), 0, -1) if wp >> k > 53]
+    ladder = [(precision >> k) + _GUARD
+              for k in range(precision.bit_length(), 0, -1)
+              if precision >> k >= _RUNG_MIN]
     for w in ladder + [wp] * _FINAL_TESTS:
         ar = _libmp(w)
         if w == wp:

@@ -230,6 +230,7 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     the rung below wp leaves about 2^(-precision/2-18), from which one step
     at wp passes the test: wp is evaluated twice, for one step and the
     accepted test.
+
     Returns (zs, residual, steps, flat), zs and residual as libmp values at
     wp bits.
     """

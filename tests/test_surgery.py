@@ -486,7 +486,7 @@ def test_solver_fills_the_shape_records():
     # solved shapes: each record equals a fresh one bit for bit, with the
     # bits of mp.log(z) and mp.log(1 - z) at the working precision, and its
     # li2 and the core length from its logs are those of fresh evaluations
-    from blochinv import dilog, surgery
+    from blochinv import dilog
     for prec in (128, 256, 512):
         t = fig8_at(prec)
         wp = prec + dilog._GUARD

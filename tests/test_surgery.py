@@ -228,13 +228,10 @@ def test_exceptional_slope_outcomes(slope):
                 parts = zip(lo.shapes + lo.lambdas, hi.shapes + hi.lambdas)
                 assert all(abs(a - b) < tol * max(1, abs(b)) for a, b in parts)
         # quadratic convergence: the doubles stage is the same at every
-        # precision, and each doubling adds at most one ladder step.  At 128
-        # bits one step from the doubles' 2^-53 can already pass the
-        # accepted 2^-104, where 256 bits need three: the first doubling may
-        # add two.
+        # precision, every rung steps and one step at the working precision
+        # passes its test, so each doubling adds one rung and one step
         steps = [r.steps for r in got]
-        growth = [b - a for a, b in zip(steps, steps[1:])]
-        assert 0 <= growth[0] <= 2 and all(0 <= g <= 1 for g in growth[1:]), \
+        assert [b - a for a, b in zip(steps, steps[1:])] == [1, 1, 1], \
             (slope, allow_flat, steps)
 
 

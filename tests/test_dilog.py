@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -268,6 +269,22 @@ def test_bernoulli_table_length_is_the_truncation_bound(wp):
         tail = mp.nsum(lambda k: 2 * mp.zeta(2 * k) / (2 * k + 1) / 36 ** k,
                        [n + 1, mp.inf])
         assert tail < mp.mpf(2) ** -f
+
+
+# SHA-256 of the integers of _bernoulli_table at five working precisions,
+# recorded while the table came from mp.bernoulli
+BERNOULLI_TABLE_BITS = ("6fe3abd3d4f6ab7f8ead4e0112543bac"
+                        "d5af30b7c5e04b81a756cf5773f3512f")
+
+
+def test_bernoulli_table_pinned():
+    out = []
+    for wp in (152, 280, 536, 1048, 2072):
+        f, inv_two_pi_sq, d = _bernoulli_table(wp)
+        # int() so that the hash is the same with and without gmpy2
+        out.append((f, int(inv_two_pi_sq), tuple(int(c) for c in d)))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == \
+        BERNOULLI_TABLE_BITS
 
 
 _FIXED = st.integers(-(1 << 560), 1 << 560)

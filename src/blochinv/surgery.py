@@ -11,6 +11,7 @@ unfilled cusp (completeness), or p*meridian + q*longitude = 2 pi i for a
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from types import SimpleNamespace
@@ -27,8 +28,8 @@ from .lattice import hnf_rows
 
 class FilledSystem(NamedTuple):
     triangulation: object
-    rows: list       # integer coefficient rows over Z (length 2n each)
-    rhs: list        # rhs in units of pi i (integers; 2 extra for filled cusps)
+    rows: tuple      # integer coefficient rows over Z (tuples of length 2n)
+    rhs: tuple       # rhs in units of pi i (integers; 2 extra for filled cusps)
     filling: tuple   # per cusp None or a coprime (p, q)
 
 
@@ -57,17 +58,19 @@ def filled_system(t, filling):
                             % (len(filling), t.h))
     # independent edge rows by integer row reduction of the augmented rows
     H, _ = hnf_rows([u + [d] for u, d in zip(*t.edge_rows())])
-    rows = [row[:-1] for row in H if any(row)]
+    rows = [tuple(row[:-1]) for row in H if any(row)]
     rhs = [row[-1] for row in H if any(row)]
     for j, f in enumerate(filling):
         mu, lam, d_mu, d_lam = t.cusp_rows(j)
         p, q = f or (1, 0)       # an unfilled cusp keeps its meridian row
-        rows.append([p * a + q * b for a, b in zip(mu, lam)])
+        rows.append(tuple(p * a + q * b for a, b in zip(mu, lam)))
         rhs.append(p * d_mu + q * d_lam + (2 if f else 0))
     if len(rows) != t.n:
         raise RankDeficient("selected %d equations for %d shapes"
                             % (len(rows), t.n))
-    return FilledSystem(triangulation=t, rows=rows, rhs=rhs, filling=filling)
+    # tuples: (rows, rhs) keys the solver's memos, whatever the precision
+    return FilledSystem(triangulation=t, rows=tuple(rows), rhs=tuple(rhs),
+                        filling=filling)
 
 
 # Arithmetic namespaces: the solver routines below take one as ``ar``.
@@ -135,18 +138,18 @@ def _row_value(row, rhs, Z, ar):
                   ar.mul_int(rhs, ar.pi_i))
 
 
-def _system_value(system, Z, ar):
+def _system_value(rows, rhs, Z, ar):
     """F = U.Z - pi i d, one entry per equation, and max |F|."""
-    F = [_row_value(u, r, Z, ar) for u, r in zip(system.rows, system.rhs)]
+    F = [_row_value(u, r, Z, ar) for u, r in zip(rows, rhs)]
     return F, ar.abs_max(F)
 
 
-def _jacobian(system, zs, ar):
+def _jacobian(rows, zs, ar):
     """dF/d(log z): row[nu] - row[n + nu] z / (1 - z)."""
     ratios = [ar.div(z, ar.rsub(1, z)) for z in zs]
     return [[ar.rsub(a, ar.mul_int(b, r))
              for a, b, r in zip(row, row[len(zs):], ratios)]
-            for row in system.rows]
+            for row in rows]
 
 
 def _solve(J, b, ar):
@@ -231,13 +234,22 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     at wp passes the test: wp is evaluated twice, for one step and the
     accepted test.
 
+    The doubles search, every evaluation and every step are memoised on
+    what they read: the system's rows and rhs, the iterate, the bits and
+    the floor.  The rungs of a solve at p are the working precisions of the
+    solves at p/2, p/4, ..., so a solve at 2p after one at p takes their
+    search, evaluations and steps from the memos and computes only its own
+    two evaluations at wp and the step between them.
+
     Returns (zs, residual, steps, flat), zs and residual as libmp values at
     wp bits.
     """
-    zs = [libmp.mpc_to_complex(z, rnd=libmp.round_nearest) for z in shapes]
-    zs, steps = _damped(system, zs, floor, allow_flat)
+    key = system.rows, system.rhs
+    # the start's doubles as 53-bit pairs: as complex keys, -0.0 and 0.0 are one
+    start = tuple(libmp.mpc_pos(z, 53, libmp.round_nearest) for z in shapes)
+    zs, steps = _damped(*key, start, floor, allow_flat)
     # with no step taken, keep the caller's precision; doubles convert exactly
-    zs = [_as_pair(z) for z in zs] if steps else shapes
+    zs = tuple(map(_as_pair, zs)) if steps else tuple(shapes)
     wp = precision + _GUARD
     ladder = [(precision >> k) + _GUARD
               for k in range(precision.bit_length(), 0, -1)
@@ -245,36 +257,59 @@ def _doubling_solve(system, shapes, precision, floor, allow_flat):
     for w in ladder + [wp] * _FINAL_TESTS:
         ar = _libmp(w)
         if w == wp:
-            zs = [ar.pos(z) for z in zs]
-            Z = _recorded_logs(zs, precision)
-        else:
-            Z = _shape_logs(zs, ar)
-        flat = _flat(zs, floor)
-        Z = _flat_rule(Z, zs, flat, ar)
-        F, res = _system_value(system, Z, ar)
+            zs = tuple(map(ar.pos, zs))
+        _, _, res, flat = _evaluate(*key, zs, w, floor)
         if w == wp and ar.lt(res, ar.pow2(-precision + _GUARD)):
             return zs, res, steps, flat
         if ar.lt(res, ar.pow2(-w + _GUARD)):
             continue
         if ar.ge(res, ar.pow2(_UNDAMPED_MAX)):
             break
-        delta = _solve(_jacobian(system, zs, ar), [ar.neg(v) for v in F], ar)
-        zs, steps = [ar.exp(ar.add(v, d)) for v, d in zip(Z, delta)], steps + 1
+        zs, steps = _step(*key, zs, w, floor), steps + 1
     raise Diverged("residual %s in precision doubling" % ar.show(res))
 
 
-def _damped(system, zs, floor, allow_flat):
-    """Damped Newton in doubles to residual 2^_DOUBLE_TOL, in at most
-    _MAX_STEPS steps: (zs, steps).
+# entries kept by each solver memo.  A filling solved at 128, 256 and 512
+# bits computes 7 evaluations, 4 steps and 1 doubles search, and the solves
+# at 256 and 512 bits read those of the solves before them.
+_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _evaluate(rows, rhs, zs, w, floor):
+    """(Z, F, max |F|, flat) at w bits for the libmp pairs zs: the logs of
+    their dilog shape records, with the flat rule for shapes below 2^floor,
+    and the system's values on them."""
+    ar, flat = _libmp(w), _flat(zs, floor)
+    Z = _flat_rule(_recorded_logs(zs, w - _GUARD), zs, flat, ar)
+    F, res = _system_value(rows, rhs, Z, ar)
+    return tuple(Z), tuple(F), res, flat
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _step(rows, rhs, zs, w, floor):
+    """The iterate after one undamped Newton step at w bits from zs."""
+    ar = _libmp(w)
+    Z, F, _, _ = _evaluate(rows, rhs, zs, w, floor)
+    delta = _solve(_jacobian(rows, zs, ar), [ar.neg(v) for v in F], ar)
+    return tuple(ar.exp(ar.add(v, d)) for v, d in zip(Z, delta))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _damped(rows, rhs, start, floor, allow_flat):
+    """Damped Newton in doubles from the 53-bit libmp pairs start to
+    residual 2^_DOUBLE_TOL, in at most _MAX_STEPS steps: (zs, steps), zs a
+    tuple of complex.
     A step is halved up to 40 times until the max residual falls; shapes at 0,
     1 or (unless allow_flat) within 2^floor of the real line are rejected."""
     tol, floor, pinned = 2.0 ** _DOUBLE_TOL, 2.0 ** floor, 2.0 ** (floor + 2)
+    zs = [libmp.mpc_to_complex(z) for z in start]
     Z = _shape_logs(zs, _DOUBLE)
-    F, res = _system_value(system, Z, _DOUBLE)
+    F, res = _system_value(rows, rhs, Z, _DOUBLE)
     for step in range(_MAX_STEPS):
         if res < tol:
-            return zs, step
-        delta = _solve(_jacobian(system, zs, _DOUBLE), [-v for v in F], _DOUBLE)
+            return tuple(zs), step
+        delta = _solve(_jacobian(rows, zs, _DOUBLE), [-v for v in F], _DOUBLE)
         for lam in [2.0 ** -k for k in range(40)]:
             new_logs = [w + lam * d for w, d in zip(Z, delta)]
             new_zs = [cmath.exp(w) for w in new_logs]
@@ -282,7 +317,7 @@ def _damped(system, zs, floor, allow_flat):
                    for z in new_zs):
                 continue
             new_Z = new_logs + [cmath.log(1 - z) for z in new_zs]
-            new_F, new_res = _system_value(system, new_Z, _DOUBLE)
+            new_F, new_res = _system_value(rows, rhs, new_Z, _DOUBLE)
             if new_res < res:
                 zs, Z, F, res = new_zs, new_Z, new_F, new_res
                 break
@@ -293,7 +328,7 @@ def _damped(system, zs, floor, allow_flat):
             raise Diverged("no progress at step %d, residual %s"
                            % (step, mp.nstr(res, 5)))
     if res < tol:
-        return zs, _MAX_STEPS
+        return tuple(zs), _MAX_STEPS
     raise Diverged("step budget exhausted, residual %s" % mp.nstr(res, 5))
 
 

@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 import blochinv
-from blochinv import dilog, numfield
+from blochinv import dilog, numfield, surgery
 from blochinv.borel import (RegulatorVector, borel_regulator, detect_relation,
                             per_root_values, rank_witness)
 from blochinv.chern_simons import (cs_formula, rationalize_mod_pi2, rho_of_cs,
@@ -153,6 +153,8 @@ def _fresh():
     """Forget every memoised value, so that each call computes afresh."""
     dilog._record.cache_clear()
     dilog._bernoulli_table.cache_clear()
+    for memo in (surgery._damped, surgery._evaluate, surgery._step):
+        memo.cache_clear()
     numfield._EMBEDDINGS.clear()
 
 

@@ -38,10 +38,19 @@ def fig8_at(precision):
     return parse_triangulation(text, precision=precision)
 
 
+def _cold():
+    """Forget every memo a solve reads: the solver's doubles searches,
+    evaluations and steps, and the dilog shape records."""
+    for memo in (surgery._damped, surgery._evaluate, surgery._step,
+                 dilog._record):
+        memo.cache_clear()
+
+
 @functools.cache
 def fig8_solve(slope, precision, allow_flat):
-    """newton_solve on the figure-eight filled at slope, or the BlochError it
-    raised."""
+    """newton_solve on the figure-eight filled at slope, from cold memos, or
+    the BlochError it raised."""
+    _cold()
     try:
         return newton_solve(filled_system(fig8_at(precision), [slope]),
                             precision=precision, allow_flat=allow_flat)
@@ -295,23 +304,26 @@ def test_newton_solve_agrees_with_a_solve_at_twice_the_bits():
                        for a, b in zip(lo.shapes, hi.shapes)), (slope, p)
 
 
-def _ladder_schedule(monkeypatch, system, precision):
-    """newton_solve's steps, and the precisions it evaluated the system at
-    above doubles, each followed by "step" if a Newton step came of it."""
+def _ladder_schedule(monkeypatch, system, precision, cold=True):
+    """newton_solve's steps, and the precisions of the evaluations above
+    doubles it computed, each followed by "step" if it computed a Newton
+    step from it; from cold memos unless cold is false."""
     events = []
 
-    def libmp_at(w):
-        events.append(w)
-        return dilog._libmp(w)
+    def recorded_logs(zs, p):
+        events.append(p + dilog._GUARD)
+        return recorded_in(zs, p)
 
     def solve(J, b, ar):
         if ar is not surgery._DOUBLE:
             events.append("step")
         return solve_in(J, b, ar)
 
-    solve_in = surgery._solve
+    recorded_in, solve_in = surgery._recorded_logs, surgery._solve
+    if cold:
+        _cold()
     with monkeypatch.context() as m:
-        m.setattr(surgery, "_libmp", libmp_at)
+        m.setattr(surgery, "_recorded_logs", recorded_logs)
         m.setattr(surgery, "_solve", solve)
         res = newton_solve(system, precision=precision)
     return res.steps, events[:-1]       # the last one is core_length's
@@ -345,6 +357,55 @@ def test_ladder_steps_at_every_rung(monkeypatch):
             got.append(_ladder_schedule(
                 monkeypatch, filled_system(t, [None] * t.h), prec)[0])
         assert got == steps, name
+
+
+def test_solves_at_twice_the_bits_reuse_the_ladder(monkeypatch):
+    # the rungs of a solve at 256 bits are the working precisions of the
+    # solve at 128: after it, the solve at 256 computes only its two
+    # evaluations at 280 bits and the step between them, and takes its
+    # doubles search from the memo
+    slope = (5, 1)
+    _cold()
+    newton_solve(filled_system(fig8_at(128), [slope]), precision=128)
+    damped = surgery._damped.cache_info()
+    _, events = _ladder_schedule(
+        monkeypatch, filled_system(fig8_at(256), [slope]), 256, cold=False)
+    assert events == [280, "step", 280]
+    info = surgery._damped.cache_info()
+    assert (info.hits, info.misses) == (damped.hits + 1, damped.misses)
+
+
+def _warm_outcomes(slope, precisions, allow_flat):
+    """_solve_outcome of slope at each of precisions in turn, from cold memos
+    at the first only."""
+    _cold()
+    out = []
+    for prec in precisions:
+        try:
+            res = newton_solve(filled_system(fig8_at(prec), [slope]),
+                               precision=prec, allow_flat=allow_flat)
+        except BlochError as exc:
+            res = exc
+        out.append(_outcome(res))
+    return out
+
+
+def test_warm_solves_are_bit_identical():
+    # a solve that reads the memos of solves at lower precisions has the
+    # bits, steps, flat indices and Diverged messages of a cold one
+    # (fig8_solve); a slope at 128, 256 and 512 bits computes 1 doubles
+    # search, 7 evaluations and 4 steps
+    memos = surgery._damped, surgery._evaluate, surgery._step
+    for slope in SLOPES:
+        warm = _warm_outcomes(slope, (128, 256, 512), False)
+        assert [m.cache_info().misses for m in memos] == [1, 7, 4], slope
+        assert warm == [_solve_outcome(slope, prec, False)
+                        for prec in (128, 256, 512)], slope
+    for slope in sorted(EXCEPTIONAL):
+        for allow_flat in (False, True):
+            assert _warm_outcomes(slope, PRECISIONS, allow_flat) == \
+                [_solve_outcome(slope, prec, allow_flat)
+                 for prec in PRECISIONS], (slope, allow_flat)
 
 
 # coprime slopes with 1 <= p <= 40, 1 <= q <= 15 outside the exceptional set
@@ -387,8 +448,12 @@ EXCEPTIONAL_BITS = "e47d0a5918a2d0ae985093ab203a6423300881aa4f6b81f6c8ac584a0da3
 
 
 def _solve_outcome(slope, precision, allow_flat):
+    """_outcome of fig8_solve."""
+    return _outcome(fig8_solve(slope, precision, allow_flat))
+
+
+def _outcome(res):
     """Exception type and message, or the exact bits of a solution."""
-    res = fig8_solve(slope, precision, allow_flat)
     if isinstance(res, BlochError):
         return type(res).__name__, str(res)
     parts = [res.residual._mpf_] + [p for z in res.shapes + res.lambdas

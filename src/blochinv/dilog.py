@@ -273,15 +273,34 @@ def _bernoulli_table(wp):
     """(F, 1/(2 pi)^2, (d_1, ..., d_N(F))) as F-bit fixed-point integers.
 
     F = wp + 16 and N(F) is the truncation bound of the module docstring.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) comes from the tangent
+    number T_k, rounded once to F + 32 bits.
     """
     f = wp + 16
     n = math.ceil((f + 1) / _LOG2_36) - 1
     with mp.workprec(f + 32):
         two_pi_sq = (2 * mp.pi) ** 2
-        d = tuple(to_fixed((mp.bernoulli(2 * k) * two_pi_sq ** k
-                            / mp.factorial(2 * k + 1))._mpf_, f)
-                  for k in range(1, n + 1))
-        return f, to_fixed((1 / two_pi_sq)._mpf_, f), d
+        d = []
+        for k, t in enumerate(_tangent_numbers(n), 1):
+            b = mp.make_mpf(libmp.from_rational(
+                (-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1), f + 32,
+                libmp.round_nearest))
+            d.append(to_fixed((b * two_pi_sq ** k
+                               / mp.factorial(2 * k + 1))._mpf_, f))
+        return f, to_fixed((1 / two_pi_sq)._mpf_, f), tuple(d)
+
+
+def _tangent_numbers(n):
+    """[T_1, ..., T_n], tan x = sum T_k x^(2k-1) / (2k-1)!, in n^2/2 integer
+    updates (Brent and Harvey, *Fast computation of Bernoulli, Tangent and
+    Secant numbers*, 2011, algorithm TangentNumbers)."""
+    t = [0, 1]
+    for k in range(2, n + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def _li2_bernoulli(u, wp):

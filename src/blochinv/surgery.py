@@ -77,7 +77,7 @@ def filled_system(t, filling):
 # _DOUBLE is Python complex; dilog._libmp(prec) works on raw libmp values at
 # prec bits, with the bits of mpc arithmetic.
 _DOUBLE = SimpleNamespace(
-    log=cmath.log, sub=operator.sub, mul=operator.mul, div=operator.truediv,
+    sub=operator.sub, mul=operator.mul, div=operator.truediv,
     rsub=operator.sub, mul_int=operator.mul, fsum=sum, sum=sum,
     abs_max=lambda F: max(map(abs, F), default=0),
     l1=lambda z: abs(z.real) + abs(z.imag), eq_int=operator.eq,
@@ -108,15 +108,11 @@ def _as_pair(z):
     return libmp.from_float(z.real), libmp.from_float(z.imag)
 
 
-def _shape_logs(zs, ar):
-    """Z = (log z, log(1 - z)), principal branches."""
-    return [ar.log(z) for z in zs] + [ar.log(ar.rsub(1, z)) for z in zs]
-
-
 def _recorded_logs(zs, precision):
-    """Z at wp = precision + _GUARD bits for libmp pairs zs rounded to wp:
-    the logs of their dilog shape records (the bits _shape_logs gives at
-    wp), which the volume and Chern-Simons sums read again."""
+    """Z = (log z, log(1 - z)) at wp = precision + _GUARD bits for libmp
+    pairs zs, principal branches: the logs of their dilog shape records,
+    which the volume and Chern-Simons sums read again for zs rounded to
+    wp."""
     recs = [_record(z, precision) for z in zs]
     return [r.log_z for r in recs] + [r.log_1mz for r in recs]
 
@@ -181,7 +177,9 @@ def newton_solve(system, initial_shapes=None, precision=256, allow_flat=False):
     then one undamped step at each rung of a precision-doubling ladder,
     (precision >> k) + 24 bits for precision >> k >= 64, and last at
     precision + 24 bits, where the residual is tested.  ``steps`` counts the
-    steps of both.
+    steps of both, also those the memos of an earlier solve give: a solve
+    at 2p after one at p reuses its doubles search and ladder steps, with
+    the bits of a fresh solve.
 
     A shape with |Im z| < 2^-(min(precision, 128)//8) is flat.  Without
     allow_flat the doubles search rejects flat shapes; above doubles a flat
@@ -304,7 +302,7 @@ def _damped(rows, rhs, start, floor, allow_flat):
     1 or (unless allow_flat) within 2^floor of the real line are rejected."""
     tol, floor, pinned = 2.0 ** _DOUBLE_TOL, 2.0 ** floor, 2.0 ** (floor + 2)
     zs = [libmp.mpc_to_complex(z) for z in start]
-    Z = _shape_logs(zs, _DOUBLE)
+    Z = [cmath.log(z) for z in zs] + [cmath.log(1 - z) for z in zs]
     F, res = _system_value(rows, rhs, Z, _DOUBLE)
     for step in range(_MAX_STEPS):
         if res < tol:

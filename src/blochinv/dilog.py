@@ -25,9 +25,9 @@ wp bits and by the precision.  The record holds z, log z and log(1-z) at wp
 bits (mpmath's log of the rounded z and of 1 - z rounded to wp bits, the
 bits of mp.log(z) and mp.log(1 - z) at wp), and Li2(z) once li2 asks for
 it, as raw libmp (re, im) pairs.  D2, the Rogers sum, the pi i multiples
-of triang, the core lengths and the working-precision residual test of
-surgery's Newton solver all read these logs, so the two logs of a solved
-shape are taken once.  The kernel and the sums work on pairs in _libmp's
+of triang, the core lengths and every evaluation of surgery's Newton
+solver above doubles read these logs, so the two logs of a solved shape
+are taken once.  The kernel and the sums work on pairs in _libmp's
 arithmetic, with the bits of mpc arithmetic; mpc and mpf objects are made
 only at the public returns.  li2 takes every log it needs from the record:
 
@@ -118,10 +118,11 @@ _LOG2_36 = math.log2(36)
 
 _ZERO, _ONE, _I = (fzero, fzero), (fone, fzero), (fzero, fone)   # 0, 1, i
 
-# shape records kept.  A Dehn filling solved at three precisions has six
-# shapes, each read by the volume and Chern-Simons sums (and the solver's last
-# residual tests leave a few more); 32 records hold all of them and only the
-# last few fillings before.
+# shape records kept.  A Dehn filling solved at 128, 256 and 512 bits makes
+# 14 records, two for each of the solver's 7 evaluations above doubles (12
+# while only the working-precision tests made them), and the volume and
+# Chern-Simons sums read the six of the solved shapes again; 32 records hold
+# all of them and only the last filling before.
 _MEMO_SIZE = 32
 
 
@@ -205,8 +206,9 @@ class _Shape:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _record(z_mpc, precision):
-    """The _Shape of the libmp pair z_mpc, already rounded to
-    precision + _GUARD bits."""
+    """The _Shape of the libmp pair z_mpc at precision + _GUARD bits; li2
+    and the sums round z_mpc to those bits first, the solver's rungs need
+    not."""
     return _Shape(z_mpc, precision + _GUARD)
 
 

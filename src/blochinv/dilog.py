@@ -142,13 +142,16 @@ def _libmp(prec):
     def add(a, b):
         return libmp.mpc_add(a, b, prec, rnd)
 
-    def abs_max(F):                   # max(map(abs, F)): first maximum
-        m = zero
-        for i, v in enumerate(F):
-            v = libmp.mpc_abs(v, prec, rnd)
-            if not i or libmp.mpf_lt(m, v):
-                m = v
-        return m
+    def abs_max(F):                   # max(map(abs, F)) for prec-bit F:
+        # mpc_abs is monotone in the exact |v|^2 there, so one square root,
+        # at the first maximum of |v|^2
+        best, m = (zero, zero), None
+        for v in F:
+            s = libmp.mpf_add(libmp.mpf_mul(v[0], v[0]),
+                              libmp.mpf_mul(v[1], v[1]))
+            if m is None or libmp.mpf_lt(m, s):
+                best, m = v, s
+        return libmp.mpc_abs(best, prec, rnd)
 
     return SimpleNamespace(
         log=lambda z: libmp.mpc_log(z, prec, rnd),

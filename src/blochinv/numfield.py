@@ -225,6 +225,10 @@ class FieldElement:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, int):
+            # num[0] + k den keeps gcd(den, *num) == 1
+            return _new(self.field, (self.num[0] + other * self.den,)
+                        + self.num[1:], self.den)
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
@@ -272,15 +276,22 @@ class FieldElement:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        det, adj = _bareiss(self._mult_matrix())
+        n = self.field.degree
+        a = [row + [int(i == 0)] for i, row in enumerate(self._mult_matrix())]
+        det = _bareiss(a)
         if not det:
             # a zero divisor witnesses reducibility of the min poly
             raise DetectedReducible("element %s is a zero divisor" % (self,))
         # self = M/den acts as the integer matrix M over den, so its inverse
-        # is den * M^-1 e_0 = den * adj(M) e_0 / det(M)
+        # is den * M^-1 e_0 = den * y / det(M) for y = adj(M) e_0: integral,
+        # so each division of the back substitution on a is exact
+        y = [0] * n
+        for i in reversed(range(n)):
+            s = det * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))
+            y[i] = s // a[i][i]
         if det < 0:
-            det, adj = -det, [-y for y in adj]
-        return _make(self.field, [self.den * y for y in adj], det)
+            det, y = -det, [-v for v in y]
+        return _make(self.field, [self.den * v for v in y], det)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -367,8 +378,8 @@ class FieldElement:
 
     def norm(self):
         """Field norm: determinant of the multiplication-by-self matrix."""
-        det, _ = _bareiss(self._mult_matrix())
-        return Fraction(det, self.den ** self.field.degree)
+        return Fraction(_bareiss(self._mult_matrix()),
+                        self.den ** self.field.degree)
 
 
 def horner(element, roots, prec):
@@ -418,22 +429,22 @@ def _make(field, num, den):
     return _new(field, tuple(num), den)
 
 
-def _bareiss(m):
-    """Fraction-free (Bareiss) elimination of a square integer matrix
-    augmented by e_0: returns (det(m), adj(m) e_0), the column being None
-    when det(m) = 0.
+def _bareiss(a):
+    """Fraction-free (Bareiss) elimination, in place, of the n integer rows
+    a on their first n columns (any further columns ride along): returns
+    det of that square part, or 0, leaving a upper triangular there unless
+    det = 0.
 
     Every division is exact: by Sylvester's identity the pivot of step k is a
     k x k minor of the row-permuted matrix, and it divides every entry that
     step k + 1 produces (Bareiss 1968; Cohen, GTM 138, section 2.2).
     """
-    n = len(m)
-    a = [row + [int(i == 0)] for i, row in enumerate(m)]
+    n = len(a)
     sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
-            return 0, None
+            return 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
@@ -445,15 +456,7 @@ def _bareiss(m):
             a[i] = [0] * (k + 1) + [(p * x - f * y) // prev for x, y in
                                     zip(rowi[k + 1:], rowk[k + 1:])]
         prev = p
-    det = prev
-    # back substitution on the triangular system: y = det * x is integral
-    # (it is adj e_0 of the permuted matrix), so each division is exact
-    y = [0] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        s = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = s // row[i]
-    return sign * det, [sign * v for v in y]
+    return sign * prev
 
 
 # ---------------------------------------------------------------------------

@@ -473,11 +473,12 @@ def _log_coordinates(x, places, r1, wp):
     after the first r1 (the real ones), as raw mpfs: the bits of
     mp.log(abs(v)) and mp.arg(v) for v the mpc Horner value of x at the
     place, all at working precision wp.  The first place's log is never
-    computed."""
+    computed, nor, when it is real, its value."""
     rnd = round_nearest
-    values = horner(x, places, wp)
-    return ([mpf_log(mpc_abs(v, wp, rnd), wp, rnd) for v in values[1:]]
-            + [mpf_atan2(v[1], v[0], wp, rnd) for v in values[r1:]])
+    lead = min(r1, 1)         # the places skipped: the first, if it is real
+    values = horner(x, places[lead:], wp)
+    return ([mpf_log(mpc_abs(v, wp, rnd), wp, rnd) for v in values[1 - lead:]]
+            + [mpf_atan2(v[1], v[0], wp, rnd) for v in values[r1 - lead:]])
 
 
 def _verify_relation(elements, exps):

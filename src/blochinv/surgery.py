@@ -56,10 +56,8 @@ def filled_system(t, filling):
     if len(filling) != t.h:
         raise RankDeficient("fillings for %d cusps, triangulation has %d"
                             % (len(filling), t.h))
-    # independent edge rows by integer row reduction of the augmented rows
-    H, _ = hnf_rows([u + [d] for u, d in zip(*t.edge_rows())])
-    rows = [tuple(row[:-1]) for row in H if any(row)]
-    rhs = [row[-1] for row in H if any(row)]
+    rows, rhs = map(list, _edge_basis(tuple(
+        tuple(u) + (d,) for u, d in zip(*t.edge_rows()))))
     for j, f in enumerate(filling):
         mu, lam, d_mu, d_lam = t.cusp_rows(j)
         p, q = f or (1, 0)       # an unfilled cusp keeps its meridian row
@@ -71,6 +69,14 @@ def filled_system(t, filling):
     # tuples: (rows, rhs) keys the solver's memos, whatever the precision
     return FilledSystem(triangulation=t, rows=tuple(rows), rhs=tuple(rhs),
                         filling=filling)
+
+
+@functools.lru_cache(maxsize=4)
+def _edge_basis(augmented):
+    """Independent edge rows and their rhs, as tuples, by integer row
+    reduction of the augmented edge rows (u | d), given as tuples."""
+    H = [row for row in hnf_rows(augmented)[0] if any(row)]
+    return tuple(tuple(row[:-1]) for row in H), tuple(row[-1] for row in H)
 
 
 # Arithmetic namespaces: the solver routines below take one as ``ar``.

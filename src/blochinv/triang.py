@@ -172,6 +172,7 @@ class Triangulation:
         self.field = field
         self.fillings = list(fillings) if fillings else [None] * h
         self._shape_tokens = shape_tokens
+        self._numeric = {}     # precision -> numeric shapes read at it
         exact = [isinstance(z, FieldElement) for z in self.shapes]
         if any(exact) and (field is None or not all(exact)):
             raise TriangulationSyntaxError(
@@ -210,11 +211,16 @@ class Triangulation:
         naming each root and the d it gives (or why it gives none), when no
         root does."""
         if not self.exact_shapes():
-            with mp.workprec(precision + _GUARD):
-                return [mp.mpc(z) if tok is None
+            # read once per precision; each caller gets its own list
+            zs = self._numeric.get(precision)
+            if zs is None:
+                with mp.workprec(precision + _GUARD):
+                    zs = self._numeric[precision] = [
+                        mp.mpc(z) if tok is None
                         else textformat.complex_pair(tok, precision + _GUARD)
                         for z, tok in zip(self.shapes, self._shape_tokens
                                           or [None] * self.n)]
+            return list(zs)
         tried = []
         for root in embeddings(self.field, precision).all_roots():
             zs = [mp.make_mpc(horner(z, [root._mpc_], precision + _GUARD)[0])

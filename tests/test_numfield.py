@@ -626,3 +626,69 @@ def test_pow_multiplication_count(monkeypatch):
         x ** n
         expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
         assert count[0] == expected, n
+
+
+def _old_bareiss(m):
+    """The elimination norm and inverse shared before the norm skipped the
+    e_0 column: (det(m), adj(m) e_0), the column None when det(m) = 0."""
+    n = len(m)
+    a = [list(row) + [int(i == 0)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rowk, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [0] * (k + 1) + [(p * x - f * y) // prev for x, y in
+                                    zip(a[i][k + 1:], rowk[k + 1:])]
+        prev = p
+    y = [0] * n
+    for i in reversed(range(n)):
+        s = prev * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = s // a[i][i]
+    return sign * prev, [sign * v for v in y]
+
+
+def _generic_add(a, b):
+    """a + b for two FieldElements by the common-denominator _make path."""
+    if a.den == b.den:
+        return numfield._make(a.field, [x + y for x, y in zip(a.num, b.num)],
+                              a.den)
+    return numfield._make(a.field, [x * b.den + y * a.den
+                                    for x, y in zip(a.num, b.num)],
+                          a.den * b.den)
+
+
+# Q(i), x^3 - x + 1 and x^4 + x^2 - x + 1, the field of example2_beta1.bloch
+@pytest.mark.parametrize("poly", [GAUSS, WEEKS, QUARTIC])
+def test_norm_inverse_and_integer_sums_match_the_generic_paths(poly):
+    # the norm eliminates the bare matrix, the inverse the matrix with its
+    # e_0 column, and x + k adds k den to num[0]: the same values the shared
+    # elimination and the gcd-reducing _make gave
+    k = NumberField(poly)
+    rng = random.Random(len(poly))
+    elements = [k.zero(), k.one(), k.gen(), k.from_rational(Fraction(-7, 4))]
+    for _ in range(40):
+        den = rng.choice([1, 2, 12, rng.randint(1, 10 ** 6)])
+        elements.append(k.element([Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                            den) for _ in range(k.degree)]))
+    for a in elements:
+        det, adj = _old_bareiss(a._mult_matrix())
+        assert a.norm() == Fraction(det, a.den ** k.degree)
+        if det:
+            if det < 0:
+                det, adj = -det, [-y for y in adj]
+            want = numfield._make(k, [a.den * y for y in adj], det)
+            assert (a.inverse().num, a.inverse().den) == (want.num, want.den)
+        for n in (0, 1, -1, True, rng.randint(-10 ** 12, 10 ** 12), -2 ** 70):
+            r = k.from_rational(int(n))
+            for got, want in ((a + n, _generic_add(a, r)),
+                              (n + a, _generic_add(r, a)),
+                              (n - a, _generic_add(-a, r))):
+                assert (got.num, got.den) == (want.num, want.den)
+                assert got.field is k and _canonical(got)

@@ -10,7 +10,7 @@ from mpmath import libmp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blochinv import dilog, surgery
+from blochinv import dilog, surgery, textformat
 from blochinv.chern_simons import cs_formula, solve_flattening
 from blochinv.errors import (BlochError, Diverged, DegeneratedToFlat,
                              NotCoprime, NotFilled, RankDeficient)
@@ -616,3 +616,75 @@ def test_libmp_arithmetic_matches_mpc_operators(parts, n, prec):
             assert got == want._mpf_
         assert (ar.gt(A, B), ar.lt(A, B), ar.ge(A, B)) == (a > b, a < b,
                                                             a >= b)
+
+
+def _abs_max_per_entry(F, prec):
+    """abs_max as one mpc_abs per entry, keeping the first maximum."""
+    m = libmp.fzero
+    for i, v in enumerate(F):
+        v = libmp.mpc_abs(v, prec, libmp.round_nearest)
+        if not i or libmp.mpf_lt(m, v):
+            m = v
+    return m
+
+
+@pytest.mark.parametrize("prec", [88, 152, 280, 536])
+def test_abs_max_takes_the_largest_abs(prec):
+    # abs_max takes one square root, at the first maximum of the exact
+    # |v|^2; on prec-bit entries, as its residuals are, that is the largest
+    # mpc_abs.  The pool holds exact ties (sign flips, swapped parts, the
+    # axis point (m^2 + n^2, 0) against (m^2 - n^2, 2mn)), entries one unit
+    # in the last place apart, zeros and entries on either axis
+    rng = random.Random(prec)
+    rnd = libmp.round_nearest
+
+    def mpf(man, exp):
+        return libmp.from_man_exp(man, exp, prec, rnd)
+
+    pool = [(libmp.fzero, libmp.fzero)]
+    for _ in range(12):
+        exp = -prec - rng.randrange(3)
+        a, b = (rng.getrandbits(prec) * rng.choice((-1, 1)) for _ in "ab")
+        pool += [(mpf(a, exp), mpf(b, exp)), (mpf(b, exp), mpf(a, exp)),
+                 (mpf(-a, exp), mpf(b, exp)), (mpf(a + 1, exp), mpf(b, exp)),
+                 (mpf(a, exp), libmp.fzero), (libmp.fzero, mpf(b, exp))]
+        m, n = (rng.getrandbits(prec // 2 - 1) for _ in "mn")
+        exp = -prec + rng.randrange(-2, 3)
+        pool += [(mpf(m * m - n * n, exp), mpf(2 * m * n, exp)),
+                 (mpf(m * m + n * n, exp), libmp.fzero),
+                 (libmp.fzero, mpf(-m * m - n * n, exp))]
+    ar = dilog._libmp(prec)
+    assert ar.abs_max([]) == _abs_max_per_entry([], prec) == libmp.fzero
+    for _ in range(300):
+        F = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        assert ar.abs_max(F) == _abs_max_per_entry(F, prec)
+
+
+def test_sweep_reads_start_shapes_and_edge_basis_once(monkeypatch):
+    # a sweep of three slopes, each at 128, 256 and 512 bits, on one parsed
+    # figure-eight: two shapes read once per precision, and one reduction
+    # of its edge rows
+    text = importlib.resources.files("blochinv").joinpath(
+        "fixtures/figure_eight.tri").read_text()
+    t = parse_triangulation(text, precision=256)
+    read, reduce = textformat.complex_pair, surgery.hnf_rows
+    reads, reductions = [], []
+
+    def counting_read(tok, prec):
+        reads.append(prec)
+        return read(tok, prec)
+
+    def counting_reduce(rows):
+        reductions.append(rows)
+        return reduce(rows)
+
+    monkeypatch.setattr(textformat, "complex_pair", counting_read)
+    monkeypatch.setattr(surgery, "hnf_rows", counting_reduce)
+    surgery._edge_basis.cache_clear()
+    for slope in SLOPES[:3]:
+        for prec in (128, 256, 512):
+            res = newton_solve(filled_system(t, [slope]), precision=prec)
+            assert res.converged
+    assert sorted(reads) == [p + dilog._GUARD for p in (128, 256, 512)
+                             for _ in range(2)]
+    assert len(reductions) == 1

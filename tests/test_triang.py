@@ -5,6 +5,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blochinv import textformat
+from blochinv.dilog import _GUARD
 from blochinv.errors import (DimensionMismatch, NotIntegral, OpenFace,
                              TriangulationSyntaxError)
 from blochinv.lattice import hnf_rows
@@ -286,6 +288,19 @@ def test_edge_equations_block_diagonal(fig8):
         left = any(a[0:2]) or any(b[0:2])
         right = any(a[2:4]) or any(b[2:4])
         assert not (left and right)
+
+
+def test_numeric_shapes_are_the_parsed_tokens(fig8):
+    # each precision's shapes are read from the tokens once; every call
+    # returns a new list of the same values
+    for prec in (128, 256, 512, 1024):
+        first, again = fig8.numeric_shapes(prec), fig8.numeric_shapes(prec)
+        want = [textformat.complex_pair(tok, prec + _GUARD)._mpc_
+                for tok in fig8._shape_tokens]
+        assert [z._mpc_ for z in first] == [z._mpc_ for z in again] == want
+        assert first is not again
+        first.clear()
+        assert [z._mpc_ for z in fig8.numeric_shapes(prec)] == want
 
 
 def test_infer_d_figure_eight(fig8):
